@@ -25,11 +25,10 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from .states import (
     CoherencyMatrix,
     JonesVector,
+    NonFiniteError,
     PhysicsError,
     StokesVector,
     CLASSIFY_TOL,
@@ -308,11 +307,76 @@ def _validate_stage(name, args, line, col):
     return tuple(params)
 
 
+# The stage scanner: one match per well-formed stage, including the
+# separator after it. A stage has at most two arguments; anything else is
+# left to the token parser. _GAP is whitespace and comments. A comment
+# must run to the end of its line, so a gap splits into whitespace and
+# comments one way only and a failed match backtracks in linear time.
+# Digits are ASCII, a subset of what the tokenizer's \d accepts.
+_GAP = r"[ \t\n\r\f\v]*(?:#[^\n]*(?![^\n])[ \t\n\r\f\v]*)*"
+_SCAN_NUM = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_SCAN_ARG = rf"({_IDENT_RE.pattern}){_GAP}={_GAP}({_SCAN_NUM})(?:{_GAP}(deg))?{_GAP}"
+_STAGE_RE = re.compile(
+    rf"{_GAP}({_IDENT_RE.pattern}){_GAP}\({_GAP}"
+    rf"(?:{_SCAN_ARG}(?:,{_GAP}{_SCAN_ARG})?)?\){_GAP}(;|\Z)"
+)
+_END_RE = re.compile(rf"{_GAP}\Z")
+
+
+def _scan(text):
+    """The AST of text the scanner accepts, else None.
+
+    Locations come from newline counts. Arguments carry no location, so
+    a stage that fails validation returns None and the token parser
+    reports the located error.
+    """
+    stages = []
+    pos = mark = 0
+    line, line_start = 1, -1
+    while True:
+        m = _STAGE_RE.match(text, pos)
+        if m is None:
+            return None
+        name, n1, v1, d1, n2, v2, d2, sep = m.groups()
+        if name not in _STAGE_ARGS:
+            return None
+        start = m.start(1)
+        line += text.count("\n", mark, start)
+        newline = text.rfind("\n", mark, start)
+        if newline >= 0:
+            line_start = newline
+        mark = start
+        col = start - line_start
+        args = []
+        for key, number, deg in ((n1, v1, d1), (n2, v2, d2)):
+            if key is not None:
+                value = float(number)
+                if not math.isfinite(value):
+                    return None
+                args.append(_Arg(key, value, 0, 0, deg is not None))
+        try:
+            params = _validate_stage(name, args, line, col)
+        except CircuitError:
+            return None
+        stages.append(Stage(name, params, line, col))
+        pos = m.end()
+        if not sep or _END_RE.match(text, pos):
+            return CircuitAst(tuple(stages))
+
+
 def parse(text) -> CircuitAst:
-    """Parse circuit text; raise a located CircuitError on rejection."""
+    """Parse circuit text; raise a located CircuitError on rejection.
+
+    Well-formed text is matched stage by stage with one regular
+    expression; the token parser handles the rest and locates the
+    error.
+    """
     if not isinstance(text, str):
         raise TypeError("circuit text must be str")
-    return _Parser(_tokenize(text)).circuit()
+    ast = _scan(text)
+    if ast is None:
+        ast = _Parser(_tokenize(text)).circuit()
+    return ast
 
 
 def unparse(ast: CircuitAst) -> str:
@@ -370,11 +434,16 @@ def _stage_action(stage):
 def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     """Push a state through the circuit, recording every stage.
 
-    Coherent stages conjugate the coherency matrix (scaled by the
-    attenuator's overall factor where applicable) and transform the
-    amplitude track in step with it; decohere applies the physical
-    channel and ends the amplitude track. Stage failures re-raise as
-    located CircuitSemanticError.
+    A coherent stage is an overall factor k (1 except for atten) times
+    a unimodular G. While the amplitude track is live (Jones input, no
+    decohere yet) it is the single source of truth: psi -> k conj(G)
+    psi, and the coherency is the outer product of the new amplitudes,
+    so a pure state stays pure to rounding however long the chain.
+    Without amplitudes the coherency matrix is conjugated,
+    C -> k^2 G C G+. decohere applies the physical channel to the
+    Stokes vector and ends the amplitude track. Stage failures re-raise
+    as located CircuitSemanticError; arithmetic overflow and an
+    intensity that underflows to zero are reported as such.
     """
     if isinstance(inp, JonesVector):
         jones = inp
@@ -399,15 +468,18 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
                 jones = None
             else:
                 scale, g = _stage_action(stage)
-                coh = conjugate(coh, g)
-                if scale != 1.0:
-                    coh = CoherencyMatrix(
-                        scale**2 * coh.s11, scale**2 * coh.s22, scale**2 * coh.s12
+                if jones is None:
+                    coh = conjugate(coh, g, scale)
+                else:
+                    p1, p2 = jones.psi1, jones.psi2
+                    jones = JonesVector(
+                        scale * (g.alpha.conjugate() * p1 + g.beta.conjugate() * p2),
+                        scale * (g.gamma.conjugate() * p1 + g.delta.conjugate() * p2),
                     )
-                if jones is not None:
-                    amps = scale * (np.conj(g.matrix) @ jones.as_array())
-                    jones = JonesVector(amps[0], amps[1])
+                    coh = coherency_from_jones(jones)
                 stokes = stokes_from_coherency(coh)
+                if stokes.s0 <= 0.0:
+                    raise PhysicsError("beam attenuated to zero intensity (underflow)")
             record = StageRecord(
                 stage.name,
                 stage.params,
@@ -417,7 +489,11 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
                 purity_report(coh),
                 classify(stokes, tol),
             )
-        except (PhysicsError, OverflowError) as err:
+        except (NonFiniteError, OverflowError) as err:
+            raise CircuitSemanticError(
+                f"stage {stage.name}: beam intensity overflowed", stage.line, stage.col
+            ) from err
+        except PhysicsError as err:
             raise CircuitSemanticError(
                 f"stage {stage.name}: {err}", stage.line, stage.col
             ) from err

@@ -22,6 +22,7 @@ e^{-2 eta1}, e^{-2 eta2} is not unimodular; ``attenuator`` factors it
 as an overall scalar decay times a squeezer.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -51,7 +52,8 @@ def rotator(theta) -> Element2:
     theta = float(theta)
     if not math.isfinite(theta):
         raise PhysicsError("theta must be finite")
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    # Complex entries, which Element2 stores without converting them.
+    c, s = complex(math.cos(theta / 2.0)), complex(math.sin(theta / 2.0))
     return Element2(c, -s, s, c)
 
 
@@ -60,7 +62,7 @@ def phase_shifter(phi) -> Element2:
     phi = float(phi)
     if not math.isfinite(phi):
         raise PhysicsError("phi must be finite")
-    return Element2(np.exp(-0.5j * phi), 0.0, 0.0, np.exp(0.5j * phi))
+    return Element2(cmath.exp(-0.5j * phi), 0j, 0j, cmath.exp(0.5j * phi))
 
 
 def squeezer(eta) -> Element2:
@@ -68,7 +70,7 @@ def squeezer(eta) -> Element2:
     eta = float(eta)
     if not math.isfinite(eta):
         raise PhysicsError("eta must be finite")
-    return Element2(math.exp(eta / 2.0), 0.0, 0.0, math.exp(-eta / 2.0))
+    return Element2(complex(math.exp(eta / 2.0)), 0j, 0j, complex(math.exp(-eta / 2.0)))
 
 
 def attenuator(eta1, eta2):

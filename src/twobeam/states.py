@@ -35,6 +35,7 @@ import numpy as np
 
 __all__ = [
     "PhysicsError",
+    "NonFiniteError",
     "UNIMODULAR_TOL",
     "LORENTZ_TOL",
     "CLASSIFY_TOL",
@@ -60,6 +61,14 @@ class PhysicsError(ValueError):
     """An input violates a physical constraint or numeric domain."""
 
 
+class NonFiniteError(PhysicsError):
+    """A state or element component is infinite or NaN.
+
+    Inside a computation whose inputs were finite this means the
+    arithmetic overflowed.
+    """
+
+
 # Tolerances. Classification tolerance is relative to s0^2 and may be
 # overridden per call; the other two are construction-time gates.
 UNIMODULAR_TOL = 1e-12
@@ -70,10 +79,6 @@ MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
 MINKOWSKI.setflags(write=False)
 
 
-def _finite(x):
-    return math.isfinite(x.real) and math.isfinite(x.imag) if isinstance(x, complex) else math.isfinite(x)
-
-
 @dataclass(frozen=True)
 class JonesVector:
     """Two complex beam amplitudes at a reference plane."""
@@ -82,10 +87,13 @@ class JonesVector:
     psi2: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "psi1", complex(self.psi1))
-        object.__setattr__(self, "psi2", complex(self.psi2))
-        if not (_finite(self.psi1) and _finite(self.psi2)):
-            raise PhysicsError("Jones amplitudes must be finite")
+        p1, p2 = self.psi1, self.psi2
+        if not type(p1) is type(p2) is complex:
+            p1, p2 = complex(p1), complex(p2)
+            vars(self).update(psi1=p1, psi2=p2)
+        # x * 0.0 is 0 for finite x and NaN for infinite or NaN x.
+        if p1 * 0.0 + p2 * 0.0 != 0.0:
+            raise NonFiniteError("Jones amplitudes must be finite")
 
     @property
     def intensity(self):
@@ -111,15 +119,15 @@ class Element2:
     delta: complex
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta"):
-            value = complex(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not _finite(value):
-                raise PhysicsError("element entries must be finite")
-        if abs(self.det - 1.0) > UNIMODULAR_TOL:
-            raise PhysicsError(
-                f"element must be unimodular: |det - 1| = {abs(self.det - 1.0):.3e}"
-            )
+        a, b, c, d = self.alpha, self.beta, self.gamma, self.delta
+        if not type(a) is type(b) is type(c) is type(d) is complex:
+            a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+            vars(self).update(alpha=a, beta=b, gamma=c, delta=d)
+        if a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 != 0.0:
+            raise NonFiniteError("element entries must be finite")
+        drift = abs(a * d - b * c - 1.0)
+        if drift > UNIMODULAR_TOL:
+            raise PhysicsError(f"element must be unimodular: |det - 1| = {drift:.3e}")
 
     @property
     def det(self):
@@ -152,18 +160,18 @@ class CoherencyMatrix:
     s12: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "s11", float(self.s11))
-        object.__setattr__(self, "s22", float(self.s22))
-        object.__setattr__(self, "s12", complex(self.s12))
-        if not (_finite(self.s11) and _finite(self.s22) and _finite(self.s12)):
-            raise PhysicsError("coherency entries must be finite")
-        scale = max(1.0, abs(self.s11) + abs(self.s22))
-        if self.s11 < -1e-12 * scale or self.s22 < -1e-12 * scale:
+        s11, s22, s12 = self.s11, self.s22, self.s12
+        if not (type(s11) is type(s22) is float and type(s12) is complex):
+            s11, s22, s12 = float(s11), float(s22), complex(s12)
+            vars(self).update(s11=s11, s22=s22, s12=s12)
+        if s11 * 0.0 + s22 * 0.0 + s12 * 0.0 != 0.0:
+            raise NonFiniteError("coherency entries must be finite")
+        slack = 1e-12 * max(1.0, abs(s11) + abs(s22))
+        if s11 < -slack or s22 < -slack:
             raise PhysicsError("diagonal coherency entries must be nonnegative")
-        if self.det < -1e-12 * max(1.0, self.trace**2):
-            raise PhysicsError(
-                f"coherency matrix must be positive semidefinite: det = {self.det:.3e}"
-            )
+        det = s11 * s22 - (s12.real * s12.real + s12.imag * s12.imag)
+        if det < -1e-12 * max(1.0, (s11 + s22) ** 2):
+            raise PhysicsError(f"coherency matrix must be positive semidefinite: det = {det:.3e}")
 
     @property
     def trace(self):
@@ -215,12 +223,13 @@ class StokesVector:
     s3: float
 
     def __post_init__(self):
-        for name in ("s0", "s1", "s2", "s3"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise PhysicsError("Stokes components must be finite")
-        if self.s0 < 0.0:
+        s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
+        if not type(s0) is type(s1) is type(s2) is type(s3) is float:
+            s0, s1, s2, s3 = float(s0), float(s1), float(s2), float(s3)
+            vars(self).update(s0=s0, s1=s1, s2=s2, s3=s3)
+        if s0 * 0.0 + s1 * 0.0 + s2 * 0.0 + s3 * 0.0 != 0.0:
+            raise NonFiniteError("Stokes components must be finite")
+        if s0 < 0.0:
             raise PhysicsError("s0 must be nonnegative")
 
     def as_array(self):
@@ -289,8 +298,11 @@ def coherency_from_jones(j: JonesVector) -> CoherencyMatrix:
     s12 = conj(psi1) * psi2. The result has rank 1 (det = 0 up to
     rounding).
     """
+    p1, p2 = j.psi1, j.psi2
     return CoherencyMatrix(
-        abs(j.psi1) ** 2, abs(j.psi2) ** 2, np.conj(j.psi1) * j.psi2
+        p1.real * p1.real + p1.imag * p1.imag,
+        p2.real * p2.real + p2.imag * p2.imag,
+        p1.conjugate() * p2,
     )
 
 
@@ -325,14 +337,32 @@ def _matrix2(g):
     return m
 
 
-def conjugate(c: CoherencyMatrix, g) -> CoherencyMatrix:
-    """Transform a coherency matrix by an element: C -> G C G+.
+def conjugate(c: CoherencyMatrix, g, scale=1.0) -> CoherencyMatrix:
+    """Transform a coherency matrix by an element: C -> scale^2 G C G+.
 
-    The determinant of C is preserved when G is unimodular, which is
-    what makes the induced Stokes map a Lorentz transformation.
+    The determinant of C is preserved when G is unimodular and scale
+    is 1, which is what makes the induced Stokes map a Lorentz
+    transformation; an attenuator is its overall amplitude factor
+    ``scale`` times a unimodular G. The product is written out
+    entrywise, so the result is Hermitian by construction: real
+    diagonal, one off-diagonal entry.
+
+    This is the transform for states without amplitudes. While a beam
+    still has its Jones vector psi, transforming psi -> scale conj(G)
+    psi and taking the outer product (coherency_from_jones) gives the
+    same matrix, rank 1 to rounding.
     """
-    g2 = _matrix2(g)
-    return CoherencyMatrix.from_matrix(g2 @ c.matrix @ g2.conj().T)
+    p, q, s = c.s11, c.s22, c.s12
+    if isinstance(g, Element2):
+        a, b, c, d = g.alpha, g.beta, g.gamma, g.delta
+    else:
+        a, b, c, d = (complex(x) for x in _matrix2(g).ravel())
+    abar, bbar, cbar, dbar = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    k2 = scale * scale
+    s11 = (a * abar).real * p + (b * bbar).real * q + 2.0 * (a * bbar * s).real
+    s22 = (c * cbar).real * p + (d * dbar).real * q + 2.0 * (c * dbar * s).real
+    s12 = p * a * cbar + q * b * dbar + a * dbar * s + b * cbar * s.conjugate()
+    return CoherencyMatrix(k2 * s11, k2 * s22, k2 * s12)
 
 
 # Coherency matrices of the four Stokes basis vectors; conjugating these
@@ -391,12 +421,15 @@ def purity_report(c: CoherencyMatrix) -> PurityReport:
     state gives trace_sq = 1 and det = 0 regardless of intensity, and
     the fully mixed state gives trace_sq = 1/2, det = 1/4.
     """
-    tr = c.trace
+    s11, s22 = c.s11, c.s22
+    tr = s11 + s22
     if tr <= 0.0:
         raise PhysicsError("purity report requires positive total intensity")
-    trace_sq = (c.s11**2 + c.s22**2 + 2.0 * abs(c.s12) ** 2) / tr**2
-    det = c.det / tr**2
-    pol = math.sqrt((c.s11 - c.s22) ** 2 + 4.0 * abs(c.s12) ** 2) / tr
+    cross = abs(c.s12) ** 2
+    tr2 = tr**2
+    trace_sq = (s11**2 + s22**2 + 2.0 * cross) / tr2
+    det = (s11 * s22 - cross) / tr2
+    pol = math.sqrt((s11 - s22) ** 2 + 4.0 * cross) / tr
     return PurityReport(tr, trace_sq, det, pol)
 
 
