@@ -7,86 +7,12 @@ reduced 2x2 factorizations; a small circuit DSL with an evaluator and
 a command line front end.
 """
 
-from .states import (
-    PhysicsError,
-    UNIMODULAR_TOL,
-    LORENTZ_TOL,
-    CLASSIFY_TOL,
-    MINKOWSKI,
-    JonesVector,
-    Element2,
-    CoherencyMatrix,
-    StokesVector,
-    Transform4,
-    PurityReport,
-    coherency_from_jones,
-    stokes_from_coherency,
-    coherency_from_stokes,
-    conjugate,
-    lift,
-    purity_report,
-    minkowski_norm,
-    metric_defect,
-)
-from .elements import (
-    rotator,
-    phase_shifter,
-    squeezer,
-    attenuator,
-    general,
-    compose,
-    rotator4,
-    phase4,
-    squeeze4,
-    split_angle,
-)
-from .littlegroup import (
-    PURE,
-    IMPURE,
-    NON_PHYSICAL,
-    BOUNDARY_AMBIGUOUS,
-    StateClass,
-    InterpolationParams,
-    classify,
-    standardize,
-    f1,
-    f2,
-    f_product,
-    little_group_element,
-    conjugated_rotation,
-    closed_form_family,
-    family_metric_defect,
-)
-from .decoherence import (
-    DecoherenceParam,
-    SubVectorA,
-    SubVectorB,
-    decoherence4,
-    decohere_channel,
-    split_subvectors,
-    recombine,
-    d_a,
-    r_a,
-    d_b,
-    IwasawaFactors,
-    iwasawa_decompose,
-    iwasawa_recompose,
-    WignerFactors,
-    wigner_decompose,
-    wigner_recompose,
-)
-from .circuit import (
-    CIRCUIT_FORMAT,
-    CircuitError,
-    CircuitSyntaxError,
-    CircuitSemanticError,
-    Stage,
-    CircuitAst,
-    StageRecord,
-    SimulationReport,
-    parse,
-    unparse,
-    evaluate,
-)
+# Each module's __all__ is its public surface; the package re-exports
+# all of them (tests/test_exports.py checks that every name resolves).
+from .states import *  # noqa: F401,F403
+from .elements import *  # noqa: F401,F403
+from .littlegroup import *  # noqa: F401,F403
+from .decoherence import *  # noqa: F401,F403
+from .circuit import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -8,6 +8,9 @@ Grammar:
               | "squeeze" | "decohere"
     arg      := ident "=" number [ "deg" ]
 
+The stage names, their parameters and what each stage does come from
+one table, STAGES; the grammar above lists its keys.
+
 "#" starts a comment running to end of line; whitespace is
 insignificant. Numbers are plain decimal floats, "deg" on an angle
 converts to radians at parse time. Stage order in the text is the
@@ -47,6 +50,8 @@ __all__ = [
     "CircuitError",
     "CircuitSyntaxError",
     "CircuitSemanticError",
+    "StageKind",
+    "STAGES",
     "Stage",
     "CircuitAst",
     "StageRecord",
@@ -78,6 +83,49 @@ class CircuitSyntaxError(CircuitError):
 
 class CircuitSemanticError(CircuitError):
     """Grammatical text with a bad parameter or stage failure."""
+
+
+class StageKind(NamedTuple):
+    """The vocabulary entry of one stage name.
+
+    params are the canonical parameter names in order; angles take an
+    optional "deg"; nonnegative must not be negative. alias is an
+    optional (name, convert) pair: the stage also accepts that
+    parameter in place of params[0] and converts its value to it.
+    action maps the canonical values to (amplitude factor k, unimodular
+    G); a channel, which has no such form, has action None.
+    """
+
+    params: tuple
+    angles: tuple = ()
+    nonnegative: tuple = ()
+    alias: tuple | None = None
+    action: object = None
+
+
+# The actions look rotator and friends up in this module's globals at
+# call time, so rebinding those names (as a tracer does) reaches them.
+STAGES = {
+    "rotate": StageKind(("theta",), angles=("theta",), action=lambda theta: (1.0, rotator(theta))),
+    "split": StageKind(
+        ("theta",),
+        angles=("theta",),
+        alias=("ratio", split_angle),
+        action=lambda theta: (1.0, rotator(theta)),
+    ),
+    "phase": StageKind(("phi",), angles=("phi",), action=lambda phi: (1.0, phase_shifter(phi))),
+    "atten": StageKind(
+        ("eta1", "eta2"),
+        nonnegative=("eta1", "eta2"),
+        action=lambda eta1, eta2: attenuator(eta1, eta2),
+    ),
+    "squeeze": StageKind(("eta",), action=lambda eta: (1.0, squeezer(eta))),
+    "decohere": StageKind(("lambda",), nonnegative=("lambda",)),
+}
+
+
+def _unknown_element(name):
+    return f"unknown element '{name}' (one of {', '.join(STAGES)})"
 
 
 @dataclass(frozen=True)
@@ -128,18 +176,6 @@ class _Arg(NamedTuple):
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUM_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-
-# Canonical argument layout per stage. split also accepts ratio in the
-# source text; it is folded into theta during validation.
-_STAGE_ARGS = {
-    "rotate": ("theta",),
-    "split": ("theta",),
-    "phase": ("phi",),
-    "atten": ("eta1", "eta2"),
-    "squeeze": ("eta",),
-    "decohere": ("lambda",),
-}
-_ANGLE_ARGS = {"theta", "phi"}
 
 
 def _tokenize(text):
@@ -222,8 +258,8 @@ class _Parser:
         tok = self.advance()
         if tok.kind != "ident":
             raise CircuitSyntaxError("expected stage name", tok.line, tok.col)
-        if tok.text not in _STAGE_ARGS:
-            raise CircuitSyntaxError(f"unknown stage name '{tok.text}'", tok.line, tok.col)
+        if tok.text not in STAGES:
+            raise CircuitSyntaxError(_unknown_element(tok.text), tok.line, tok.col)
         self.expect_sym("(", "'('")
         args = []
         nxt = self.peek()
@@ -265,45 +301,38 @@ class _Parser:
 
 
 def _validate_stage(name, args, line, col):
+    kind = STAGES[name]
+    alias, convert = kind.alias or (None, None)
     seen = {}
     for a in args:
         if a.name in seen:
             raise CircuitSemanticError(f"duplicate argument '{a.name}'", a.line, a.col)
         seen[a.name] = a
-    allowed = set(_STAGE_ARGS[name])
-    if name == "split":
-        allowed.add("ratio")
     for a in args:
-        if a.name not in allowed:
+        if a.name not in kind.params and a.name != alias:
             raise CircuitSemanticError(f"unknown argument '{a.name}' for {name}", a.line, a.col)
-        if a.deg and a.name not in _ANGLE_ARGS:
+        if a.deg and a.name not in kind.angles:
             raise CircuitSemanticError(f"'deg' does not apply to {a.name}", a.line, a.col)
 
-    def value_of(a):
-        return math.radians(a.value) if a.deg else a.value
-
-    if name == "split":
-        if "theta" in seen and "ratio" in seen:
-            raise CircuitSemanticError("split takes theta or ratio, not both", line, col)
-        if "theta" in seen:
-            return (("theta", value_of(seen["theta"])),)
-        if "ratio" in seen:
-            a = seen["ratio"]
-            if not 0.0 <= a.value <= 1.0:
-                raise CircuitSemanticError("ratio must lie in [0, 1]", a.line, a.col)
-            return (("theta", split_angle(a.value)),)
-        raise CircuitSemanticError("split requires theta or ratio", line, col)
+    first = kind.params[0]
+    if alias in seen:
+        if first in seen:
+            raise CircuitSemanticError(f"{name} takes {first} or {alias}, not both", line, col)
+        a = seen[alias]
+        try:
+            seen[first] = a._replace(name=first, value=convert(a.value))
+        except PhysicsError as err:
+            raise CircuitSemanticError(str(err), a.line, a.col) from None
 
     params = []
-    for key in _STAGE_ARGS[name]:
-        if key not in seen:
-            raise CircuitSemanticError(f"{name} requires {key}", line, col)
-        a = seen[key]
-        if name == "decohere" and a.value < 0.0:
-            raise CircuitSemanticError("lambda must be nonnegative", a.line, a.col)
-        if name == "atten" and a.value < 0.0:
+    for key in kind.params:
+        a = seen.get(key)
+        if a is None:
+            either = f" or {alias}" if alias and key == first else ""
+            raise CircuitSemanticError(f"{name} requires {key}{either}", line, col)
+        if a.value < 0.0 and key in kind.nonnegative:
             raise CircuitSemanticError(f"{key} must be nonnegative", a.line, a.col)
-        params.append((key, value_of(a)))
+        params.append((key, math.radians(a.value) if a.deg else a.value))
     return tuple(params)
 
 
@@ -338,7 +367,7 @@ def _scan(text):
         if m is None:
             return None
         name, n1, v1, d1, n2, v2, d2, sep = m.groups()
-        if name not in _STAGE_ARGS:
+        if name not in STAGES:
             return None
         start = m.start(1)
         line += text.count("\n", mark, start)
@@ -418,27 +447,15 @@ class SimulationReport:
     final_classification: object
 
 
-def _stage_action(stage):
-    p = dict(stage.params)
-    if stage.name in ("rotate", "split"):
-        return 1.0, rotator(p["theta"])
-    if stage.name == "phase":
-        return 1.0, phase_shifter(p["phi"])
-    if stage.name == "squeeze":
-        return 1.0, squeezer(p["eta"])
-    if stage.name == "atten":
-        return attenuator(p["eta1"], p["eta2"])
-    raise PhysicsError(f"unknown stage '{stage.name}'")
-
-
 def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     """Push a state through the circuit, recording every stage.
 
-    A coherent stage is an overall factor k (1 except for atten) times
-    a unimodular G. While the amplitude track is live (Jones input, no
-    decohere yet) it is the single source of truth: psi -> k conj(G)
-    psi, and the coherency is the outer product of the new amplitudes,
-    so a pure state stays pure to rounding however long the chain.
+    A coherent stage is its STAGES action: an overall factor k (1
+    except for atten) times a unimodular G. While the amplitude track
+    is live (Jones input, no decohere yet) it is the single source of
+    truth: psi -> k conj(G) psi, and the coherency is the outer product
+    of the new amplitudes, so a pure state stays pure to rounding
+    however long the chain.
     Without amplitudes the coherency matrix is conjugated,
     C -> k^2 G C G+. decohere applies the physical channel to the
     Stokes vector and ends the amplitude track. Stage failures re-raise
@@ -462,12 +479,15 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     for stage in ast.stages:
         before = stokes
         try:
-            if stage.name == "decohere":
-                stokes = decohere_channel(stokes, stage.arg("lambda"))
+            kind = STAGES.get(stage.name)
+            if kind is None:
+                raise PhysicsError(_unknown_element(stage.name))
+            if kind.action is None:  # decohere, the one channel
+                stokes = decohere_channel(stokes, stage.params[0][1])
                 coh = coherency_from_stokes(stokes, tol)
                 jones = None
             else:
-                scale, g = _stage_action(stage)
+                scale, g = kind.action(*[value for _, value in stage.params])
                 if jones is None:
                     coh = conjugate(coh, g, scale)
                 else:

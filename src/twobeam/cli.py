@@ -25,7 +25,7 @@ from .states import (
     lift,
     metric_defect,
 )
-from .elements import phase_shifter, rotator, rotator4, squeezer
+from .elements import rotator4
 from .littlegroup import (
     InterpolationParams,
     classify,
@@ -35,7 +35,15 @@ from .littlegroup import (
     family_metric_defect,
 )
 from .decoherence import iwasawa_decompose, iwasawa_recompose, wigner_decompose, wigner_recompose
-from .circuit import CircuitSemanticError, CircuitSyntaxError, evaluate, parse, unparse
+from .circuit import (
+    STAGES,
+    CircuitError,
+    CircuitSemanticError,
+    CircuitSyntaxError,
+    evaluate,
+    parse,
+    unparse,
+)
 
 __all__ = ["main"]
 
@@ -132,35 +140,35 @@ def _parse_input_spec(spec):
     raise ValueError(f"unknown input kind '{kind}' (use jones or stokes)")
 
 
-_ELEMENTS = {
-    "rotate": ("theta", rotator),
-    "phase": ("phi", phase_shifter),
-    "squeeze": ("eta", squeezer),
-}
+def _lift_stage(spec):
+    """The stage of a one-element lift spec and its matrix k^2 lift(G).
 
-
-def _parse_element_spec(spec):
-    parts = spec.split()
-    if not parts:
-        raise ValueError("empty element spec (expected e.g. 'squeeze eta=0.6')")
-    name = parts[0]
-    if name not in _ELEMENTS:
-        raise ValueError(f"unknown element '{name}' (rotate, phase, squeeze)")
-    argname, ctor = _ELEMENTS[name]
-    values = {}
-    for part in parts[1:]:
-        key, sep, val = part.partition("=")
-        if not sep:
-            raise ValueError(f"expected key=value, got '{part}'")
-        if key in values:
-            raise ValueError(f"duplicate argument '{key}'")
-        try:
-            values[key] = float(val)
-        except ValueError:
-            raise ValueError(f"bad number '{val}' for {key}") from None
-    if set(values) != {argname}:
-        raise ValueError(f"{name} takes exactly one argument: {argname}=<value>")
-    return name, values[argname], ctor(values[argname])
+    The spec is circuit text, or the older 'squeeze eta=0.6' spelling,
+    which is rewritten to 'squeeze(eta=0.6)' first. Every rejection is
+    a plain ValueError, because the spec is a command-line argument.
+    """
+    text = spec
+    if "(" not in spec and spec.strip():
+        name, *args = spec.split()
+        text = f"{name}({', '.join(args)})"
+    try:
+        stages = parse(text).stages
+    except CircuitError as err:
+        raise ValueError(err.message) from None
+    coherent = ", ".join(name for name, kind in STAGES.items() if kind.action)
+    if len(stages) != 1:
+        raise ValueError(f"lift takes one element ({coherent}), got {len(stages)} stages")
+    stage = stages[0]
+    action = STAGES[stage.name].action
+    if action is None:
+        raise ValueError(f"{stage.name} is a channel, not an element; lift takes {coherent}")
+    try:
+        k, g = action(*[value for _, value in stage.params])
+        return stage, k * k * lift(g).m
+    except PhysicsError as err:
+        raise ValueError(f"{stage.name}: {err}") from None
+    except OverflowError:
+        raise ValueError(f"{stage.name}: element entries overflowed") from None
 
 
 def _deliver(args, command, inputs, results, warnings, lines):
@@ -275,19 +283,19 @@ def _cmd_classify(args):
 
 def _cmd_lift(args):
     _check_tol(args)
-    name, value, element = _parse_element_spec(args.element)
-    t = lift(element)
-    defect = metric_defect(t.m)
-    warnings = [PHASE_SIGN_WARNING] if name == "phase" else []
+    stage, m = _lift_stage(args.element)
+    defect = metric_defect(m)
+    warnings = [PHASE_SIGN_WARNING] if stage.name == "phase" else []
     results = {
-        "element": name,
-        "parameter": value,
-        "matrix": _matrix_rows(t.m),
+        "element": stage.name,
+        "params": dict(stage.params),
+        "matrix": _matrix_rows(m),
         "metric_defect": defect,
     }
     inputs = {"element": args.element, "tol": args.tol}
-    lines = [f"element: {name} ({_ELEMENTS[name][0]}={_fmt(value)})", "matrix:"]
-    lines += _matrix_lines(t.m)
+    ptxt = ", ".join(f"{k}={_fmt(v)}" for k, v in stage.params)
+    lines = [f"element: {stage.name} ({ptxt})", "matrix:"]
+    lines += _matrix_lines(m)
     lines.append(f"metric defect: {_fmt(defect)}")
     return _deliver(args, "lift", inputs, results, warnings, lines)
 
@@ -440,7 +448,9 @@ def _build_parser():
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("lift", parents=[common], help="4x4 Stokes transform of an element")
-    p.add_argument("element", help="element spec, e.g. 'squeeze eta=0.6' or 'rotate theta=0.3'")
+    p.add_argument(
+        "element", help="one coherent stage, e.g. 'squeeze(eta=0.6)' or 'squeeze eta=0.6'"
+    )
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser(

@@ -8,16 +8,15 @@ l > 0, and the physical channel `decohere_channel`, its e^-l multiple
 diag(1, 1, e^-2l, e^-2l), which keeps states physical and never
 increases purity.
 
-The four Stokes components also split into the pairs V_A = (s1, s2)
-and V_B = (s0, s3); on such a pair the 2x2 real unimodular matrices
-d_a, r_a, d_b act, and the module carries the two standard
-factorizations of that group: the Iwasawa form rotation * diagonal *
-upper shear, and the squeeze-rotation (Wigner) form rotation *
-diagonal * rotation whose angle sum is the Wigner rotation angle.
+On the Stokes pair (s1, s2) the squeeze d_a and the rotation r_a act
+as 2x2 real unimodular matrices, and the module carries the two
+standard factorizations of that group: the Iwasawa form rotation *
+diagonal * upper shear, and the squeeze-rotation (Wigner) form
+rotation * diagonal * rotation whose angle sum is the Wigner rotation
+angle.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,16 +24,10 @@ import numpy as np
 from .states import PhysicsError, StokesVector, Transform4
 
 __all__ = [
-    "DecoherenceParam",
-    "SubVectorA",
-    "SubVectorB",
     "decoherence4",
     "decohere_channel",
-    "split_subvectors",
-    "recombine",
     "d_a",
     "r_a",
-    "d_b",
     "IwasawaFactors",
     "iwasawa_decompose",
     "iwasawa_recompose",
@@ -42,31 +35,6 @@ __all__ = [
     "wigner_decompose",
     "wigner_recompose",
 ]
-
-
-@dataclass(frozen=True)
-class DecoherenceParam:
-    """Nonnegative decoherence exponent for the physical channel."""
-
-    lam: float
-
-    def __post_init__(self):
-        lam = float(self.lam)
-        if not math.isfinite(lam):
-            raise PhysicsError("lambda must be finite")
-        if lam < 0.0:
-            raise PhysicsError("lambda must be nonnegative")
-        object.__setattr__(self, "lam", lam)
-
-
-class SubVectorA(NamedTuple):
-    s1: float
-    s2: float
-
-
-class SubVectorB(NamedTuple):
-    s0: float
-    s3: float
 
 
 def decoherence4(lam) -> Transform4:
@@ -91,7 +59,7 @@ def decohere_channel(s: StokesVector, lam) -> StokesVector:
     never increases, and the maps form a semigroup in l. Negative l
     (recoherence) is rejected.
     """
-    lam = lam.lam if isinstance(lam, DecoherenceParam) else float(lam)
+    lam = float(lam)
     if not math.isfinite(lam):
         raise PhysicsError("lambda must be finite")
     if lam < 0.0:
@@ -101,18 +69,8 @@ def decohere_channel(s: StokesVector, lam) -> StokesVector:
     return StokesVector(s.s0, s.s1, k * s.s2, k * s.s3)
 
 
-def split_subvectors(s: StokesVector):
-    """Project onto the pairs A = (s1, s2) and B = (s0, s3)."""
-    return SubVectorA(s.s1, s.s2), SubVectorB(s.s0, s.s3)
-
-
-def recombine(a: SubVectorA, b: SubVectorB) -> StokesVector:
-    """Inverse of split_subvectors."""
-    return StokesVector(b.s0, a.s1, a.s2, b.s3)
-
-
 def d_a(lam):
-    """Squeeze diag(e^l, e^-l) acting on an A pair."""
+    """Squeeze diag(e^l, e^-l) acting on the (s1, s2) pair."""
     lam = float(lam)
     if not math.isfinite(lam):
         raise PhysicsError("lambda must be finite")
@@ -120,21 +78,15 @@ def d_a(lam):
 
 
 def r_a(theta):
-    """Full-angle rotation [[cos, -sin], [sin, cos]] on an A pair.
+    """Full-angle rotation [[cos, -sin], [sin, cos]] on the (s1, s2) pair.
 
-    Acts trivially on B pairs: nothing mixes (s0, s3) under a beam
-    rotation.
+    A beam rotation leaves (s0, s3) alone.
     """
     theta = float(theta)
     if not math.isfinite(theta):
         raise PhysicsError("theta must be finite")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
-
-
-def d_b(lam):
-    """Squeeze diag(e^l, e^-l) acting on a B pair."""
-    return d_a(lam)
 
 
 def _check_unimodular2(m):

@@ -34,7 +34,6 @@ __all__ = [
     "phase_shifter",
     "squeezer",
     "attenuator",
-    "general",
     "compose",
     "rotator4",
     "phase4",
@@ -87,11 +86,6 @@ def attenuator(eta1, eta2):
     if eta1 < 0.0 or eta2 < 0.0:
         raise PhysicsError("attenuation exponents must be nonnegative")
     return math.exp(-0.5 * (eta1 + eta2)), squeezer(eta2 - eta1)
-
-
-def general(matrix) -> Element2:
-    """Wrap an arbitrary 2x2 array as an element, enforcing det = 1."""
-    return Element2.from_matrix(matrix)
 
 
 def compose(*elements) -> Element2:

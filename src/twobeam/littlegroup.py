@@ -34,7 +34,6 @@ __all__ = [
     "PURE",
     "IMPURE",
     "NON_PHYSICAL",
-    "BOUNDARY_AMBIGUOUS",
     "StateClass",
     "InterpolationParams",
     "classify",
@@ -51,9 +50,6 @@ __all__ = [
 PURE = "pure"
 IMPURE = "impure"
 NON_PHYSICAL = "non-physical"
-# Reserved tag. The classification bands partition the norm axis
-# exhaustively, so the default classifier never emits it.
-BOUNDARY_AMBIGUOUS = "boundary-ambiguous"
 
 
 @dataclass(frozen=True)

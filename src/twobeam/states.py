@@ -28,6 +28,7 @@ functions, so everything here is safe to share across threads.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,6 +78,10 @@ CLASSIFY_TOL = 1e-9
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
 MINKOWSKI.setflags(write=False)
+
+# m^T g m sums four products of entries of m; below this entry size
+# (about 6.7e153) the metric check of a Transform4 cannot overflow.
+_METRIC_MAX = 0.5 * math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,11 @@ class CoherencyMatrix:
         if s11 < -slack or s22 < -slack:
             raise PhysicsError("diagonal coherency entries must be nonnegative")
         det = s11 * s22 - (s12.real * s12.real + s12.imag * s12.imag)
-        if det < -1e-12 * max(1.0, (s11 + s22) ** 2):
+        try:
+            floor = -1e-12 * max(1.0, (s11 + s22) ** 2)
+        except OverflowError:
+            raise NonFiniteError(f"coherency trace {s11 + s22:.3e} is too large to square") from None
+        if det < floor:
             raise PhysicsError(f"coherency matrix must be positive semidefinite: det = {det:.3e}")
 
     @property
@@ -272,7 +281,12 @@ class Transform4:
         if not np.isfinite(m).all():
             raise PhysicsError("transform entries must be finite")
         if self.lorentz:
-            allowed = LORENTZ_TOL * max(1.0, float(np.abs(m).max()) ** 2)
+            big = float(np.abs(m).max())
+            if big > _METRIC_MAX:
+                raise NonFiniteError(
+                    f"transform entries too large for the metric check: {big:.3e}"
+                )
+            allowed = LORENTZ_TOL * max(1.0, big) ** 2
             defect = metric_defect(m)
             if defect > allowed:
                 raise PhysicsError(
@@ -395,13 +409,18 @@ def lift(g) -> Transform4:
     identical for G and -G.
     """
     g2 = _matrix2(g)
-    det = g2[0, 0] * g2[1, 1] - g2[0, 1] * g2[1, 0]
-    if abs(det - 1.0) > UNIMODULAR_TOL:
-        raise PhysicsError(f"lift requires a unimodular element: |det - 1| = {abs(det - 1.0):.3e}")
-    gh = g2.conj().T
-    m = np.empty((4, 4))
-    for j, basis in enumerate(_BASIS_C):
-        m[:, j] = _stokes_of(g2 @ basis @ gh)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = g2[0, 0] * g2[1, 1] - g2[0, 1] * g2[1, 0]
+        if abs(det - 1.0) > UNIMODULAR_TOL:
+            raise PhysicsError(
+                f"lift requires a unimodular element: |det - 1| = {abs(det - 1.0):.3e}"
+            )
+        gh = g2.conj().T
+        m = np.empty((4, 4))
+        for j, basis in enumerate(_BASIS_C):
+            m[:, j] = _stokes_of(g2 @ basis @ gh)
+    if not np.isfinite(m).all():
+        raise NonFiniteError("lift overflowed: element entries too large to square")
     return Transform4(m, lorentz=True)
 
 
@@ -434,8 +453,17 @@ def purity_report(c: CoherencyMatrix) -> PurityReport:
 
 
 def minkowski_norm(s: StokesVector) -> float:
-    """s0^2 - s1^2 - s2^2 - s3^2; equals 4 det of the coherency matrix."""
-    return s.s0**2 - s.s1**2 - s.s2**2 - s.s3**2
+    """s0^2 - s1^2 - s2^2 - s3^2; equals 4 det of the coherency matrix.
+
+    Raises NonFiniteError when a component is too large to square
+    (above about 1.3e154).
+    """
+    try:
+        return s.s0**2 - s.s1**2 - s.s2**2 - s.s3**2
+    except OverflowError:
+        raise NonFiniteError(
+            "Minkowski norm overflowed: a Stokes component is too large to square"
+        ) from None
 
 
 def metric_defect(m) -> float:

@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from twobeam import f1
+from twobeam import f1, phase4, rotator4, split_angle, squeeze4
 from twobeam.cli import main
 
 
@@ -88,6 +89,91 @@ def test_lift_bad_spec(capsys):
     assert code == 2
     code, out, err = run(capsys, "lift", "squeeze eta=0.6 eta=0.7")
     assert code == 2
+
+
+def results_text(raw):
+    """The results object of a JSON report, as printed."""
+    return raw[raw.index('"results":') : raw.index(',"warnings":')]
+
+
+def assert_plain_error(code, out, err, exit_code):
+    assert code == exit_code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "(34" not in err and "Warning" not in err
+
+
+def test_lift_both_spellings_match_closed_forms(capsys):
+    for name, arg, closed in (
+        ("rotate", "theta", rotator4),
+        ("phase", "phi", phase4),
+        ("squeeze", "eta", squeeze4),
+    ):
+        for x in (-2.5, 0.0, 0.3, 1.7):
+            old, old_raw = run_json(capsys, "lift", f"{name} {arg}={x!r}")
+            new, new_raw = run_json(capsys, "lift", f"{name}({arg}={x!r})")
+            assert results_text(old_raw) == results_text(new_raw)
+            assert old["results"]["element"] == name
+            assert old["results"]["params"] == {arg: x}
+            m = np.array(new["results"]["matrix"])
+            assert np.abs(m - closed(x).m).max() < 1e-12
+
+
+def test_lift_atten_is_scaled_boost(capsys):
+    for a, b in ((0.0, 0.0), (0.2, 0.5), (1.1, 0.3)):
+        old, old_raw = run_json(capsys, "lift", f"atten eta1={a!r} eta2={b!r}")
+        new, new_raw = run_json(capsys, "lift", f"atten(eta1={a!r}, eta2={b!r})")
+        assert results_text(old_raw) == results_text(new_raw)
+        assert new["results"]["params"] == {"eta1": a, "eta2": b}
+        expected = math.exp(-(a + b)) * squeeze4(b - a).m
+        assert np.abs(np.array(new["results"]["matrix"]) - expected).max() < 1e-12
+        assert new["warnings"] == []
+
+
+def test_lift_split_is_rotate(capsys):
+    for r in (0.0, 0.25, 0.5, 0.9, 1.0):
+        old, old_raw = run_json(capsys, "lift", f"split ratio={r!r}")
+        new, new_raw = run_json(capsys, "lift", f"split(ratio={r!r})")
+        assert results_text(old_raw) == results_text(new_raw)
+        rot, _ = run_json(capsys, "lift", f"rotate(theta={split_angle(r)!r})")
+        assert new["results"]["matrix"] == rot["results"]["matrix"]
+        assert new["results"]["params"] == {"theta": split_angle(r)}
+
+
+def test_lift_text_shows_params(capsys):
+    code, out, err = run(capsys, "lift", "atten(eta1=0.5, eta2=0.25)")
+    assert code == 0, err
+    assert out.startswith("element: atten (eta1=0.5, eta2=0.25)\nmatrix:\n")
+
+
+def test_lift_rejections_exit_2(capsys):
+    for spec, words in (
+        ("decohere(lambda=0.3)", "channel"),
+        ("decohere lambda=0.3", "channel"),
+        ("rotate(theta=1); phase(phi=2)", "got 2 stages"),
+        ("split ratio=1.5", "ratio must lie in [0, 1]"),
+        ("squeeze(eta=1 deg)", "'deg' does not apply"),
+        ("atten(eta1=-1, eta2=0)", "eta1 must be nonnegative"),
+        ("twist(k=1)", "unknown element 'twist' (one of rotate, split,"),
+        ("", "expected stage name"),
+    ):
+        code, out, err = run(capsys, "lift", spec)
+        assert_plain_error(code, out, err, 2)
+        assert words in err, (spec, err)
+
+
+def test_lift_overflow_is_plain(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in ("squeeze eta=800", "squeeze(eta=400)", "squeeze(eta=1e300)"):
+            code, out, err = run(capsys, "lift", spec)
+            assert_plain_error(code, out, err, 2)
+
+
+def test_classify_overflow_is_plain(capsys):
+    code, out, err = run(capsys, "classify", "1e160,1e160,0,0")
+    assert_plain_error(code, out, err, 3)
+    assert "too large to square" in err
 
 
 def test_littlegroup_f1_endpoint(capsys):

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from twobeam import (
-    DecoherenceParam,
     PhysicsError,
     StokesVector,
-    SubVectorA,
-    SubVectorB,
     coherency_from_stokes,
     d_a,
-    d_b,
     decohere_channel,
     decoherence4,
     iwasawa_decompose,
@@ -21,9 +17,7 @@ from twobeam import (
     phase4,
     purity_report,
     r_a,
-    recombine,
     rotator4,
-    split_subvectors,
     wigner_decompose,
     wigner_recompose,
 )
@@ -134,29 +128,14 @@ def test_channel_preserves_positivity():
 def test_channel_rejects_recoherence():
     with pytest.raises(PhysicsError):
         decohere_channel(StokesVector(1, 0, 0.5, 0), -0.1)
-    with pytest.raises(PhysicsError):
-        DecoherenceParam(-0.1)
-    out = decohere_channel(StokesVector(1, 0, 0.5, 0), DecoherenceParam(0.25))
+    out = decohere_channel(StokesVector(1, 0, 0.5, 0), 0.25)
     assert abs(out.s2 - 0.5 * math.exp(-0.5)) < 1e-15
-
-
-def test_split_recombine():
-    a, b = split_subvectors(StokesVector(1, 0.2, 0.3, 0.4))
-    assert a == SubVectorA(0.2, 0.3)
-    assert b == SubVectorB(1, 0.4)
-    a, b = split_subvectors(StokesVector(1, 1, 0, 0))
-    assert a == (1, 0) and b == (1, 0)
-    rng = np.random.default_rng(22)
-    for _ in range(20):
-        s = random_physical_stokes(rng)
-        back = recombine(*split_subvectors(s))
-        assert back == s
 
 
 def test_two_by_two_generators():
     assert np.abs(d_a(0.0) - np.eye(2)).max() == 0.0
     assert np.abs(r_a(0.0) - np.eye(2)).max() == 0.0
-    assert np.allclose(d_b(0.3), np.diag([math.exp(0.3), math.exp(-0.3)]), atol=1e-15)
+    assert np.allclose(d_a(0.3), np.diag([math.exp(0.3), math.exp(-0.3)]), atol=1e-15)
     rng = np.random.default_rng(26)
     for _ in range(50):
         m = random_unimodular2(rng)

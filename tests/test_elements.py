@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from twobeam import (
+    Element2,
     JonesVector,
     PhysicsError,
     attenuator,
     coherency_from_jones,
     compose,
-    general,
     lift,
     phase4,
     phase_shifter,
@@ -68,10 +68,10 @@ def test_attenuator_identity():
 
 
 def test_general_and_compose():
-    g = general([[1, 0.3], [0, 1]])
+    g = Element2.from_matrix([[1, 0.3], [0, 1]])
     assert abs(g.det - 1.0) < 1e-15
     with pytest.raises(PhysicsError):
-        general([[1, 0], [0, 2]])
+        Element2.from_matrix([[1, 0], [0, 2]])
     # compose applies left argument first
     a, b = rotator(0.4), squeezer(0.5)
     ab = compose(a, b)

@@ -8,6 +8,7 @@ from twobeam import (
     InterpolationParams,
     NON_PHYSICAL,
     PURE,
+    NonFiniteError,
     PhysicsError,
     StateClass,
     StokesVector,
@@ -290,3 +291,11 @@ def test_pure_stays_on_cone():
         g = random_element(rng)
         moved = lift(g).apply(StokesVector(1, 1, 0, 0))
         assert abs(minkowski_norm(moved)) < 1e-9 * moved.s0**2
+
+
+def test_classify_overflow_is_plain():
+    # a wrong class or a raw errno string would both be wrong here
+    for s in (StokesVector(1e160, 1e160, 0, 0), StokesVector(1e160, 0, 0, 0)):
+        with pytest.raises(NonFiniteError, match="too large to square"):
+            classify(s)
+    assert classify(StokesVector(1e150, 1e150, 0, 0)).tag == PURE

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from twobeam import (
     Element2,
     JonesVector,
     MINKOWSKI,
+    NonFiniteError,
     PhysicsError,
     StokesVector,
     Transform4,
@@ -228,3 +230,26 @@ def test_transform4_matmul_propagates_flag():
 def test_metric_defect_identity():
     assert metric_defect(np.eye(4)) == 0.0
     assert MINKOWSKI[0, 0] == 1.0 and MINKOWSKI[1, 1] == -1.0
+
+
+def test_squares_that_overflow_raise_non_finite():
+    # s0 above about 1.3e154 cannot be squared; the error says so
+    # instead of surfacing as errno 34.
+    with pytest.raises(NonFiniteError, match="too large to square"):
+        minkowski_norm(StokesVector(1e160, 1e160, 0, 0))
+    with pytest.raises(NonFiniteError, match="too large to square"):
+        CoherencyMatrix(1e160, 0.0, 0.0)
+    with pytest.raises(NonFiniteError, match="too large to square"):
+        coherency_from_jones(JonesVector(1e80, 0))
+
+
+def test_lift_overflow_is_plain():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # entries of the lift overflow
+        with pytest.raises(NonFiniteError, match="lift overflowed"):
+            lift(squeezer(800.0))
+        # entries are finite, but the metric check would overflow
+        with pytest.raises(NonFiniteError, match="metric check"):
+            lift(squeezer(400.0))
+        assert lift(squeezer(300.0)).m[0, 0] == pytest.approx(math.cosh(300.0), rel=1e-12)
