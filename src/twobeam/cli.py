@@ -1,8 +1,11 @@
 """Command line front end.
 
 Subcommands: simulate, classify, lift, littlegroup, decompose. Every
-subcommand takes --format json|text (default text), --out to write the
-report to a file, and --tol to override the classification tolerance.
+subcommand takes --format json|text (default text) and --out to write the
+report to a file; simulate and classify, the two that classify states,
+also take --tol to override the classification tolerance. The text
+report of every subcommand but simulate is its JSON results, one
+`label: value` line per key in the same order.
 
 Exit codes: 0 success, 2 argument or parse errors, 3 semantic or
 physicality errors. JSON reports are byte-identical for identical
@@ -24,6 +27,7 @@ from .states import (
     StokesVector,
     lift,
     metric_defect,
+    relative_norm,
 )
 from .elements import rotator4
 from .littlegroup import (
@@ -39,7 +43,6 @@ from .circuit import (
     STAGES,
     CircuitError,
     CircuitSemanticError,
-    CircuitSyntaxError,
     evaluate,
     parse,
     unparse,
@@ -88,10 +91,6 @@ def _matrix_rows(m):
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
-def _matrix_lines(m, indent="  "):
-    return [indent + "[" + ", ".join(_fmt(x) for x in row) + "]" for row in _matrix_rows(m)]
-
-
 def _stokes_list(s):
     return [s.s0, s.s1, s.s2, s.s3]
 
@@ -121,23 +120,39 @@ def _purity_dict(p):
     }
 
 
-def _parse_input_spec(spec):
+def _reals(text, count, what, shape):
+    """The comma-separated reals of text, checked to number count.
+
+    what names the text in the bad-number message and shape is the
+    message for a wrong count.
+    """
+    try:
+        vals = [float(p) for p in text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad number in {what}") from None
+    if len(vals) != count:
+        raise ValueError(shape)
+    return vals
+
+
+_INPUT_KINDS = {
+    "jones": ("re1,im1,re2,im2", lambda a, b, c, d: JonesVector(complex(a, b), complex(c, d))),
+    "stokes": ("s0,s1,s2,s3", StokesVector),
+}
+
+
+def _input_state(spec):
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError("input spec must be 'jones:re1,im1,re2,im2' or 'stokes:s0,s1,s2,s3'")
-    try:
-        vals = [float(p) for p in rest.split(",")]
-    except ValueError:
-        raise ValueError(f"bad number in input spec '{spec}'") from None
-    if kind == "jones":
-        if len(vals) != 4:
-            raise ValueError("jones input takes four reals: re1,im1,re2,im2")
-        return JonesVector(complex(vals[0], vals[1]), complex(vals[2], vals[3]))
-    if kind == "stokes":
-        if len(vals) != 4:
-            raise ValueError("stokes input takes four reals: s0,s1,s2,s3")
-        return StokesVector(vals[0], vals[1], vals[2], vals[3])
-    raise ValueError(f"unknown input kind '{kind}' (use jones or stokes)")
+    fields, make = _INPUT_KINDS.get(kind, (None, None))
+    unknown = f"unknown input kind '{kind}' (use jones or stokes)"
+    shape = f"{kind} input takes four reals: {fields}" if make else unknown
+    # a bad number is reported before an unknown kind
+    vals = _reals(rest, 4, f"input spec '{spec}'", shape)
+    if make is None:
+        raise ValueError(unknown)
+    return make(*vals)
 
 
 def _lift_stage(spec):
@@ -171,7 +186,36 @@ def _lift_stage(spec):
         raise ValueError(f"{stage.name}: element entries overflowed") from None
 
 
-def _deliver(args, command, inputs, results, warnings, lines):
+def _text_value(value):
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, str):
+        return value
+    return _fmt(value)
+
+
+def _text_lines(results):
+    """The text report: one `label: value` line per key of results.
+
+    A matrix is printed as an indented block of rows and a params dict
+    is appended to the line before it, as `element: name (k=v, ...)`.
+    """
+    lines = []
+    for key, value in results.items():
+        if key == "params":
+            lines[-1] += " (" + ", ".join(f"{k}={_fmt(v)}" for k, v in value.items()) + ")"
+        elif key == "matrix":
+            lines.append("matrix:")
+            lines += ["  [" + ", ".join(_fmt(x) for x in row) + "]" for row in value]
+        else:
+            label = "classification" if key == "tag" else key.replace("_", " ")
+            lines.append(f"{label}: {_text_value(value)}")
+    return lines
+
+
+def _deliver(args, command, inputs, results, warnings=(), lines=None):
     if args.format == "json":
         envelope = {
             "schema_version": SCHEMA_VERSION,
@@ -182,7 +226,7 @@ def _deliver(args, command, inputs, results, warnings, lines):
         }
         text = _emit_json(envelope) + "\n"
     else:
-        body = list(lines) + [f"warning: {w}" for w in warnings]
+        body = (_text_lines(results) if lines is None else lines) + [f"warning: {w}" for w in warnings]
         text = "\n".join(body) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -190,11 +234,6 @@ def _deliver(args, command, inputs, results, warnings, lines):
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _check_tol(args):
-    if not math.isfinite(args.tol) or args.tol <= 0.0:
-        raise ValueError("--tol must be a positive finite number")
 
 
 def _stage_dict(r):
@@ -214,11 +253,10 @@ def _stage_dict(r):
 
 
 def _cmd_simulate(args):
-    _check_tol(args)
     with open(args.circuit) as fh:
         text = fh.read()
     ast = parse(text)
-    state = _parse_input_spec(args.input_spec)
+    state = _input_state(args.input_spec)
     report = evaluate(ast, state, tol=args.tol)
     canonical = unparse(ast)
     warnings = [PHASE_SIGN_WARNING] if any(s.name == "phase" for s in ast.stages) else []
@@ -234,6 +272,7 @@ def _cmd_simulate(args):
     }
     inputs = {"circuit_path": args.circuit, "input": args.input_spec, "tol": args.tol}
 
+    # The text summary also shows the input state, which results do not hold.
     lines = [f"circuit: {canonical}"]
     if report.input_jones is not None:
         lines.append("input jones: " + ", ".join(_fmt(x) for x in _jones_list(report.input_jones)))
@@ -259,49 +298,26 @@ def _cmd_simulate(args):
 
 
 def _cmd_classify(args):
-    _check_tol(args)
-    try:
-        vals = [float(p) for p in args.stokes.split(",")]
-    except ValueError:
-        raise ValueError(f"bad number in stokes '{args.stokes}'") from None
-    if len(vals) != 4:
-        raise ValueError("classify takes four comma-separated reals: s0,s1,s2,s3")
-    s = StokesVector(vals[0], vals[1], vals[2], vals[3])
-    c = classify(s, tol=args.tol)
-    results = _class_dict(c)
-    results["relative_norm"] = c.invariant_norm / s.s0**2
-    inputs = {"stokes": _stokes_list(s), "tol": args.tol}
-    lines = [
-        f"classification: {c.tag}",
-        f"invariant norm: {_fmt(c.invariant_norm)}",
-        f"relative norm: {_fmt(results['relative_norm'])}",
-        "eta to standard: "
-        + ("none" if c.eta_to_standard is None else _fmt(c.eta_to_standard)),
-    ]
-    return _deliver(args, "classify", inputs, results, [], lines)
+    shape = "classify takes four comma-separated reals: s0,s1,s2,s3"
+    s = StokesVector(*_reals(args.stokes, 4, f"stokes '{args.stokes}'", shape))
+    results = _class_dict(classify(s, tol=args.tol))
+    results["relative_norm"] = relative_norm(s)
+    return _deliver(args, "classify", {"stokes": _stokes_list(s), "tol": args.tol}, results)
 
 
 def _cmd_lift(args):
-    _check_tol(args)
     stage, m = _lift_stage(args.element)
-    defect = metric_defect(m)
     warnings = [PHASE_SIGN_WARNING] if stage.name == "phase" else []
     results = {
         "element": stage.name,
         "params": dict(stage.params),
         "matrix": _matrix_rows(m),
-        "metric_defect": defect,
+        "metric_defect": metric_defect(m),
     }
-    inputs = {"element": args.element, "tol": args.tol}
-    ptxt = ", ".join(f"{k}={_fmt(v)}" for k, v in stage.params)
-    lines = [f"element: {stage.name} ({ptxt})", "matrix:"]
-    lines += _matrix_lines(m)
-    lines.append(f"metric defect: {_fmt(defect)}")
-    return _deliver(args, "lift", inputs, results, warnings, lines)
+    return _deliver(args, "lift", {"element": args.element}, results, warnings)
 
 
 def _cmd_littlegroup(args):
-    _check_tol(args)
     closed = args.alpha is not None or args.u is not None
     conj = args.theta is not None or args.eta is not None
     if closed and conj:
@@ -311,14 +327,13 @@ def _cmd_littlegroup(args):
             raise ValueError("closed-form mode needs both --alpha and --u")
         params = InterpolationParams(args.alpha, args.u)
         t = closed_form_family(params)
-        defect = family_metric_defect(params)
         results = {
             "mode": "closed-form-family",
             "alpha": params.alpha,
             "u": params.u,
             "w": params.w,
             "matrix": _matrix_rows(t.m),
-            "metric_defect": defect,
+            "metric_defect": family_metric_defect(params),
             "lorentz": bool(t.lorentz),
         }
         if params.alpha == 1.0:
@@ -326,103 +341,54 @@ def _cmd_littlegroup(args):
         elif params.alpha == 0.0:
             theta = -2.0 * math.atan(params.u / 2.0)
             results["rotator_residual"] = float(np.abs(t.m - rotator4(theta).m).max())
-        lines = [
-            "mode: closed-form-family",
-            f"alpha: {_fmt(params.alpha)}",
-            f"u: {_fmt(params.u)}",
-            f"w: {_fmt(params.w)}",
-            "matrix:",
-        ]
-        lines += _matrix_lines(t.m)
-        lines.append(f"metric defect: {_fmt(defect)}")
-        lines.append(f"lorentz: {'yes' if t.lorentz else 'no'}")
-        if "f1_residual" in results:
-            lines.append(f"f1 residual: {_fmt(results['f1_residual'])}")
-        if "rotator_residual" in results:
-            lines.append(f"rotator residual: {_fmt(results['rotator_residual'])}")
-        inputs = {"alpha": args.alpha, "u": args.u, "tol": args.tol}
-        return _deliver(args, "littlegroup", inputs, results, [], lines)
+        return _deliver(args, "littlegroup", {"alpha": args.alpha, "u": args.u}, results)
     if args.theta is None or args.eta is None:
         raise ValueError("give --alpha and --u, or --theta and --eta")
     t = conjugated_rotation(args.theta, args.eta)
-    defect = metric_defect(t.m)
     fixed = np.array([math.cosh(args.eta), math.sinh(args.eta), 0.0, 0.0])
-    residual = float(np.abs(t.m @ fixed - fixed).max())
     results = {
         "mode": "conjugated-rotation",
         "theta": args.theta,
         "eta": args.eta,
         "matrix": _matrix_rows(t.m),
-        "metric_defect": defect,
-        "fixed_vector_residual": residual,
+        "metric_defect": metric_defect(t.m),
+        "fixed_vector_residual": float(np.abs(t.m @ fixed - fixed).max()),
     }
-    inputs = {"theta": args.theta, "eta": args.eta, "tol": args.tol}
-    lines = [
-        "mode: conjugated-rotation",
-        f"theta: {_fmt(args.theta)}",
-        f"eta: {_fmt(args.eta)}",
-        "matrix:",
-    ]
-    lines += _matrix_lines(t.m)
-    lines.append(f"metric defect: {_fmt(defect)}")
-    lines.append(f"fixed vector residual: {_fmt(residual)}")
-    return _deliver(args, "littlegroup", inputs, results, [], lines)
+    return _deliver(args, "littlegroup", {"theta": args.theta, "eta": args.eta}, results)
 
 
 def _cmd_decompose(args):
-    _check_tol(args)
-    try:
-        vals = [float(p) for p in args.matrix.split(",")]
-    except ValueError:
-        raise ValueError(f"bad number in matrix '{args.matrix}'") from None
-    if len(vals) != 4:
-        raise ValueError("matrix takes four reals, row-major: m00,m01,m10,m11")
+    shape = "matrix takes four reals, row-major: m00,m01,m10,m11"
+    vals = _reals(args.matrix, 4, f"matrix '{args.matrix}'", shape)
     m = np.array([[vals[0], vals[1]], [vals[2], vals[3]]])
     if args.kind == "iwasawa":
         f = iwasawa_decompose(m)
-        residual = float(np.abs(iwasawa_recompose(f) - m).max())
         results = {
             "kind": "iwasawa",
             "angle": f.angle,
             "exponent": f.exponent,
             "shear": f.shear,
-            "residual": residual,
+            "residual": float(np.abs(iwasawa_recompose(f) - m).max()),
         }
-        lines = [
-            "kind: iwasawa",
-            f"angle: {_fmt(f.angle)}",
-            f"exponent: {_fmt(f.exponent)}",
-            f"shear: {_fmt(f.shear)}",
-            f"residual: {_fmt(residual)}",
-        ]
     else:
         f = wigner_decompose(m)
-        residual = float(np.abs(wigner_recompose(f) - m).max())
         results = {
             "kind": "wigner",
             "axis_angle": f.axis_angle,
             "squeeze_exponent": f.squeeze_exponent,
             "residual_rotation": f.residual_rotation,
             "wigner_angle": f.wigner_angle,
-            "residual": residual,
+            "residual": float(np.abs(wigner_recompose(f) - m).max()),
         }
-        lines = [
-            "kind: wigner",
-            f"axis angle: {_fmt(f.axis_angle)}",
-            f"squeeze exponent: {_fmt(f.squeeze_exponent)}",
-            f"residual rotation: {_fmt(f.residual_rotation)}",
-            f"wigner angle: {_fmt(f.wigner_angle)}",
-            f"residual: {_fmt(residual)}",
-        ]
-    inputs = {"kind": args.kind, "matrix": vals, "tol": args.tol}
-    return _deliver(args, "decompose", inputs, results, [], lines)
+    return _deliver(args, "decompose", {"kind": args.kind, "matrix": vals}, results)
 
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--out", default=None, help="write the report to this file")
-    common.add_argument(
+    tolerant = argparse.ArgumentParser(add_help=False, parents=[common])
+    tolerant.add_argument(
         "--tol", type=float, default=CLASSIFY_TOL, help="classification tolerance (relative to s0^2)"
     )
 
@@ -433,7 +399,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="run a circuit file on an input state")
+    p = sub.add_parser("simulate", parents=[tolerant], help="run a circuit file on an input state")
     p.add_argument("circuit", help="path to a circuit text file")
     p.add_argument(
         "--in",
@@ -443,7 +409,7 @@ def _build_parser():
     )
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("classify", parents=[common], help="classify a Stokes vector")
+    p = sub.add_parser("classify", parents=[tolerant], help="classify a Stokes vector")
     p.add_argument("stokes", help="four comma-separated reals: s0,s1,s2,s3")
     p.set_defaults(func=_cmd_classify)
 
@@ -477,22 +443,13 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        tol = getattr(args, "tol", CLASSIFY_TOL)
+        if not math.isfinite(tol) or tol <= 0.0:
+            raise ValueError("--tol must be a positive finite number")
         return args.func(args)
-    except CircuitSyntaxError as err:
+    except (ValueError, OSError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except CircuitSemanticError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except (PhysicsError, OverflowError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(err, (CircuitSemanticError, PhysicsError, OverflowError)) else 2
 
 
 if __name__ == "__main__":

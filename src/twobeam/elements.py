@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .states import Element2, PhysicsError, Transform4
+from .states import Element2, NonFiniteError, PhysicsError, Transform4
 
 __all__ = [
     "rotator",
@@ -152,7 +152,10 @@ def squeeze4(eta) -> Transform4:
     eta = float(eta)
     if not math.isfinite(eta):
         raise PhysicsError("eta must be finite")
-    ch, sh = math.cosh(eta), math.sinh(eta)
+    try:
+        ch, sh = math.cosh(eta), math.sinh(eta)
+    except OverflowError:
+        raise NonFiniteError(f"squeeze4 overflowed: cosh({eta:g}) is too large") from None
     return Transform4(
         [
             [ch, sh, 0.0, 0.0],

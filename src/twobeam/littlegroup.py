@@ -25,8 +25,10 @@ from .states import (
     PhysicsError,
     StokesVector,
     Transform4,
+    _SQUARE_MIN,
     metric_defect,
     minkowski_norm,
+    relative_norm,
 )
 from .elements import phase4, rotator4, squeeze4
 
@@ -73,10 +75,19 @@ def classify(s: StokesVector, tol=CLASSIFY_TOL) -> StateClass:
     chains of elements classify by their relative rounding level, not
     their absolute intensity. Within the band: pure. Above: impure,
     with the rapidity of the standardizing boost. Below the negative
-    band: non-physical (spacelike).
+    band: non-physical (spacelike). Where s0^2 underflows, relative_norm
+    is compared with tol instead, so the class does not depend on scale.
     """
-    if s.s0 <= 0.0:
-        raise PhysicsError("classification requires positive total intensity")
+    if s.s0 < _SQUARE_MIN:
+        if s.s0 <= 0.0:
+            raise PhysicsError("classification requires positive total intensity")
+        norm, rel = minkowski_norm(s), relative_norm(s)
+        if rel < -tol:
+            return StateClass(NON_PHYSICAL, norm)
+        if rel <= tol:
+            return StateClass(PURE, norm)
+        eta = math.atanh(math.hypot(s.s1, s.s2, s.s3) / s.s0)
+        return StateClass(IMPURE, norm, -eta if s.s1 < 0.0 else eta)
     norm = minkowski_norm(s)
     band = tol * s.s0**2
     if norm < -band:

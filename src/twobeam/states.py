@@ -54,6 +54,7 @@ __all__ = [
     "lift",
     "purity_report",
     "minkowski_norm",
+    "relative_norm",
     "metric_defect",
 ]
 
@@ -82,6 +83,11 @@ MINKOWSKI.setflags(write=False)
 # m^T g m sums four products of entries of m; below this entry size
 # (about 6.7e153) the metric check of a Transform4 cannot overflow.
 _METRIC_MAX = 0.5 * math.sqrt(sys.float_info.max)
+
+# Below this (about 1.5e-154) a square is no longer a normal float: it
+# loses precision and then underflows to 0, so tests that compare
+# squares of intensities switch to ratios taken over the intensity.
+_SQUARE_MIN = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -253,7 +259,11 @@ class StokesVector:
 
     def require_physical(self, tol=CLASSIFY_TOL):
         """Raise unless the vector lies on or inside the light cone."""
-        if minkowski_norm(self) < -tol * self.s0**2:
+        if 0.0 < self.s0 < _SQUARE_MIN:
+            spacelike = relative_norm(self) < -tol
+        else:
+            spacelike = minkowski_norm(self) < -tol * self.s0**2
+        if spacelike:
             raise PhysicsError(
                 f"non-physical Stokes vector (spacelike): norm = {minkowski_norm(self):.3e}"
             )
@@ -440,15 +450,18 @@ def purity_report(c: CoherencyMatrix) -> PurityReport:
     state gives trace_sq = 1 and det = 0 regardless of intensity, and
     the fully mixed state gives trace_sq = 1/2, det = 1/4.
     """
-    s11, s22 = c.s11, c.s22
-    tr = s11 + s22
-    if tr <= 0.0:
-        raise PhysicsError("purity report requires positive total intensity")
-    cross = abs(c.s12) ** 2
-    tr2 = tr**2
-    trace_sq = (s11**2 + s22**2 + 2.0 * cross) / tr2
-    det = (s11 * s22 - cross) / tr2
-    pol = math.sqrt((s11 - s22) ** 2 + 4.0 * cross) / tr
+    s11, s22, s12 = c.s11, c.s22, c.s12
+    tr = unit = s11 + s22
+    if tr < _SQUARE_MIN:
+        if tr <= 0.0:
+            raise PhysicsError("purity report requires positive total intensity")
+        # tr^2 underflows: take the same ratios from c / tr, of trace 1.
+        s11, s22, s12, unit = s11 / tr, s22 / tr, s12 / tr, 1.0
+    cross = abs(s12) ** 2
+    unit2 = unit**2
+    trace_sq = (s11**2 + s22**2 + 2.0 * cross) / unit2
+    det = (s11 * s22 - cross) / unit2
+    pol = math.sqrt((s11 - s22) ** 2 + 4.0 * cross) / unit
     return PurityReport(tr, trace_sq, det, pol)
 
 
@@ -464,6 +477,18 @@ def minkowski_norm(s: StokesVector) -> float:
         raise NonFiniteError(
             "Minkowski norm overflowed: a Stokes component is too large to square"
         ) from None
+
+
+def relative_norm(s: StokesVector) -> float:
+    """minkowski_norm(s) / s0^2, for s0 > 0.
+
+    Where s0^2 underflows it is 1 - p^2 with p = |(s1, s2, s3)| / s0,
+    which does not depend on the scale of s.
+    """
+    if s.s0 >= _SQUARE_MIN:
+        return minkowski_norm(s) / s.s0**2
+    p = math.hypot(s.s1, s.s2, s.s3) / s.s0
+    return (1.0 - p) * (1.0 + p)
 
 
 def metric_defect(m) -> float:

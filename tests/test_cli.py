@@ -176,6 +176,105 @@ def test_classify_overflow_is_plain(capsys):
     assert "too large to square" in err
 
 
+def test_classify_tiny_intensity(capsys):
+    # s0^2 underflows to 0: neither the class nor the relative norm may
+    # depend on it
+    doc, _ = run_json(capsys, "classify", "1e-200,0,0,0")
+    assert doc["results"]["tag"] == "impure"
+    assert doc["results"]["eta_to_standard"] == 0.0
+    assert doc["results"]["relative_norm"] == 1.0
+    doc, _ = run_json(capsys, "classify", "1e-200,0.6e-200,0.8e-200,0")
+    assert doc["results"]["tag"] == "pure"
+    assert abs(doc["results"]["relative_norm"]) < 1e-15
+
+
+def test_littlegroup_overflow_is_plain(capsys):
+    code, out, err = run(capsys, "littlegroup", "--theta", "1", "--eta", "800")
+    assert_plain_error(code, out, err, 3)
+    assert "overflowed" in err and "math range error" not in err
+
+
+def render(doc):
+    """The text report that the JSON report doc stands for, line by line."""
+
+    def text(value):
+        if value is None:
+            return "none"
+        if isinstance(value, bool):
+            return "yes" if value else "no"
+        if isinstance(value, str):
+            return value
+        return f"{float(value):.17g}"
+
+    lines = []
+    for key, value in doc["results"].items():
+        if key == "params":
+            lines[-1] += " (" + ", ".join(f"{k}={text(v)}" for k, v in value.items()) + ")"
+        elif key == "matrix":
+            lines.append("matrix:")
+            lines += ["  [" + ", ".join(text(x) for x in row) + "]" for row in value]
+        else:
+            label = "classification" if key == "tag" else key.replace("_", " ")
+            lines.append(f"{label}: {text(value)}")
+    return "\n".join(lines + [f"warning: {w}" for w in doc["warnings"]]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "1,0,0.6,0"),
+        ("classify", "1,0.6,0.8,0"),
+        ("classify", "1,2,0,0"),
+        ("lift", "atten(eta1=0.5, eta2=0.25)"),
+        ("lift", "phase phi=0.5"),
+        ("littlegroup", "--alpha", "1", "--u", "0.5"),
+        ("littlegroup", "--alpha", "0", "--u", "0.5"),
+        ("littlegroup", "--alpha", "0.5", "--u", "0.3"),
+        ("littlegroup", "--theta", "0.4", "--eta", "0.9"),
+        ("decompose", "iwasawa", "--matrix", "2,0,0,0.5"),
+        ("decompose", "wigner", "--matrix", "1.25,-0.5,0.5,0.6"),
+    ],
+)
+def test_text_report_renders_json_results(capsys, argv):
+    _, raw = run_json(capsys, *argv)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    # every number is a float in results; "-0" must stay -0.0
+    assert out == render(json.loads(raw, parse_int=float))
+
+
+def test_classify_text_follows_json_order(capsys):
+    code, out, _ = run(capsys, "classify", "1,0,0.6,0")
+    assert code == 0
+    assert out == (
+        "classification: impure\n"
+        "invariant norm: 0.64000000000000001\n"
+        "eta to standard: 0.69314718055994529\n"
+        "relative norm: 0.64000000000000001\n"
+    )
+
+
+def test_tol_only_where_it_is_read(tmp_path, capsys):
+    for argv in (
+        ("lift", "rotate(theta=1)"),
+        ("littlegroup", "--alpha", "0.5", "--u", "1"),
+        ("littlegroup", "--theta", "0.5", "--eta", "1"),
+        ("decompose", "iwasawa", "--matrix", "2,0,0,0.5"),
+    ):
+        code, out, err = run(capsys, *argv, "--tol", "1e-3")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --tol" in err
+        doc, _ = run_json(capsys, *argv)
+        assert "tol" not in doc["inputs"]
+    path = write_circuit(tmp_path, "rotate(theta=0.3)")
+    for argv in (("simulate", path, "--in", "jones:1,0,0,0"), ("classify", "1,0.5,0,0")):
+        doc, _ = run_json(capsys, *argv, "--tol", "1e-3")
+        assert doc["inputs"]["tol"] == 1e-3
+        code, out, err = run(capsys, *argv, "--tol", "nan")
+        assert_plain_error(code, out, err, 2)
+        assert "--tol must be a positive finite number" in err
+
+
 def test_littlegroup_f1_endpoint(capsys):
     doc, _ = run_json(capsys, "littlegroup", "--alpha", "1", "--u", "0.5")
     m = np.array(doc["results"]["matrix"])
@@ -332,6 +431,17 @@ def test_simulate_exit_codes(tmp_path, capsys):
     overflow = write_circuit(tmp_path, "squeeze(eta=1e300)")
     code, _, err = run(capsys, "simulate", overflow, "--in", "jones:1,0,0,0")
     assert code == 3
+
+
+def test_simulate_tiny_intensity(tmp_path, capsys):
+    # the purity report must not divide by an s0^2 that underflowed
+    path = write_circuit(tmp_path, "rotate(theta=0.3); squeeze(eta=0.2); decohere(lambda=0.1)")
+    doc, _ = run_json(capsys, "simulate", path, "--in", "stokes:1e-200,0,0,0")
+    assert doc["results"]["final_purity"]["trace_sq"] == pytest.approx(0.5, abs=0.1)
+    assert doc["results"]["final_classification"]["tag"] == "impure"
+    code, out, err = run(capsys, "simulate", path, "--in", "stokes:1e-200,2e-200,0,0")
+    assert_plain_error(code, out, err, 3)
+    assert "spacelike" in err
 
 
 def test_bad_tol(capsys):

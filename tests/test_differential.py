@@ -104,6 +104,27 @@ def test_underflow_is_located_and_plain():
             raise AssertionError("underflow not reported")
 
 
+def test_tiny_intensity_evaluates_like_unit_intensity():
+    # Scaling the input by 2^-700 scales every linear stage exactly, while
+    # s0^2 underflows to 0; the per-stage figures must not notice.
+    rng = random.Random(17)
+    scale = 2.0**-700
+    for _ in range(40):
+        ast = parse("; ".join(random_stage(rng) for _ in range(rng.randint(1, 12))))
+        jones, pure, mixed = random_inputs(rng)
+        for unit, tiny in (
+            (jones, JonesVector(2.0**-350 * jones.psi1, 2.0**-350 * jones.psi2)),
+            (mixed, StokesVector(*(scale * x for x in vec(mixed)))),
+        ):
+            want, got = evaluate(ast, unit), evaluate(ast, tiny)
+            for w, g in zip(want.stages, got.stages):
+                assert g.classification_after.tag == w.classification_after.tag
+                assert np.allclose(g.purity_after[1:], w.purity_after[1:], rtol=0.0, atol=1e-12)
+            assert np.abs(vec(got.final_stokes) - scale * vec(want.final_stokes)).max() <= (
+                1e-14 * scale * want.final_stokes.s0
+            )
+
+
 def random_stage(rng):
     kind = rng.choice(("rotate", "split", "phase", "squeeze", "atten", "decohere"))
     if kind in ("rotate", "phase"):

@@ -6,6 +6,7 @@ import pytest
 from twobeam import (
     Element2,
     JonesVector,
+    NonFiniteError,
     PhysicsError,
     attenuator,
     coherency_from_jones,
@@ -159,3 +160,10 @@ def test_finite_parameter_required():
     for ctor in (rotator, phase_shifter, squeezer, rotator4, phase4, squeeze4):
         with pytest.raises(PhysicsError):
             ctor(math.inf)
+
+
+def test_squeeze4_overflow_is_plain():
+    # a plain error, not OverflowError("math range error") from math.cosh
+    for eta in (800.0, -800.0):
+        with pytest.raises(NonFiniteError, match="squeeze4 overflowed"):
+            squeeze4(eta)

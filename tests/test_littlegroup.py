@@ -299,3 +299,26 @@ def test_classify_overflow_is_plain():
         with pytest.raises(NonFiniteError, match="too large to square"):
             classify(s)
     assert classify(StokesVector(1e150, 1e150, 0, 0)).tag == PURE
+
+
+def test_classify_is_scale_free_where_s0_squared_underflows():
+    # s0^2 underflows to 0 here; a band of tol * s0^2 would call every vector pure
+    s = classify(StokesVector(1e-170, 0.5e-170, 0, 0))
+    assert s.tag == IMPURE
+    assert s.eta_to_standard == pytest.approx(math.atanh(0.5), rel=1e-15)
+    assert classify(StokesVector(1e-300, 1.0, 0, 0)).tag == NON_PHYSICAL
+    unit_vectors = [
+        (1.0, 0.0, 0.0, 0.0),
+        (1.0, -0.5, 0.1, 0.2),
+        (1.0, 0.6, 0.0, 0.8),
+        (1.0, 0.36, 0.48, 0.8),
+        (1.0, 1.0 + 1e-6, 0.0, 0.0),
+        (1.0, 3.0, 4.0, 0.0),
+    ]
+    for v in unit_vectors:
+        want = classify(StokesVector(*v))
+        for scale in (2.0**-520, 2.0**-700, 2.0**-1000):
+            got = classify(StokesVector(*(scale * x for x in v)))
+            assert got.tag == want.tag, (v, scale)
+            if want.eta_to_standard is not None:
+                assert got.eta_to_standard == pytest.approx(want.eta_to_standard, rel=1e-14)

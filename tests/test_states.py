@@ -22,6 +22,7 @@ from twobeam import (
     minkowski_norm,
     phase_shifter,
     purity_report,
+    relative_norm,
     rotator,
     squeezer,
     stokes_from_coherency,
@@ -202,6 +203,23 @@ def test_purity_report_values():
     # intensity scale must not matter
     scaled = purity_report(CoherencyMatrix(5.0, 5.0, 0.0))
     assert abs(scaled.trace_sq - 0.5) < 1e-15
+
+
+def test_purity_and_light_cone_are_scale_free_where_squares_underflow():
+    # tr^2 and s0^2 underflow to 0 here; dividing by them, or a band of
+    # tol * s0^2, would fail or pass tiny spacelike vectors
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        s = random_physical_stokes(rng)
+        tiny = StokesVector(*(2.0**-700 * s.as_array()))
+        want, got = purity_report(coherency_from_stokes(s)), purity_report(coherency_from_stokes(tiny))
+        assert got.trace == 2.0**-700 * want.trace
+        assert np.allclose(got[1:], want[1:], rtol=0.0, atol=1e-15)
+        assert abs(relative_norm(tiny) - relative_norm(s)) < 1e-15
+    assert relative_norm(StokesVector(1e-200, 0, 0, 0)) == 1.0
+    with pytest.raises(PhysicsError, match="spacelike"):
+        coherency_from_stokes(StokesVector(1e-200, 2e-200, 0, 0))
+    coherency_from_stokes(StokesVector(1e-200, 0.6e-200, 0.8e-200, 0))
 
 
 def test_transform4_lorentz_flag():
