@@ -15,4 +15,12 @@ from .littlegroup import *  # noqa: F401,F403
 from .decoherence import *  # noqa: F401,F403
 from .circuit import *  # noqa: F401,F403
 
+from . import states as _states
+
+
+def __getattr__(name):
+    # MINKOWSKI: the states module builds it on first use, once.
+    return getattr(_states, name)
+
+
 __version__ = "0.1.0"

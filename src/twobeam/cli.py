@@ -18,8 +18,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .states import (
     CLASSIFY_TOL,
     JonesVector,
@@ -38,7 +36,7 @@ from .littlegroup import (
     f1,
     family_metric_defect,
 )
-from .decoherence import iwasawa_decompose, iwasawa_recompose, wigner_decompose, wigner_recompose
+from .decoherence import iwasawa_decompose, wigner_decompose
 from .circuit import (
     STAGES,
     CircuitError,
@@ -73,9 +71,9 @@ def _emit_json(value):
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
         return _fmt(value)
     if isinstance(value, str):
         return json.dumps(value)
@@ -87,8 +85,12 @@ def _emit_json(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _matrix_rows(m):
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+def _matrix_rows(entries):
+    return [list(entries[i : i + 4]) for i in (0, 4, 8, 12)]
+
+
+def _max_diff(xs, ys):
+    return max(abs(x - y) for x, y in zip(xs, ys))
 
 
 def _stokes_list(s):
@@ -156,7 +158,7 @@ def _input_state(spec):
 
 
 def _lift_stage(spec):
-    """The stage of a one-element lift spec and its matrix k^2 lift(G).
+    """The stage of a one-element lift spec and the entries of k^2 lift(G).
 
     The spec is circuit text, or the older 'squeeze eta=0.6' spelling,
     which is rewritten to 'squeeze(eta=0.6)' first. Every rejection is
@@ -179,7 +181,7 @@ def _lift_stage(spec):
         raise ValueError(f"{stage.name} is a channel, not an element; lift takes {coherent}")
     try:
         k, g = action(*[value for _, value in stage.params])
-        return stage, k * k * lift(g).m
+        return stage, tuple(k * k * x for x in lift(g).entries)
     except PhysicsError as err:
         raise ValueError(f"{stage.name}: {err}") from None
     except OverflowError:
@@ -332,27 +334,29 @@ def _cmd_littlegroup(args):
             "alpha": params.alpha,
             "u": params.u,
             "w": params.w,
-            "matrix": _matrix_rows(t.m),
+            "matrix": _matrix_rows(t.entries),
             "metric_defect": family_metric_defect(params),
-            "lorentz": bool(t.lorentz),
+            "lorentz": t.lorentz,
         }
         if params.alpha == 1.0:
-            results["f1_residual"] = float(np.abs(t.m - f1(params.u).m).max())
+            results["f1_residual"] = _max_diff(t.entries, f1(params.u).entries)
         elif params.alpha == 0.0:
             theta = -2.0 * math.atan(params.u / 2.0)
-            results["rotator_residual"] = float(np.abs(t.m - rotator4(theta).m).max())
+            results["rotator_residual"] = _max_diff(t.entries, rotator4(theta).entries)
         return _deliver(args, "littlegroup", {"alpha": args.alpha, "u": args.u}, results)
     if args.theta is None or args.eta is None:
         raise ValueError("give --alpha and --u, or --theta and --eta")
     t = conjugated_rotation(args.theta, args.eta)
-    fixed = np.array([math.cosh(args.eta), math.sinh(args.eta), 0.0, 0.0])
+    rows = _matrix_rows(t.entries)
+    fixed = (math.cosh(args.eta), math.sinh(args.eta), 0.0, 0.0)
+    image = [sum(x * y for x, y in zip(row, fixed)) for row in rows]
     results = {
         "mode": "conjugated-rotation",
         "theta": args.theta,
         "eta": args.eta,
-        "matrix": _matrix_rows(t.m),
-        "metric_defect": metric_defect(t.m),
-        "fixed_vector_residual": float(np.abs(t.m @ fixed - fixed).max()),
+        "matrix": rows,
+        "metric_defect": metric_defect(t),
+        "fixed_vector_residual": _max_diff(image, fixed),
     }
     return _deliver(args, "littlegroup", {"theta": args.theta, "eta": args.eta}, results)
 
@@ -360,16 +364,10 @@ def _cmd_littlegroup(args):
 def _cmd_decompose(args):
     shape = "matrix takes four reals, row-major: m00,m01,m10,m11"
     vals = _reals(args.matrix, 4, f"matrix '{args.matrix}'", shape)
-    m = np.array([[vals[0], vals[1]], [vals[2], vals[3]]])
+    m = (vals[:2], vals[2:])
     if args.kind == "iwasawa":
         f = iwasawa_decompose(m)
-        results = {
-            "kind": "iwasawa",
-            "angle": f.angle,
-            "exponent": f.exponent,
-            "shear": f.shear,
-            "residual": float(np.abs(iwasawa_recompose(f) - m).max()),
-        }
+        results = {"kind": "iwasawa", "angle": f.angle, "exponent": f.exponent, "shear": f.shear}
     else:
         f = wigner_decompose(m)
         results = {
@@ -378,8 +376,8 @@ def _cmd_decompose(args):
             "squeeze_exponent": f.squeeze_exponent,
             "residual_rotation": f.residual_rotation,
             "wigner_angle": f.wigner_angle,
-            "residual": float(np.abs(wigner_recompose(f) - m).max()),
         }
+    results["residual"] = _max_diff(f.entries, vals)
     return _deliver(args, "decompose", {"kind": args.kind, "matrix": vals}, results)
 
 

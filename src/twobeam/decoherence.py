@@ -19,9 +19,7 @@ angle.
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .states import PhysicsError, StokesVector, Transform4
+from .states import PhysicsError, StokesVector, Transform4, _entries2, _finite, _mul2
 
 __all__ = [
     "decoherence4",
@@ -45,11 +43,12 @@ def decoherence4(lam) -> Transform4:
     accordingly). It commutes with phase4. The physical, intensity
     preserving channel is its e^-l multiple; see decohere_channel.
     """
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise PhysicsError("lambda must be finite")
+    lam = _finite(lam, "lambda")
     e = math.exp(lam)
-    return Transform4(np.diag([e, e, 1.0 / e, 1.0 / e]), lorentz=lam == 0.0)
+    r = 1.0 / e
+    return Transform4(
+        (e, 0.0, 0.0, 0.0, 0.0, e, 0.0, 0.0, 0.0, 0.0, r, 0.0, 0.0, 0.0, 0.0, r), lorentz=lam == 0.0
+    )
 
 
 def decohere_channel(s: StokesVector, lam) -> StokesVector:
@@ -59,9 +58,7 @@ def decohere_channel(s: StokesVector, lam) -> StokesVector:
     never increases, and the maps form a semigroup in l. Negative l
     (recoherence) is rejected.
     """
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise PhysicsError("lambda must be finite")
+    lam = _finite(lam, "lambda")
     if lam < 0.0:
         raise PhysicsError("lambda must be nonnegative")
     s.require_physical()
@@ -69,36 +66,47 @@ def decohere_channel(s: StokesVector, lam) -> StokesVector:
     return StokesVector(s.s0, s.s1, k * s.s2, k * s.s3)
 
 
+def _squeeze2(lam):
+    lam = _finite(lam, "lambda")
+    return math.exp(lam), 0.0, 0.0, math.exp(-lam)
+
+
+def _rotation2(theta):
+    theta = _finite(theta, "theta")
+    c, s = math.cos(theta), math.sin(theta)
+    return c, -s, s, c
+
+
+def _array2(entries):
+    import numpy as np
+    return np.array(entries, dtype=float).reshape(2, 2)
+
+
 def d_a(lam):
-    """Squeeze diag(e^l, e^-l) acting on the (s1, s2) pair."""
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise PhysicsError("lambda must be finite")
-    return np.array([[math.exp(lam), 0.0], [0.0, math.exp(-lam)]])
+    """Squeeze diag(e^l, e^-l) acting on the (s1, s2) pair, as an ndarray."""
+    return _array2(_squeeze2(lam))
 
 
 def r_a(theta):
     """Full-angle rotation [[cos, -sin], [sin, cos]] on the (s1, s2) pair.
 
-    A beam rotation leaves (s0, s3) alone.
+    A beam rotation leaves (s0, s3) alone. Returns an ndarray.
     """
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise PhysicsError("theta must be finite")
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return _array2(_rotation2(theta))
 
 
 def _check_unimodular2(m):
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
+    """The row-major real entries of a 2x2 array-like of unit determinant."""
+    entries = _entries2(m, "expected a 2x2 real matrix")
+    if any(x.imag for x in entries):
         raise PhysicsError("expected a 2x2 real matrix")
-    if not np.isfinite(m).all():
+    a, b, c, d = (x.real for x in entries)
+    if not all(map(math.isfinite, (a, b, c, d))):
         raise PhysicsError("matrix entries must be finite")
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    det = a * d - b * c
     if abs(det - 1.0) >= 1e-10:
         raise PhysicsError(f"matrix must have unit determinant: |det - 1| = {abs(det - 1.0):.3e}")
-    return m
+    return a, b, c, d
 
 
 class IwasawaFactors(NamedTuple):
@@ -108,6 +116,12 @@ class IwasawaFactors(NamedTuple):
     exponent: float
     shear: float
 
+    @property
+    def entries(self):
+        """Row-major entries of the recomposed matrix."""
+        shear = (1.0, self.shear, 0.0, 1.0)
+        return _mul2(_mul2(_rotation2(self.angle), _squeeze2(self.exponent)), shear)
+
 
 def iwasawa_decompose(m) -> IwasawaFactors:
     """Unique rotation * squeeze * upper-shear factors of a det-1 matrix.
@@ -116,16 +130,16 @@ def iwasawa_decompose(m) -> IwasawaFactors:
     the shear is read off after rotating the column away. Reconstructs
     to rounding level (1e-12 scale).
     """
-    m = _check_unimodular2(m)
-    r11 = math.hypot(m[0, 0], m[1, 0])
-    k = math.atan2(m[1, 0], m[0, 0])
-    a = math.log(r11)
-    top = math.cos(k) * m[0, 1] + math.sin(k) * m[1, 1]
-    return IwasawaFactors(k, a, float(top / r11))
+    m00, m01, m10, m11 = _check_unimodular2(m)
+    r11 = math.hypot(m00, m10)
+    k = math.atan2(m10, m00)
+    top = math.cos(k) * m01 + math.sin(k) * m11
+    return IwasawaFactors(k, math.log(r11), top / r11)
 
 
 def iwasawa_recompose(f: IwasawaFactors):
-    return r_a(f.angle) @ d_a(f.exponent) @ np.array([[1.0, f.shear], [0.0, 1.0]])
+    """The ndarray of f.entries."""
+    return _array2(f.entries)
 
 
 class WignerFactors(NamedTuple):
@@ -144,6 +158,12 @@ class WignerFactors(NamedTuple):
     def wigner_angle(self):
         return self.axis_angle + self.residual_rotation
 
+    @property
+    def entries(self):
+        """Row-major entries of the recomposed matrix."""
+        first = _mul2(_rotation2(self.axis_angle), _squeeze2(self.squeeze_exponent))
+        return _mul2(first, _rotation2(self.residual_rotation))
+
 
 def wigner_decompose(m) -> WignerFactors:
     """Rotation * squeeze * rotation factors of a det-1 real matrix.
@@ -154,9 +174,9 @@ def wigner_decompose(m) -> WignerFactors:
     no defined axis, and is returned as (theta, 0, 0) with theta in
     (-pi, pi].
     """
-    m = _check_unimodular2(m)
-    sum_c, sum_s = m[0, 0] + m[1, 1], m[1, 0] - m[0, 1]
-    dif_c, dif_s = m[0, 0] - m[1, 1], m[1, 0] + m[0, 1]
+    m00, m01, m10, m11 = _check_unimodular2(m)
+    sum_c, sum_s = m00 + m11, m10 - m01
+    dif_c, dif_s = m00 - m11, m10 + m01
     total = math.hypot(sum_c, sum_s)
     excess = math.hypot(dif_c, dif_s)
     if excess <= 1e-14 * total:
@@ -177,4 +197,5 @@ def wigner_decompose(m) -> WignerFactors:
 
 
 def wigner_recompose(f: WignerFactors):
-    return r_a(f.axis_angle) @ d_a(f.squeeze_exponent) @ r_a(f.residual_rotation)
+    """The ndarray of f.entries."""
+    return _array2(f.entries)

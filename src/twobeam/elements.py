@@ -4,8 +4,8 @@ Each constructor returns a unimodular ``Element2``; ``lift`` from the
 states module maps any of them to the 4x4 Stokes picture. For the
 three one-parameter families this module also provides closed-form
 4x4 matrices (rotator4, phase4, squeeze4) whose fixed entries are
-exact, not rounded through a conjugation; they agree with the lift to
-rounding level.
+exact, not rounded through the quadratic forms of lift; they agree
+with the lift to rounding level.
 
 Sign conventions, fixed once by the action on coherency matrices:
 
@@ -25,9 +25,7 @@ as an overall scalar decay times a squeezer.
 import cmath
 import math
 
-import numpy as np
-
-from .states import Element2, NonFiniteError, PhysicsError, Transform4
+from .states import Element2, NonFiniteError, PhysicsError, Transform4, _entries2, _finite, _mul2
 
 __all__ = [
     "rotator",
@@ -48,9 +46,7 @@ def rotator(theta) -> Element2:
     The half angle in the 2x2 entries reflects the two-to-one cover:
     theta is the rotation angle seen by the Stokes vector.
     """
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise PhysicsError("theta must be finite")
+    theta = _finite(theta, "theta")
     # Complex entries, which Element2 stores without converting them.
     c, s = complex(math.cos(theta / 2.0)), complex(math.sin(theta / 2.0))
     return Element2(c, -s, s, c)
@@ -58,17 +54,13 @@ def rotator(theta) -> Element2:
 
 def phase_shifter(phi) -> Element2:
     """Relative phase phi between the two beams, split symmetrically."""
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise PhysicsError("phi must be finite")
+    phi = _finite(phi, "phi")
     return Element2(cmath.exp(-0.5j * phi), 0j, 0j, cmath.exp(0.5j * phi))
 
 
 def squeezer(eta) -> Element2:
     """Relative amplitude gain e^{eta/2} on beam 1, e^{-eta/2} on beam 2."""
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise PhysicsError("eta must be finite")
+    eta = _finite(eta, "eta")
     return Element2(complex(math.exp(eta / 2.0)), 0j, 0j, complex(math.exp(-eta / 2.0)))
 
 
@@ -96,10 +88,10 @@ def compose(*elements) -> Element2:
     """
     if not elements:
         raise PhysicsError("compose requires at least one element")
-    m = np.eye(2, dtype=complex)
-    for e in elements:
-        m = np.asarray(e.matrix if isinstance(e, Element2) else e, dtype=complex) @ m
-    return Element2.from_matrix(m)
+    m = _entries2(elements[0])
+    for e in elements[1:]:
+        m = _mul2(_entries2(e), m)
+    return Element2(*m)
 
 
 def rotator4(theta) -> Transform4:
@@ -107,18 +99,10 @@ def rotator4(theta) -> Transform4:
 
     Rotates (s1, s2) by theta, fixes s0 and s3 exactly.
     """
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise PhysicsError("theta must be finite")
+    theta = _finite(theta, "theta")
     c, s = math.cos(theta), math.sin(theta)
     return Transform4(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, c, -s, 0.0],
-            [0.0, s, c, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ],
-        lorentz=True,
+        (1.0, 0.0, 0.0, 0.0, 0.0, c, -s, 0.0, 0.0, s, c, 0.0, 0.0, 0.0, 0.0, 1.0), lorentz=True
     )
 
 
@@ -132,38 +116,22 @@ def phase4(phi) -> Transform4:
     quoted alongside the 2x2 form; see the conventions note in the
     states module.
     """
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise PhysicsError("phi must be finite")
+    phi = _finite(phi, "phi")
     c, s = math.cos(phi), math.sin(phi)
     return Transform4(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, c, s],
-            [0.0, 0.0, -s, c],
-        ],
-        lorentz=True,
+        (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, c, s, 0.0, 0.0, -s, c), lorentz=True
     )
 
 
 def squeeze4(eta) -> Transform4:
     """Closed-form Stokes transform of squeezer(eta): a boost in (s0, s1)."""
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise PhysicsError("eta must be finite")
+    eta = _finite(eta, "eta")
     try:
         ch, sh = math.cosh(eta), math.sinh(eta)
     except OverflowError:
         raise NonFiniteError(f"squeeze4 overflowed: cosh({eta:g}) is too large") from None
     return Transform4(
-        [
-            [ch, sh, 0.0, 0.0],
-            [sh, ch, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ],
-        lorentz=True,
+        (ch, sh, 0.0, 0.0, sh, ch, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0), lorentz=True
     )
 
 

@@ -17,8 +17,6 @@ matrices are not metric-preserving away from the endpoints.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .states import (
     CLASSIFY_TOL,
     LORENTZ_TOL,
@@ -26,6 +24,7 @@ from .states import (
     StokesVector,
     Transform4,
     _SQUARE_MIN,
+    _finite,
     metric_defect,
     minkowski_norm,
     relative_norm,
@@ -129,18 +128,10 @@ def standardize(s: StokesVector, tol=CLASSIFY_TOL):
 
 def f1(u) -> Transform4:
     """Shear transform fixing (1,1,0,0); one-parameter group in u."""
-    u = float(u)
-    if not math.isfinite(u):
-        raise PhysicsError("u must be finite")
+    u = _finite(u, "u")
     h = 0.5 * u * u
     return Transform4(
-        [
-            [1.0 + h, -h, u, 0.0],
-            [h, 1.0 - h, u, 0.0],
-            [u, -u, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ],
-        lorentz=True,
+        (1.0 + h, -h, u, 0.0, h, 1.0 - h, u, 0.0, u, -u, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0), lorentz=True
     )
 
 
@@ -150,18 +141,10 @@ def f2(v) -> Transform4:
     The last row is (v, -v, 0, 1): invariance of (1,1,0,0) and the
     symmetry with f1 force that form.
     """
-    v = float(v)
-    if not math.isfinite(v):
-        raise PhysicsError("v must be finite")
+    v = _finite(v, "v")
     h = 0.5 * v * v
     return Transform4(
-        [
-            [1.0 + h, -h, 0.0, v],
-            [h, 1.0 - h, 0.0, v],
-            [0.0, 0.0, 1.0, 0.0],
-            [v, -v, 0.0, 1.0],
-        ],
-        lorentz=True,
+        (1.0 + h, -h, 0.0, v, h, 1.0 - h, 0.0, v, 0.0, 0.0, 1.0, 0.0, v, -v, 0.0, 1.0), lorentz=True
     )
 
 
@@ -252,13 +235,11 @@ def _family_matrix(p: InterpolationParams):
     a, u, w = p.alpha, p.u, p.w
     uw = u * w
     hu = 0.5 * u * u * w
-    return np.array(
-        [
-            [1.0 + a * hu, -a * hu, a * uw, 0.0],
-            [a * hu, 1.0 - hu, uw, 0.0],
-            [a * uw, -uw, 1.0 - (1.0 - a * a) * hu, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
+    return (
+        1.0 + a * hu, -a * hu, a * uw, 0.0,
+        a * hu, 1.0 - hu, uw, 0.0,
+        a * uw, -uw, 1.0 - (1.0 - a * a) * hu, 0.0,
+        0.0, 0.0, 0.0, 1.0,
     )
 
 
@@ -272,7 +253,7 @@ def closed_form_family(p: InterpolationParams) -> Transform4:
     family_metric_defect for the size of the deviation.
     """
     m = _family_matrix(p)
-    allowed = LORENTZ_TOL * max(1.0, float(np.abs(m).max()) ** 2)
+    allowed = LORENTZ_TOL * max(1.0, max(map(abs, m)) ** 2)
     return Transform4(m, lorentz=metric_defect(m) <= allowed)
 
 

@@ -20,8 +20,14 @@ Optical elements act on the coherency matrix by conjugation,
 C -> G C G+, with G a unimodular (det = 1) 2x2 matrix. This preserves
 det C, and since s0^2 - s1^2 - s2^2 - s3^2 = 4 det C the induced linear
 map on Stokes vectors preserves the Minkowski form diag(1,-1,-1,-1).
-`lift` computes that 4x4 map; it is a proper orthochronous Lorentz
-matrix, and G and -G give the same one.
+`lift` computes that 4x4 map from closed-form quadratic forms in the
+entries of G; it is a proper orthochronous Lorentz matrix, and G and
+-G give the same one.
+
+Every 2x2 and 4x4 map is held as plain floats and complex numbers.
+NumPy is imported only, on first use, by the accessors that return or
+take ndarrays: `as_array`, `from_array`, `.matrix`, `Transform4.m` and
+`MINKOWSKI`.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -32,15 +38,12 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 __all__ = [
     "PhysicsError",
     "NonFiniteError",
     "UNIMODULAR_TOL",
     "LORENTZ_TOL",
     "CLASSIFY_TOL",
-    "MINKOWSKI",
     "JonesVector",
     "Element2",
     "CoherencyMatrix",
@@ -77,8 +80,17 @@ UNIMODULAR_TOL = 1e-12
 LORENTZ_TOL = 1e-10
 CLASSIFY_TOL = 1e-9
 
-MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
-MINKOWSKI.setflags(write=False)
+_METRIC = (1.0, -1.0, -1.0, -1.0)
+
+
+def __getattr__(name):
+    # MINKOWSKI is not in __all__: a star import would read it, and numpy.
+    if name != "MINKOWSKI":
+        raise AttributeError(f"no attribute {name!r}")
+    import numpy as np
+    m = globals()["MINKOWSKI"] = np.diag(_METRIC)
+    m.setflags(write=False)
+    return m
 
 # m^T g m sums four products of entries of m; below this entry size
 # (about 6.7e153) the metric check of a Transform4 cannot overflow.
@@ -111,6 +123,7 @@ class JonesVector:
         return abs(self.psi1) ** 2 + abs(self.psi2) ** 2
 
     def as_array(self):
+        import numpy as np
         return np.array([self.psi1, self.psi2], dtype=complex)
 
 
@@ -146,14 +159,12 @@ class Element2:
 
     @property
     def matrix(self):
+        import numpy as np
         return np.array([[self.alpha, self.beta], [self.gamma, self.delta]], dtype=complex)
 
     @classmethod
     def from_matrix(cls, m):
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise PhysicsError("element matrix must be 2x2")
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        return cls(*_entries2(m, "element matrix must be 2x2"))
 
 
 @dataclass(frozen=True)
@@ -162,8 +173,9 @@ class CoherencyMatrix:
 
     The diagonal holds the two beam intensities, so it must be
     nonnegative and the matrix positive semidefinite; both checks carry
-    a small scale-aware slack for rounding from long element chains.
-    A zero matrix (dark field) is allowed.
+    a slack for rounding from long element chains, 1e-12 of the trace
+    (of its square for the determinant), so they hold at every
+    intensity. A zero matrix (dark field) is allowed.
     """
 
     s11: float
@@ -177,12 +189,15 @@ class CoherencyMatrix:
             vars(self).update(s11=s11, s22=s22, s12=s12)
         if s11 * 0.0 + s22 * 0.0 + s12 * 0.0 != 0.0:
             raise NonFiniteError("coherency entries must be finite")
-        slack = 1e-12 * max(1.0, abs(s11) + abs(s22))
-        if s11 < -slack or s22 < -slack:
+        size = abs(s11) + abs(s22)
+        if s11 < -1e-12 * size or s22 < -1e-12 * size:
             raise PhysicsError("diagonal coherency entries must be nonnegative")
+        if 0.0 < size < _SQUARE_MIN:
+            # the products underflow: test the same matrix scaled to trace 1
+            s11, s22, s12, size = s11 / size, s22 / size, s12 / size, 1.0
         det = s11 * s22 - (s12.real * s12.real + s12.imag * s12.imag)
         try:
-            floor = -1e-12 * max(1.0, (s11 + s22) ** 2)
+            floor = -1e-12 * size**2
         except OverflowError:
             raise NonFiniteError(f"coherency trace {s11 + s22:.3e} is too large to square") from None
         if det < floor:
@@ -198,27 +213,20 @@ class CoherencyMatrix:
 
     @property
     def matrix(self):
-        return np.array(
-            [[self.s11, self.s12], [np.conj(self.s12), self.s22]], dtype=complex
-        )
+        import numpy as np
+        return np.array([[self.s11, self.s12], [self.s12.conjugate(), self.s22]], dtype=complex)
 
     @classmethod
     def from_matrix(cls, m):
         """Build from a 2x2 array, checking Hermiticity to rounding level."""
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise PhysicsError("coherency matrix must be 2x2")
-        if not np.isfinite(m).all():
+        a, b, c, d = _entries2(m, "coherency matrix must be 2x2")
+        if a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 != 0.0:
             raise PhysicsError("coherency entries must be finite")
-        scale = max(1.0, float(np.abs(m).max()))
-        herm = max(
-            abs(m[0, 1] - np.conj(m[1, 0])),
-            abs(m[0, 0].imag),
-            abs(m[1, 1].imag),
-        )
+        scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
+        herm = max(abs(b - c.conjugate()), abs(a.imag), abs(d.imag))
         if herm > 1e-12 * scale:
             raise PhysicsError(f"matrix is not Hermitian: residual {herm:.3e}")
-        return cls(m[0, 0].real, m[1, 1].real, m[0, 1])
+        return cls(a.real, d.real, b)
 
 
 @dataclass(frozen=True)
@@ -248,10 +256,12 @@ class StokesVector:
             raise PhysicsError("s0 must be nonnegative")
 
     def as_array(self):
+        import numpy as np
         return np.array([self.s0, self.s1, self.s2, self.s3])
 
     @classmethod
     def from_array(cls, a):
+        import numpy as np
         a = np.asarray(a, dtype=float)
         if a.shape != (4,):
             raise PhysicsError("Stokes vector must have four components")
@@ -264,54 +274,134 @@ class StokesVector:
         else:
             spacelike = minkowski_norm(self) < -tol * self.s0**2
         if spacelike:
-            raise PhysicsError(
-                f"non-physical Stokes vector (spacelike): norm = {minkowski_norm(self):.3e}"
-            )
+            # the norm itself underflows for tiny s0; its ratio to s0^2 does not
+            rel = relative_norm(self) if self.s0 > 0.0 else -math.inf
+            raise PhysicsError(f"non-physical Stokes vector (spacelike): relative_norm = {rel:.3e}")
         return self
 
 
 @dataclass(frozen=True, eq=False)
 class Transform4:
-    """A real 4x4 map on Stokes vectors.
+    """A real 4x4 map on Stokes vectors, held as 16 row-major floats.
 
-    When flagged ``lorentz`` the matrix must preserve the Minkowski
-    form; the check scales with max|m|^2 so that large boosts, whose
-    cosh^2 - sinh^2 cancellation carries rounding proportional to the
-    squared magnitude, validate at the same relative level as
-    unit-scale matrices (1e-10 absolute there).
+    ``entries`` may be given as 16 numbers or as 4 rows of 4 (nested
+    lists or an ndarray); ``m`` returns the matrix as a read-only
+    ndarray. When flagged ``lorentz`` the matrix must preserve the
+    Minkowski form; the check scales with max|m|^2 so that large
+    boosts, whose cosh^2 - sinh^2 cancellation carries rounding
+    proportional to the squared magnitude, validate at the same
+    relative level as unit-scale matrices (1e-10 absolute there).
     """
 
-    m: np.ndarray
+    entries: tuple
     lorentz: bool = False
 
     def __post_init__(self):
-        m = np.array(self.m, dtype=float)
-        if m.shape != (4, 4):
-            raise PhysicsError("transform must be 4x4")
-        if not np.isfinite(m).all():
+        e = _flat16(self.entries)
+        if not all(map(math.isfinite, e)):
             raise PhysicsError("transform entries must be finite")
         if self.lorentz:
-            big = float(np.abs(m).max())
+            big = max(map(abs, e))
             if big > _METRIC_MAX:
                 raise NonFiniteError(
                     f"transform entries too large for the metric check: {big:.3e}"
                 )
             allowed = LORENTZ_TOL * max(1.0, big) ** 2
-            defect = metric_defect(m)
+            defect = _defect(e)
             if defect > allowed:
                 raise PhysicsError(
                     f"matrix flagged lorentz does not preserve the metric: defect {defect:.3e}"
                 )
+        object.__setattr__(self, "entries", e)
+
+    @property
+    def m(self):
+        import numpy as np
+        m = np.array(self.entries).reshape(4, 4)
         m.setflags(write=False)
-        object.__setattr__(self, "m", m)
+        return m
 
     def apply(self, s: StokesVector) -> StokesVector:
-        return StokesVector.from_array(self.m @ s.as_array())
+        e, s0, s1, s2, s3 = self.entries, s.s0, s.s1, s.s2, s.s3
+        return StokesVector(
+            *[e[i] * s0 + e[i + 1] * s1 + e[i + 2] * s2 + e[i + 3] * s3 for i in (0, 4, 8, 12)]
+        )
 
     def __matmul__(self, other):
         if not isinstance(other, Transform4):
             return NotImplemented
-        return Transform4(self.m @ other.m, lorentz=self.lorentz and other.lorentz)
+        a, b = self.entries, other.entries
+        rows, cols = [a[i : i + 4] for i in (0, 4, 8, 12)], [b[j::4] for j in range(4)]
+        product = tuple(_dot(row, col) for row in rows for col in cols)
+        return Transform4(product, lorentz=self.lorentz and other.lorentz)
+
+
+def _flat16(m):
+    """The row-major entries, as floats, of a Transform4 or a 4x4 array-like."""
+    m = getattr(m, "entries", m)
+    try:
+        if len(m) == 4 and all(len(row) == 4 for row in m):
+            m = [x for row in m for x in row]
+        e = tuple(map(float, m))
+    except (TypeError, ValueError):
+        e = ()
+    if len(e) != 16:
+        raise PhysicsError("transform must be 4x4")
+    return e
+
+
+def _defect(e):
+    """Max-entry size of m^T g m - g for the row-major entries e of m."""
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = e
+    return max(
+        abs(a0 * a0 - b0 * b0 - c0 * c0 - d0 * d0 - 1.0),
+        abs(a1 * a1 - b1 * b1 - c1 * c1 - d1 * d1 + 1.0),
+        abs(a2 * a2 - b2 * b2 - c2 * c2 - d2 * d2 + 1.0),
+        abs(a3 * a3 - b3 * b3 - c3 * c3 - d3 * d3 + 1.0),
+        abs(a0 * a1 - b0 * b1 - c0 * c1 - d0 * d1),
+        abs(a0 * a2 - b0 * b2 - c0 * c2 - d0 * d2),
+        abs(a0 * a3 - b0 * b3 - c0 * c3 - d0 * d3),
+        abs(a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2),
+        abs(a1 * a3 - b1 * b3 - c1 * c3 - d1 * d3),
+        abs(a2 * a3 - b2 * b3 - c2 * c3 - d2 * d3),
+    )
+
+
+def _fma(x, y, z):
+    """x * y + z rounded once, as a fused multiply-add rounds it.
+
+    Each float is an integer over a power of two, so the exact sum is
+    one integer ratio, and Python's int division rounds it correctly.
+    """
+    (n1, d1), (n2, d2), (n3, d3) = x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()
+    d = max(d1 * d2, d3)
+    n = n1 * n2 * (d // (d1 * d2)) + n3 * (d // d3)
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def _dot(x, y):
+    """The dot product rounded as a chain of fused multiply-adds.
+
+    That is how numpy's matmul (OpenBLAS on FMA hardware) rounds each
+    entry, so Transform4 products match it bit for bit. A zero term
+    leaves the chain as it is and is skipped.
+    """
+    acc = 0.0
+    for p, q in zip(x, y):
+        if p and q:
+            acc = _fma(p, q, acc) if acc else p * q
+    return acc
+
+
+def _finite(x, what):
+    """x as a float, which must be finite; what names it in the error."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise PhysicsError(f"{what} must be finite")
+    return x
 
 
 def coherency_from_jones(j: JonesVector) -> CoherencyMatrix:
@@ -353,12 +443,22 @@ def coherency_from_stokes(s: StokesVector, tol=CLASSIFY_TOL) -> CoherencyMatrix:
     )
 
 
-def _matrix2(g):
-    m = getattr(g, "matrix", g)
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise PhysicsError("expected a 2x2 element")
-    return m
+def _entries2(m, shape_error="expected a 2x2 element"):
+    """The row-major complex entries of an Element2 or a 2x2 array-like."""
+    if isinstance(m, Element2):
+        return m.alpha, m.beta, m.gamma, m.delta
+    try:
+        (a, b), (c, d) = m
+        return complex(a), complex(b), complex(c), complex(d)
+    except (TypeError, ValueError):
+        raise PhysicsError(shape_error) from None
+
+
+def _mul2(x, y):
+    """The row-major entries of the 2x2 product x y of row-major entries."""
+    a, b, c, d = x
+    p, q, r, s = y
+    return a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
 
 
 def conjugate(c: CoherencyMatrix, g, scale=1.0) -> CoherencyMatrix:
@@ -377,10 +477,7 @@ def conjugate(c: CoherencyMatrix, g, scale=1.0) -> CoherencyMatrix:
     same matrix, rank 1 to rounding.
     """
     p, q, s = c.s11, c.s22, c.s12
-    if isinstance(g, Element2):
-        a, b, c, d = g.alpha, g.beta, g.gamma, g.delta
-    else:
-        a, b, c, d = (complex(x) for x in _matrix2(g).ravel())
+    a, b, c, d = _entries2(g)
     abar, bbar, cbar, dbar = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
     k2 = scale * scale
     s11 = (a * abar).real * p + (b * bbar).real * q + 2.0 * (a * bbar * s).real
@@ -389,47 +486,30 @@ def conjugate(c: CoherencyMatrix, g, scale=1.0) -> CoherencyMatrix:
     return CoherencyMatrix(k2 * s11, k2 * s22, k2 * s12)
 
 
-# Coherency matrices of the four Stokes basis vectors; conjugating these
-# and reading off Stokes components gives the columns of the lift.
-_BASIS_C = [
-    np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex),
-    np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex),
-    np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
-    np.array([[0.0, 0.5j], [-0.5j, 0.0]], dtype=complex),
-]
-
-
-def _stokes_of(c):
-    return np.array(
-        [
-            (c[0, 0] + c[1, 1]).real,
-            (c[0, 0] - c[1, 1]).real,
-            (c[0, 1] + c[1, 0]).real,
-            (c[0, 1] - c[1, 0]).imag,
-        ]
-    )
-
-
 def lift(g) -> Transform4:
     """The 4x4 Stokes transform induced by a unimodular 2x2 element.
 
     Defined by stokes(G C G+) = M stokes(C) for every coherency matrix
-    C; computed by conjugating the four basis coherency matrices and
-    reading off columns. M is a proper orthochronous Lorentz matrix,
-    identical for G and -G.
+    C, so M_ij = tr(sigma_i G sigma_j G+) / 2 with sigma = (1, Z, X,
+    [[0, i], [-i, 0]]), the basis dual to (s0, s1, s2, s3). Each entry
+    is written out as its quadratic form in the entries of G. M is a
+    proper orthochronous Lorentz matrix, identical for G and -G.
     """
-    g2 = _matrix2(g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = g2[0, 0] * g2[1, 1] - g2[0, 1] * g2[1, 0]
-        if abs(det - 1.0) > UNIMODULAR_TOL:
-            raise PhysicsError(
-                f"lift requires a unimodular element: |det - 1| = {abs(det - 1.0):.3e}"
-            )
-        gh = g2.conj().T
-        m = np.empty((4, 4))
-        for j, basis in enumerate(_BASIS_C):
-            m[:, j] = _stokes_of(g2 @ basis @ gh)
-    if not np.isfinite(m).all():
+    a, b, c, d = _entries2(g)
+    drift = abs(a * d - b * c - 1.0)
+    if drift > UNIMODULAR_TOL:
+        raise PhysicsError(f"lift requires a unimodular element: |det - 1| = {drift:.3e}")
+    aa, bb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
+    cc, dd = c.real * c.real + c.imag * c.imag, d.real * d.real + d.imag * d.imag
+    ab, cd, ac = a * b.conjugate(), c * d.conjugate(), a * c.conjugate()
+    bd, ad, bc = b * d.conjugate(), a * d.conjugate(), b * c.conjugate()
+    m = (
+        0.5 * (aa + bb + cc + dd), 0.5 * (aa - bb + cc - dd), ab.real + cd.real, -ab.imag - cd.imag,
+        0.5 * (aa + bb - cc - dd), 0.5 * (aa - bb - cc + dd), ab.real - cd.real, cd.imag - ab.imag,
+        (ac + bd).real, (ac - bd).real, (ad + bc).real, (bc - ad).imag,
+        (ac + bd).imag, (ac - bd).imag, (ad + bc).imag, (ad - bc).real,
+    )
+    if not all(map(math.isfinite, m)):
         raise NonFiniteError("lift overflowed: element entries too large to square")
     return Transform4(m, lorentz=True)
 
@@ -492,6 +572,8 @@ def relative_norm(s: StokesVector) -> float:
 
 
 def metric_defect(m) -> float:
-    """Max-entry deviation of m^T g m from g, with g = diag(1,-1,-1,-1)."""
-    m = np.asarray(getattr(m, "m", m), dtype=float)
-    return float(np.abs(m.T @ MINKOWSKI @ m - MINKOWSKI).max())
+    """Max-entry deviation of m^T g m from g, with g = diag(1,-1,-1,-1).
+
+    m is a Transform4, 4 rows of 4 or 16 row-major numbers.
+    """
+    return _defect(_flat16(m))

@@ -454,3 +454,10 @@ def test_argparse_level_errors(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_simulate_tiny_spacelike_reports_relative_norm(tmp_path, capsys):
+    path = write_circuit(tmp_path, "rotate(theta=0.3)")
+    code, out, err = run(capsys, "simulate", path, "--in", "stokes:1e-200,2e-200,0,0")
+    assert_plain_error(code, out, err, 3)
+    assert err == "error: non-physical Stokes vector (spacelike): relative_norm = -3.000e+00\n"

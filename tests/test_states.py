@@ -271,3 +271,29 @@ def test_lift_overflow_is_plain():
         with pytest.raises(NonFiniteError, match="metric check"):
             lift(squeezer(400.0))
         assert lift(squeezer(300.0)).m[0, 0] == pytest.approx(math.cosh(300.0), rel=1e-12)
+
+
+def test_coherency_slack_is_relative_to_the_trace():
+    # an absolute slack of 1e-12 let these non-physical matrices through
+    with pytest.raises(PhysicsError, match="nonnegative"):
+        CoherencyMatrix(1e-13, -5e-14, 0)
+    with pytest.raises(PhysicsError, match="positive semidefinite"):
+        CoherencyMatrix(1e-13, 1e-13, 3e-13)
+    # physical matrices pass at every scale, also where products underflow
+    for scale in (1e3, 1.0, 1e-13, 1e-170, 1e-300):
+        CoherencyMatrix(scale, scale, scale)
+        CoherencyMatrix(scale, 0.0, 0.0)
+        CoherencyMatrix(scale, -1e-13 * scale, 0.0)
+        c = coherency_from_jones(JonesVector(0.6 * scale**0.5, 0.8j * scale**0.5))
+        assert purity_report(c).trace_sq == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spacelike_message_reports_relative_norm():
+    # minkowski_norm of the tiny vector underflows to 0; its ratio to s0^2 is -3
+    expected = r"^non-physical Stokes vector \(spacelike\): relative_norm = -3\.000e\+00$"
+    with pytest.raises(PhysicsError, match=expected):
+        StokesVector(1e-200, 2e-200, 0, 0).require_physical()
+    with pytest.raises(PhysicsError, match=expected):
+        StokesVector(1, 2, 0, 0).require_physical()
+    with pytest.raises(PhysicsError, match="relative_norm = -inf"):
+        StokesVector(0, 1, 0, 0).require_physical()
