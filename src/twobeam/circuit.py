@@ -104,7 +104,8 @@ class StageKind(NamedTuple):
 
 
 # The actions look rotator and friends up in this module's globals at
-# call time, so rebinding those names (as a tracer does) reaches them.
+# call time, so rebinding those names (as a tracer does) reaches every
+# element built after it; evaluate builds a stage's element once.
 STAGES = {
     "rotate": StageKind(("theta",), angles=("theta",), action=lambda theta: (1.0, rotator(theta))),
     "split": StageKind(
@@ -133,7 +134,10 @@ class Stage:
     """One element of a circuit, with canonical radian parameters.
 
     Locations take no part in equality, so structurally identical
-    circuits compare equal regardless of layout.
+    circuits compare equal regardless of layout. evaluate keeps a
+    coherent stage's (k, G) in the instance __dict__, outside the
+    compared fields, so each element is built once per AST; a failure
+    is not kept.
     """
 
     name: str
@@ -418,13 +422,26 @@ def unparse(ast: CircuitAst) -> str:
 
 
 class StageRecord(NamedTuple):
+    """One stage of an evaluation and the state it left.
+
+    purity_after and classification_after are computed when read, from
+    coherency_after and stokes_after, with the tol given to evaluate.
+    """
+
     stage: str
     params: tuple
     stokes_before: StokesVector
     stokes_after: StokesVector
     coherency_after: CoherencyMatrix
-    purity_after: tuple
-    classification_after: object
+    tol: float
+
+    @property
+    def purity_after(self):
+        return purity_report(self.coherency_after)
+
+    @property
+    def classification_after(self):
+        return classify(self.stokes_after, self.tol)
 
 
 @dataclass(frozen=True)
@@ -461,6 +478,9 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     Stokes vector and ends the amplitude track. Stage failures re-raise
     as located CircuitSemanticError; arithmetic overflow and an
     intensity that underflows to zero are reported as such.
+
+    Each stage's element is built on its first evaluation and kept on
+    the Stage, so evaluating one AST on many states rebuilds nothing.
     """
     if isinstance(inp, JonesVector):
         jones = inp
@@ -487,7 +507,10 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
                 coh = coherency_from_stokes(stokes, tol)
                 jones = None
             else:
-                scale, g = kind.action(*[value for _, value in stage.params])
+                memo = vars(stage)
+                if "_element" not in memo:
+                    memo["_element"] = kind.action(*[value for _, value in stage.params])
+                scale, g = memo["_element"]
                 if jones is None:
                     coh = conjugate(coh, g, scale)
                 else:
@@ -500,15 +523,6 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
                 stokes = stokes_from_coherency(coh)
                 if stokes.s0 <= 0.0:
                     raise PhysicsError("beam attenuated to zero intensity (underflow)")
-            record = StageRecord(
-                stage.name,
-                stage.params,
-                before,
-                stokes,
-                coh,
-                purity_report(coh),
-                classify(stokes, tol),
-            )
         except (NonFiniteError, OverflowError) as err:
             raise CircuitSemanticError(
                 f"stage {stage.name}: beam intensity overflowed", stage.line, stage.col
@@ -517,7 +531,7 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
             raise CircuitSemanticError(
                 f"stage {stage.name}: {err}", stage.line, stage.col
             ) from err
-        records.append(record)
+        records.append(StageRecord(stage.name, stage.params, before, stokes, coh, tol))
     return SimulationReport(
         circuit_format=CIRCUIT_FORMAT,
         input_stokes=input_stokes,

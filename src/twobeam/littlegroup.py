@@ -103,26 +103,37 @@ def classify(s: StokesVector, tol=CLASSIFY_TOL) -> StateClass:
 def standardize(s: StokesVector, tol=CLASSIFY_TOL):
     """Lorentz transform carrying s to its standard fixed point.
 
-    Returns (t, t.apply(s)). The transform is built from a phase
-    rotation taking s3 to zero, a rotation taking the polarization
-    part onto the s1 axis (the signed ray matching s1 for impure
-    states, the positive ray for pure ones) and, for impure states,
-    the boost squeeze4(-eta_to_standard). The standard vector is
-    (c,0,0,0) for impure input and c*(1,1,0,0) for pure input, c > 0.
-    Idempotent on its own output.
+    Returns (t, t.apply(s)). The transform is
+    squeeze4(-eta) rotator4(a) phase4(phi), written out entry by entry:
+    the phase rotation takes s3 to zero, the rotation takes the
+    polarization part onto the s1 axis (the signed ray matching s1 for
+    impure states, the positive ray for pure ones) and, for impure
+    states, the boost undoes eta = eta_to_standard (eta = 0 for pure
+    ones). The standard vector is (c,0,0,0) for impure input and
+    c*(1,1,0,0) for pure input, c > 0. Idempotent on its own output.
     """
     cls = classify(s, tol)
     if cls.tag == NON_PHYSICAL:
         raise PhysicsError("cannot standardize a non-physical (spacelike) vector")
-    t = phase4(math.atan2(s.s3, s.s2))
-    r23 = math.hypot(s.s2, s.s3)
-    beta = math.atan2(r23, s.s1)
-    if cls.tag == IMPURE and s.s1 < 0.0:
-        t = rotator4(math.pi - beta) @ t
-    else:
-        t = rotator4(-beta) @ t
+    phi = math.atan2(s.s3, s.s2)
+    beta = math.atan2(math.hypot(s.s2, s.s3), s.s1)
     if cls.tag == IMPURE:
-        t = squeeze4(-cls.eta_to_standard) @ t
+        a, boost = (math.pi - beta if s.s1 < 0.0 else -beta), -cls.eta_to_standard
+    else:
+        a, boost = -beta, 0.0
+    c, sn = math.cos(phi), math.sin(phi)
+    ca, sa = math.cos(a), math.sin(a)
+    ch, sh = math.cosh(boost), math.sinh(boost)
+    u, v = -sa * c, -sa * sn
+    t = Transform4(
+        (
+            ch, sh * ca, sh * u, sh * v,
+            sh, ch * ca, ch * u, ch * v,
+            0.0, sa, ca * c, ca * sn,
+            0.0, 0.0, -sn, c,
+        ),
+        lorentz=True,
+    )
     return t, t.apply(s)
 
 

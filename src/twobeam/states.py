@@ -331,8 +331,11 @@ class Transform4:
         if not isinstance(other, Transform4):
             return NotImplemented
         a, b = self.entries, other.entries
-        rows, cols = [a[i : i + 4] for i in (0, 4, 8, 12)], [b[j::4] for j in range(4)]
-        product = tuple(_dot(row, col) for row in rows for col in cols)
+        product = tuple(
+            a[i] * b[j] + a[i + 1] * b[j + 4] + a[i + 2] * b[j + 8] + a[i + 3] * b[j + 12]
+            for i in (0, 4, 8, 12)
+            for j in (0, 1, 2, 3)
+        )
         return Transform4(product, lorentz=self.lorentz and other.lorentz)
 
 
@@ -365,35 +368,6 @@ def _defect(e):
         abs(a1 * a3 - b1 * b3 - c1 * c3 - d1 * d3),
         abs(a2 * a3 - b2 * b3 - c2 * c3 - d2 * d3),
     )
-
-
-def _fma(x, y, z):
-    """x * y + z rounded once, as a fused multiply-add rounds it.
-
-    Each float is an integer over a power of two, so the exact sum is
-    one integer ratio, and Python's int division rounds it correctly.
-    """
-    (n1, d1), (n2, d2), (n3, d3) = x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()
-    d = max(d1 * d2, d3)
-    n = n1 * n2 * (d // (d1 * d2)) + n3 * (d // d3)
-    try:
-        return n / d
-    except OverflowError:
-        return math.inf if n > 0 else -math.inf
-
-
-def _dot(x, y):
-    """The dot product rounded as a chain of fused multiply-adds.
-
-    That is how numpy's matmul (OpenBLAS on FMA hardware) rounds each
-    entry, so Transform4 products match it bit for bit. A zero term
-    leaves the chain as it is and is skipped.
-    """
-    acc = 0.0
-    for p, q in zip(x, y):
-        if p and q:
-            acc = _fma(p, q, acc) if acc else p * q
-    return acc
 
 
 def _finite(x, what):

@@ -17,10 +17,13 @@ from twobeam import (
     CircuitSemanticError,
     JonesVector,
     StokesVector,
+    classify,
     evaluate,
     parse,
+    purity_report,
     stokes_from_coherency,
 )
+from twobeam import circuit
 from twobeam.circuit import _Parser, _scan, _tokenize
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -80,16 +83,20 @@ def test_long_boost_chain_stays_pure():
 
 
 def test_overflow_is_located_and_plain():
-    text = "; ".join(["squeeze(eta=5); rotate(theta=0.3)"] * 200)
-    for inp in (JonesVector(1.0, 0.0), StokesVector(1.0, 0.5, 0.5, 0.0)):
-        try:
-            evaluate(parse(text), inp)
-        except CircuitSemanticError as err:
-            assert err.message == "stage squeeze: beam intensity overflowed"
-            assert err.line == 1 and err.col > 1
-            assert "out of range" not in str(err)
-        else:
-            raise AssertionError("overflow not reported")
+    # Elements are built by evaluate, not parse, and a failed build is not
+    # kept, so every evaluation of one AST raises the same located error.
+    # In the chain, the 72nd squeeze is where s0 first becomes too large
+    # to square.
+    chain = ";".join(["squeeze(eta=5); rotate(theta=0.3)"] * 200)
+    for text, where in (("squeeze(eta=2000)", "1:1"), (chain, "1:2415")):
+        ast = parse(text)
+        for inp in (JonesVector(1.0, 0.0), StokesVector(1.0, 0.5, 0.5, 0.0)) * 2:
+            try:
+                evaluate(ast, inp)
+            except CircuitSemanticError as err:
+                assert str(err) == f"{where}: stage squeeze: beam intensity overflowed"
+            else:
+                raise AssertionError("overflow not reported")
 
 
 def test_underflow_is_located_and_plain():
@@ -267,3 +274,53 @@ def test_scanner_agrees_with_token_parser_on_formatted_circuits():
         for _ in range(4):
             bad = mutated(rng, text)
             assert outcome(parse, bad) == outcome(token_parse, bad), repr(bad)
+
+
+def decohering_circuit(rng):
+    """Random stage text with at least one decohere."""
+    stages = [random_stage(rng) for _ in range(rng.randint(1, 20))]
+    stages.insert(rng.randrange(len(stages) + 1), f"decohere(lambda={rng.random()!r})")
+    return "; ".join(stages)
+
+
+def test_stage_diagnostics_are_those_of_the_recorded_state():
+    # purity_after and classification_after are computed on access; they
+    # must be those of the record's own state, under the tol given to
+    # evaluate. tol = 0.05 classes nearly pure states as pure, so a record
+    # that ignored it would show.
+    rng = random.Random(808)
+    moved = 0
+    for _ in range(60):
+        ast = parse(decohering_circuit(rng))
+        for inp in random_inputs(rng):
+            for tol in (1e-9, 0.05):
+                report = evaluate(ast, inp, tol)
+                for r in report.stages:
+                    assert r.tol == tol
+                    assert r.purity_after == purity_report(r.coherency_after)
+                    assert r.classification_after == classify(r.stokes_after, tol)
+                    moved += tol != 1e-9 and r.classification_after != classify(r.stokes_after)
+                last = report.stages[-1]
+                assert report.final_purity == last.purity_after
+                assert report.final_classification == last.classification_after
+    assert moved > 0
+
+
+def test_repeated_evaluation_builds_each_element_once(monkeypatch):
+    rng = random.Random(909)
+    for _ in range(40):
+        text = decohering_circuit(rng)
+        ast = parse(text)
+        for inp in random_inputs(rng):
+            assert evaluate(ast, inp) == evaluate(ast, inp) == evaluate(parse(text), inp)
+    built = []
+    for name in ("rotator", "phase_shifter", "squeezer", "attenuator"):
+        make = getattr(circuit, name)
+        monkeypatch.setattr(circuit, name, lambda *a, make=make: built.append(a) or make(*a))
+    ast = parse("rotate(theta=0.3); phase(phi=0.2); squeeze(eta=0.1); atten(eta1=0.1, eta2=0.2)")
+    jones, _, mixed = random_inputs(rng)
+    first = evaluate(ast, jones)
+    assert len(built) == 4
+    assert evaluate(ast, jones) == first
+    evaluate(ast, mixed)
+    assert len(built) == 4

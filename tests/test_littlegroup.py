@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +199,24 @@ def test_little_group_element_rejects_mismatches():
         little_group_element(StateClass(NON_PHYSICAL, -1.0))
 
 
+GAMMA8 = 8 * Fraction(1, 2**53) / (1 - 8 * Fraction(1, 2**53))
+
+
+def exact_product(matrices):
+    """The exact product, as 16 row-major Fractions, of row-major 4x4 entries."""
+    out = None
+    for m in matrices:
+        m = [Fraction(x) for x in m]
+        if out is not None:
+            m = [
+                sum(out[i + k] * m[j + 4 * k] for k in range(4))
+                for i in (0, 4, 8, 12)
+                for j in range(4)
+            ]
+        out = m
+    return out
+
+
 def test_conjugated_rotation_basics():
     theta = 0.8
     assert np.abs(conjugated_rotation(theta, 0.0).m - rotator4(theta).m).max() == 0.0
@@ -208,8 +227,14 @@ def test_conjugated_rotation_basics():
         t = conjugated_rotation(theta, eta)
         fixed = np.array([math.cosh(eta), math.sinh(eta), 0.0, 0.0])
         assert np.abs(t.m @ fixed - fixed).max() < 1e-12 * math.cosh(eta) ** 2
-        expected = squeeze4(eta).m @ rotator4(theta).m @ squeeze4(-eta).m
-        assert np.abs(t.m - expected).max() == 0.0
+        # Two products of 4x4s, each entry a four-term sum: the error is at
+        # most ((1 + gamma_4)^2 - 1) |S| |R| |S'| <= gamma_8 |S| |R| |S'|
+        # entrywise (Higham, ch. 3), against the exact product of the factors.
+        factors = [squeeze4(eta), rotator4(theta), squeeze4(-eta)]
+        exact = exact_product(f.entries for f in factors)
+        size = exact_product([abs(x) for x in f.entries] for f in factors)
+        for got, want, bound in zip(t.entries, exact, size):
+            assert abs(Fraction(got) - want) <= GAMMA8 * bound
 
 
 def test_conjugated_rotation_contraction():

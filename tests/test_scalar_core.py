@@ -1,14 +1,13 @@
 """The 2x2 and 4x4 layer on plain floats.
 
-Transform4 products, apply and metric_defect are checked against numpy
-on random products of lifts and shears, and every command-line shape is
-run in a fresh interpreter to show that none of them imports numpy.
+Transform4 products, apply and metric_defect are checked against numpy,
+and products against exact rational arithmetic, on random products of
+lifts and shears; every command-line shape is run in a fresh
+interpreter to show that none of them imports numpy.
 """
 
 import json
-import math
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,7 +19,6 @@ import pytest
 import twobeam
 from twobeam import PhysicsError, Transform4, f1, f2, iwasawa_decompose, lift, metric_defect
 from twobeam import wigner_decompose
-from twobeam.states import _dot, _fma
 from test_states import random_element, random_physical_stokes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -55,18 +53,33 @@ def test_products_apply_and_defect_match_numpy():
         assert abs(metric_defect(t) - np.abs(m.T @ g @ m - g).max()) <= bound
 
 
-def test_fused_multiply_add_rounds_once():
-    rng = random.Random(5)
-    for _ in range(3000):
-        x, y, acc = (rng.uniform(-4.0, 4.0) * 2.0 ** rng.randint(-400, 400) for _ in range(3))
-        try:
-            exact = float(Fraction(x) * Fraction(y) + Fraction(acc))
-        except OverflowError:
-            exact = math.copysign(math.inf, x * y)
-        assert _fma(x, y, acc) == exact
-        assert _dot((acc, x), (1.0, y)) == exact
-    assert _fma(1e300, 1e300, -1.0) == math.inf and _fma(-1e300, 1e300, 1.0) == -math.inf
-    assert _fma(5e-324, 0.5, 0.0) == 0.0 and _fma(5e-324, 0.75, 0.0) == 5e-324
+# Each entry of a 4x4 product is a four-term dot product summed left to
+# right, so its error is at most gamma_4 sum |a_ik b_kj| (Higham, ch. 3),
+# plus half the subnormal spacing for each product that underflows.
+U = Fraction(1, 2**53)
+GAMMA4 = 4 * U / (1 - 4 * U)
+UNDERFLOW = 4 * Fraction(1, 2**1075)
+
+
+def test_products_round_within_the_dot_product_bound():
+    rng = np.random.default_rng(71)
+    # unit scale, large entries (products near 2^900) and products that
+    # underflow into the subnormal range; powers of two scale exactly
+    scales = ((1.0, 1.0), (2.0**500, 2.0**400), (2.0**-530, 2.0**-520))
+    subnormal = 0
+    for _ in range(300):
+        a, b = random_transform(rng), random_transform(rng)
+        for ka, kb in scales:
+            x = [Fraction(v * ka) for v in a.entries]
+            y = [Fraction(v * kb) for v in b.entries]
+            got = Transform4([v * ka for v in a.entries]) @ Transform4([v * kb for v in b.entries])
+            for n, value in enumerate(got.entries):
+                i, j = 4 * (n // 4), n % 4
+                terms = [x[i + k] * y[j + 4 * k] for k in range(4)]
+                bound = GAMMA4 * sum(map(abs, terms)) + UNDERFLOW
+                assert abs(Fraction(value) - sum(terms)) <= bound
+                subnormal += 0.0 < abs(value) < sys.float_info.min
+    assert subnormal > 0
 
 
 def test_minkowski_is_built_once():
