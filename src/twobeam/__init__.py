@@ -19,8 +19,11 @@ from . import states as _states
 
 
 def __getattr__(name):
-    # MINKOWSKI: the states module builds it on first use, once.
-    return getattr(_states, name)
+    # MINKOWSKI: the states module builds it on first use, once. Nothing
+    # else is looked up there: a star import reads __all__ through here.
+    if name != "MINKOWSKI":
+        raise AttributeError(f"module 'twobeam' has no attribute {name!r}")
+    return _states.MINKOWSKI
 
 
 __version__ = "0.1.0"

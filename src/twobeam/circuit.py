@@ -12,9 +12,9 @@ The stage names, their parameters and what each stage does come from
 one table, STAGES; the grammar above lists its keys.
 
 "#" starts a comment running to end of line; whitespace is
-insignificant. Numbers are plain decimal floats, "deg" on an angle
-converts to radians at parse time. Stage order in the text is the
-order the beam meets the elements.
+insignificant. Numbers are plain decimal floats with ASCII digits;
+"deg" on an angle converts to radians at parse time. Stage order in
+the text is the order the beam meets the elements.
 
 Parsing normalizes every stage to a fixed set of radian-valued
 parameters (split's ratio becomes the equivalent mixer angle), so
@@ -163,145 +163,12 @@ class CircuitAst:
                 raise TypeError("CircuitAst stages must be Stage instances")
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
 class _Arg(NamedTuple):
     name: str
     value: float
     line: int
     col: int
     deg: bool
-
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-
-
-def _tokenize(text):
-    tokens = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r\f\v":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            tokens.append(_Token("number", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if ch in ";(),=":
-            tokens.append(_Token("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise CircuitSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_sym(self, text, what):
-        tok = self.advance()
-        if tok.kind != "sym" or tok.text != text:
-            raise CircuitSyntaxError(f"expected {what}", tok.line, tok.col)
-        return tok
-
-    def circuit(self):
-        stages = [self.stage()]
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == ";":
-                self.advance()
-                if self.peek().kind == "end":
-                    break
-                stages.append(self.stage())
-            elif tok.kind == "end":
-                break
-            else:
-                raise CircuitSyntaxError("expected ';' or end of input", tok.line, tok.col)
-        return CircuitAst(tuple(stages))
-
-    def stage(self):
-        tok = self.advance()
-        if tok.kind != "ident":
-            raise CircuitSyntaxError("expected stage name", tok.line, tok.col)
-        if tok.text not in STAGES:
-            raise CircuitSyntaxError(_unknown_element(tok.text), tok.line, tok.col)
-        self.expect_sym("(", "'('")
-        args = []
-        nxt = self.peek()
-        if nxt.kind == "sym" and nxt.text == ")":
-            self.advance()
-        else:
-            while True:
-                args.append(self.arg())
-                sep = self.advance()
-                if sep.kind == "sym" and sep.text == ",":
-                    continue
-                if sep.kind == "sym" and sep.text == ")":
-                    break
-                raise CircuitSyntaxError("expected ',' or ')'", sep.line, sep.col)
-        params = _validate_stage(tok.text, args, tok.line, tok.col)
-        return Stage(tok.text, params, tok.line, tok.col)
-
-    def arg(self):
-        name = self.advance()
-        if name.kind != "ident":
-            raise CircuitSyntaxError("expected argument name", name.line, name.col)
-        eq = self.advance()
-        if eq.kind != "sym" or eq.text != "=":
-            raise CircuitSyntaxError("expected '='", eq.line, eq.col)
-        num = self.advance()
-        if num.kind != "number":
-            raise CircuitSyntaxError("expected a number", num.line, num.col)
-        deg = False
-        nxt = self.peek()
-        if nxt.kind == "ident":
-            if nxt.text != "deg":
-                raise CircuitSyntaxError("expected 'deg', ',' or ')'", nxt.line, nxt.col)
-            self.advance()
-            deg = True
-        value = float(num.text)
-        if not math.isfinite(value):
-            raise CircuitSemanticError("number out of range", num.line, num.col)
-        return _Arg(name.text, value, name.line, name.col, deg)
 
 
 def _validate_stage(name, args, line, col):
@@ -340,20 +207,30 @@ def _validate_stage(name, args, line, col):
     return tuple(params)
 
 
+# The lexical rules, each written once for the stage scanner and the
+# tokenizer. _GAP is whitespace and comments. A comment must run to the
+# end of its line, so a gap splits into whitespace and comments one way
+# only and a failed match backtracks in linear time.
+_GAP = r"[ \t\n\r\f\v]*(?:#[^\n]*(?![^\n])[ \t\n\r\f\v]*)*"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUM = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+
 # The stage scanner: one match per well-formed stage, including the
 # separator after it. A stage has at most two arguments; anything else is
-# left to the token parser. _GAP is whitespace and comments. A comment
-# must run to the end of its line, so a gap splits into whitespace and
-# comments one way only and a failed match backtracks in linear time.
-# Digits are ASCII, a subset of what the tokenizer's \d accepts.
-_GAP = r"[ \t\n\r\f\v]*(?:#[^\n]*(?![^\n])[ \t\n\r\f\v]*)*"
-_SCAN_NUM = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_SCAN_ARG = rf"({_IDENT_RE.pattern}){_GAP}={_GAP}({_SCAN_NUM})(?:{_GAP}(deg))?{_GAP}"
+# left to the token parser.
+_SCAN_ARG = rf"({_IDENT}){_GAP}={_GAP}({_NUM})(?:{_GAP}(deg))?{_GAP}"
 _STAGE_RE = re.compile(
-    rf"{_GAP}({_IDENT_RE.pattern}){_GAP}\({_GAP}"
+    rf"{_GAP}({_IDENT}){_GAP}\({_GAP}"
     rf"(?:{_SCAN_ARG}(?:,{_GAP}{_SCAN_ARG})?)?\){_GAP}(;|\Z)"
 )
 _END_RE = re.compile(rf"{_GAP}\Z")
+
+# The tokenizer, one alternative per token kind. _GAP can match empty, so
+# it comes after the kinds that need a character; where nothing starts,
+# finditer takes its empty match and then, at the same place, "bad".
+_TOKEN_RE = re.compile(
+    rf"(?P<ident>{_IDENT})|(?P<number>{_NUM})|(?P<sym>[;(),=])|(?P<gap>{_GAP})|(?P<bad>.)"
+)
 
 
 def _scan(text):
@@ -397,6 +274,66 @@ def _scan(text):
             return CircuitAst(tuple(stages))
 
 
+def _parse_tokens(text):
+    """The AST of text parsed token by token; the located error if rejected.
+
+    The whole text is tokenized first, so an unexpected character is
+    reported before any grammar error. Tokens are (kind, text, line, col).
+    """
+    tokens = []
+    line, line_start = 1, -1
+    for m in _TOKEN_RE.finditer(text):
+        kind, start = m.lastgroup, m.start()
+        if kind == "gap":
+            line += text.count("\n", start, m.end())
+            line_start = max(line_start, text.rfind("\n", start, m.end()))
+        elif kind == "bad":
+            raise CircuitSyntaxError(f"unexpected character {m.group()!r}", line, start - line_start)
+        else:
+            tokens.append((kind, m.group(), line, start - line_start))
+    tokens.append(("end", "", line, len(text) - line_start))
+    pos = 0
+
+    def take(kind, texts=None, message=None):
+        # The next token if it is a kind (with a text in texts); else
+        # raise message at it, or return None when there is none.
+        nonlocal pos
+        tok = tokens[pos]
+        if tok[0] == kind and (texts is None or tok[1] in texts):
+            pos += 1
+            return tok
+        if message:
+            raise CircuitSyntaxError(message, *tok[2:])
+        return None
+
+    def arg():
+        _, name, line, col = take("ident", None, "expected argument name")
+        take("sym", "=", "expected '='")
+        number = take("number", None, "expected a number")
+        unit = take("ident")
+        if unit and unit[1] != "deg":
+            raise CircuitSyntaxError("expected 'deg', ',' or ')'", *unit[2:])
+        value = float(number[1])
+        if not math.isfinite(value):
+            raise CircuitSemanticError("number out of range", *number[2:])
+        return _Arg(name, value, line, col, unit is not None)
+
+    stages = []
+    while True:
+        _, name, line, col = take("ident", None, "expected stage name")
+        if name not in STAGES:
+            raise CircuitSyntaxError(_unknown_element(name), line, col)
+        take("sym", "(", "expected '('")
+        args = []
+        if not take("sym", ")"):
+            args.append(arg())
+            while take("sym", ",)", "expected ',' or ')'")[1] == ",":
+                args.append(arg())
+        stages.append(Stage(name, _validate_stage(name, args, line, col), line, col))
+        if take("end") or take("sym", ";", "expected ';' or end of input") and take("end"):
+            return CircuitAst(tuple(stages))
+
+
 def parse(text) -> CircuitAst:
     """Parse circuit text; raise a located CircuitError on rejection.
 
@@ -408,7 +345,7 @@ def parse(text) -> CircuitAst:
         raise TypeError("circuit text must be str")
     ast = _scan(text)
     if ast is None:
-        ast = _Parser(_tokenize(text)).circuit()
+        ast = _parse_tokens(text)
     return ast
 
 

@@ -94,6 +94,8 @@ def classify(s: StokesVector, tol=CLASSIFY_TOL) -> StateClass:
     if norm <= band:
         return StateClass(PURE, norm)
     p = math.sqrt(s.s1**2 + s.s2**2 + s.s3**2) / s.s0
+    if p >= 1.0:  # on the cone to rounding; tol is below the rounding of s0^2
+        return StateClass(PURE, norm)
     eta = math.atanh(p)
     if s.s1 < 0.0:
         eta = -eta

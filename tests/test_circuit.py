@@ -112,6 +112,9 @@ def test_malformed_located():
         assert err.value.line == line, text
         assert err.value.col == col, text
         assert f"{line}:{col}:" in str(err.value)
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse("rotate(theta=٣)")  # numbers take ASCII digits only
+    assert (err.value.message, err.value.line, err.value.col) == ("unexpected character '٣'", 1, 14)
 
 
 def test_semantic_errors():

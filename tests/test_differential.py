@@ -24,7 +24,7 @@ from twobeam import (
     stokes_from_coherency,
 )
 from twobeam import circuit
-from twobeam.circuit import _Parser, _scan, _tokenize
+from twobeam.circuit import _parse_tokens, _scan
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -180,7 +180,7 @@ def test_evaluate_matches_closed_form_fold():
 
 
 def token_parse(text):
-    return _Parser(_tokenize(text)).circuit()
+    return _parse_tokens(text)
 
 
 def outcome(parser, text):

@@ -18,7 +18,12 @@ def test_star_import_resolves_all(name):
 
 def test_package_reexports_resolve():
     package = importlib.import_module("twobeam")
+    namespace = {}
+    exec("from twobeam import *", namespace)
     for name in MODULES[:-1]:
         module = importlib.import_module(f"twobeam.{name}")
         for public in module.__all__:
             assert getattr(package, public) is getattr(module, public), public
+            assert namespace.get(public) is getattr(module, public), public
+    with pytest.raises(AttributeError):
+        package._finite

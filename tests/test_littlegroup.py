@@ -29,6 +29,7 @@ from twobeam import (
     squeeze4,
     standardize,
 )
+from twobeam.cli import main
 from test_states import random_element, random_physical_stokes
 
 LIGHT = np.array([1.0, 1.0, 0.0, 0.0])
@@ -324,6 +325,18 @@ def test_classify_overflow_is_plain():
         with pytest.raises(NonFiniteError, match="too large to square"):
             classify(s)
     assert classify(StokesVector(1e150, 1e150, 0, 0)).tag == PURE
+
+
+def test_classify_below_the_rounding_level_of_s0_squared(capsys):
+    # With tol under the rounding of s0^2 a pure state's norm can round
+    # above the band while |(s1, s2, s3)| / s0 rounds to 1: on the cone.
+    argv = ["classify", "1.0,-0.2225556625973378,0.6859706126789553,0.6927577466811313"]
+    assert main([*argv, "--tol", "1e-300"]) == 0
+    assert "classification: pure" in capsys.readouterr().out
+    rng = np.random.default_rng(74)
+    for _ in range(2000):
+        v = rng.normal(size=3)
+        classify(StokesVector(1.0, *(v / np.linalg.norm(v))), 0.0)
 
 
 def test_classify_is_scale_free_where_s0_squared_underflows():
