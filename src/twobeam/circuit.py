@@ -359,18 +359,25 @@ def unparse(ast: CircuitAst) -> str:
 
 
 class StageRecord(NamedTuple):
-    """One stage of an evaluation and the state it left.
+    """One stage of an evaluation: the coherency matrices before and after it.
 
-    purity_after and classification_after are computed when read, from
-    coherency_after and stokes_after, with the tol given to evaluate.
+    stokes_before, stokes_after, purity_after and classification_after
+    are computed when read, with the tol given to evaluate.
     """
 
     stage: str
     params: tuple
-    stokes_before: StokesVector
-    stokes_after: StokesVector
+    coherency_before: CoherencyMatrix
     coherency_after: CoherencyMatrix
     tol: float
+
+    @property
+    def stokes_before(self):
+        return stokes_from_coherency(self.coherency_before)
+
+    @property
+    def stokes_after(self):
+        return stokes_from_coherency(self.coherency_after)
 
     @property
     def purity_after(self):
@@ -404,17 +411,19 @@ class SimulationReport:
 def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     """Push a state through the circuit, recording every stage.
 
-    A coherent stage is its STAGES action: an overall factor k (1
-    except for atten) times a unimodular G. While the amplitude track
-    is live (Jones input, no decohere yet) it is the single source of
-    truth: psi -> k conj(G) psi, and the coherency is the outer product
-    of the new amplitudes, so a pure state stays pure to rounding
-    however long the chain.
-    Without amplitudes the coherency matrix is conjugated,
-    C -> k^2 G C G+. decohere applies the physical channel to the
-    Stokes vector and ends the amplitude track. Stage failures re-raise
-    as located CircuitSemanticError; arithmetic overflow and an
-    intensity that underflows to zero are reported as such.
+    The state is the coherency matrix; each stage builds one new matrix,
+    whose validation is the stage's gate. A coherent stage is its STAGES
+    action: an overall factor k (1 except for atten) times a unimodular
+    G. While the amplitude track is live (Jones input, no decohere yet)
+    it is the single source of truth: psi -> k conj(G) psi, and the
+    coherency is the outer product of the new amplitudes, so a pure
+    state stays pure to rounding however long the chain. Without
+    amplitudes the matrix is conjugated, C -> k^2 G C G+. decohere
+    scales s12 by e^-2 lambda and ends the amplitude track. Stokes
+    vectors are read from the matrices: the report's input and final
+    ones once, a StageRecord's on access. Stage failures re-raise as
+    located CircuitSemanticError; arithmetic overflow and an intensity
+    that underflows to zero are reported as such.
 
     Each stage's element is built on its first evaluation and kept on
     the Stage, so evaluating one AST on many states rebuilds nothing.
@@ -427,21 +436,19 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
         coh = coherency_from_stokes(inp, tol)
     else:
         raise TypeError("input must be a JonesVector or StokesVector")
-    stokes = stokes_from_coherency(coh)
-    if stokes.s0 <= 0.0:
+    input_stokes = stokes_from_coherency(coh)
+    if coh.trace <= 0.0:
         raise PhysicsError("evaluation requires positive input intensity")
     input_jones = jones
-    input_stokes = stokes
     records = []
     for stage in ast.stages:
-        before = stokes
+        before = coh
         try:
             kind = STAGES.get(stage.name)
             if kind is None:
                 raise PhysicsError(_unknown_element(stage.name))
             if kind.action is None:  # decohere, the one channel
-                stokes = decohere_channel(stokes, stage.params[0][1])
-                coh = coherency_from_stokes(stokes, tol)
+                coh = decohere_channel(coh, stage.params[0][1])
                 jones = None
             else:
                 memo = vars(stage)
@@ -457,8 +464,7 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
                         scale * (g.gamma.conjugate() * p1 + g.delta.conjugate() * p2),
                     )
                     coh = coherency_from_jones(jones)
-                stokes = stokes_from_coherency(coh)
-                if stokes.s0 <= 0.0:
+                if coh.trace <= 0.0:
                     raise PhysicsError("beam attenuated to zero intensity (underflow)")
         except (NonFiniteError, OverflowError) as err:
             raise CircuitSemanticError(
@@ -468,15 +474,16 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
             raise CircuitSemanticError(
                 f"stage {stage.name}: {err}", stage.line, stage.col
             ) from err
-        records.append(StageRecord(stage.name, stage.params, before, stokes, coh, tol))
+        records.append(StageRecord(stage.name, stage.params, before, coh, tol))
+    final_stokes = stokes_from_coherency(coh)
     return SimulationReport(
         circuit_format=CIRCUIT_FORMAT,
         input_stokes=input_stokes,
         input_jones=input_jones,
         stages=tuple(records),
-        final_stokes=stokes,
+        final_stokes=final_stokes,
         final_coherency=coh,
         final_jones=jones,
         final_purity=purity_report(coh),
-        final_classification=classify(stokes, tol),
+        final_classification=classify(final_stokes, tol),
     )

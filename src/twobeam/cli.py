@@ -105,23 +105,6 @@ def _jones_list(j):
     return [j.psi1.real, j.psi1.imag, j.psi2.real, j.psi2.imag]
 
 
-def _class_dict(c):
-    return {
-        "tag": c.tag,
-        "invariant_norm": c.invariant_norm,
-        "eta_to_standard": c.eta_to_standard,
-    }
-
-
-def _purity_dict(p):
-    return {
-        "trace": p.trace,
-        "trace_sq": p.trace_sq,
-        "det": p.det,
-        "degree_of_polarization": p.degree_of_polarization,
-    }
-
-
 def _reals(text, count, what, shape):
     """The comma-separated reals of text, checked to number count.
 
@@ -231,8 +214,11 @@ def _deliver(args, command, inputs, results, warnings=(), lines=None):
         body = (_text_lines(results) if lines is None else lines) + [f"warning: {w}" for w in warnings]
         text = "\n".join(body) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ValueError(f"cannot write report to '{args.out}': {err.strerror or err}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -249,14 +235,18 @@ def _stage_dict(r):
             "s22": r.coherency_after.s22,
             "s12": [r.coherency_after.s12.real, r.coherency_after.s12.imag],
         },
-        "purity_after": _purity_dict(r.purity_after),
-        "classification_after": _class_dict(r.classification_after),
+        "purity_after": r.purity_after._asdict(),
+        "classification_after": vars(r.classification_after),
     }
 
 
 def _cmd_simulate(args):
-    with open(args.circuit) as fh:
-        text = fh.read()
+    # utf-8-sig: a byte-order mark some editors write is not circuit text
+    try:
+        with open(args.circuit, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ValueError(f"cannot read circuit file '{args.circuit}': {err.strerror or err}") from None
     ast = parse(text)
     state = _input_state(args.input_spec)
     report = evaluate(ast, state, tol=args.tol)
@@ -269,8 +259,8 @@ def _cmd_simulate(args):
         "stages": [_stage_dict(r) for r in report.stages],
         "final_stokes": _stokes_list(report.final_stokes),
         "final_jones": _jones_list(report.final_jones) if report.final_jones else None,
-        "final_purity": _purity_dict(report.final_purity),
-        "final_classification": _class_dict(report.final_classification),
+        "final_purity": report.final_purity._asdict(),
+        "final_classification": vars(report.final_classification),
     }
     inputs = {"circuit_path": args.circuit, "input": args.input_spec, "tol": args.tol}
 
@@ -302,8 +292,7 @@ def _cmd_simulate(args):
 def _cmd_classify(args):
     shape = "classify takes four comma-separated reals: s0,s1,s2,s3"
     s = StokesVector(*_reals(args.stokes, 4, f"stokes '{args.stokes}'", shape))
-    results = _class_dict(classify(s, tol=args.tol))
-    results["relative_norm"] = relative_norm(s)
+    results = {**vars(classify(s, tol=args.tol)), "relative_norm": relative_norm(s)}
     return _deliver(args, "classify", {"stokes": _stokes_list(s), "tol": args.tol}, results)
 
 

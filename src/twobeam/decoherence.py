@@ -19,7 +19,7 @@ angle.
 import math
 from typing import NamedTuple
 
-from .states import PhysicsError, StokesVector, Transform4, _entries2, _finite, _mul2
+from .states import CoherencyMatrix, PhysicsError, StokesVector, Transform4, _entries2, _finite, _mul2
 
 __all__ = [
     "decoherence4",
@@ -51,19 +51,23 @@ def decoherence4(lam) -> Transform4:
     )
 
 
-def decohere_channel(s: StokesVector, lam) -> StokesVector:
-    """Physical decoherence: (s0, s1, e^-2l s2, e^-2l s3), l >= 0.
+def decohere_channel(state, lam):
+    """Physical decoherence, l >= 0: the cross-correlation s12 times e^-2l.
 
-    Equals e^-l times decoherence4(l). Output stays physical, purity
-    never increases, and the maps form a semigroup in l. Negative l
-    (recoherence) is rejected.
+    A CoherencyMatrix gives s12 -> e^-2l s12 and a StokesVector, which
+    must be physical, (s0, s1, e^-2l s2, e^-2l s3): one map, returned in
+    the input's type. Equals e^-l times decoherence4(l). Output stays
+    physical, purity never increases, and the maps form a semigroup in
+    l. Negative l (recoherence) is rejected.
     """
     lam = _finite(lam, "lambda")
     if lam < 0.0:
         raise PhysicsError("lambda must be nonnegative")
-    s.require_physical()
     k = math.exp(-2.0 * lam)
-    return StokesVector(s.s0, s.s1, k * s.s2, k * s.s3)
+    if isinstance(state, CoherencyMatrix):
+        return CoherencyMatrix(state.s11, state.s22, complex(k * state.s12.real, k * state.s12.imag))
+    state.require_physical()
+    return StokesVector(state.s0, state.s1, k * state.s2, k * state.s3)
 
 
 def _squeeze2(lam):

@@ -265,6 +265,18 @@ def test_evaluate_stage_failure_located():
     assert "squeeze" in err.value.message
 
 
+def test_hand_built_ast_checks_lambda_at_evaluation():
+    # CircuitAst skips the parser's checks, so decohere_channel's own
+    # lambda checks are the gate, and their errors are located.
+    for lam, reason in ((-0.1, "must be nonnegative"), (math.nan, "must be finite")):
+        stages = (Stage("rotate", (("theta", 0.1),), 1, 1), Stage("decohere", (("lambda", lam),), 2, 5))
+        for inp in (JonesVector(1, 0), StokesVector(1, 0.2, 0.1, 0)):
+            with pytest.raises(CircuitSemanticError) as err:
+                evaluate(CircuitAst(stages), inp)
+            assert (err.value.line, err.value.col) == (2, 5)
+            assert err.value.message == f"stage decohere: lambda {reason}"
+
+
 def test_ast_validation():
     with pytest.raises(TypeError):
         CircuitAst(("rotate",))

@@ -403,6 +403,26 @@ def test_simulate_out_file(tmp_path, capsys):
     assert doc["command"] == "simulate"
 
 
+def test_simulate_reads_utf8_and_names_file_errors(tmp_path, capsys):
+    # The circuit file is UTF-8 whatever the locale, and a byte-order mark
+    # is not part of the text.
+    text = "# \u03bb is spelled lambda\nrotate(theta=0.3); decohere(lambda=0.2)\n"
+    plain, bom = tmp_path / "plain.circ", tmp_path / "bom.circ"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(text.encode("utf-8-sig"))
+    docs = [run_json(capsys, "simulate", str(p), "--in", "jones:1,0,0,0")[0] for p in (plain, bom)]
+    assert docs[0]["results"] == docs[1]["results"]
+
+    missing = str(tmp_path / "missing.circ")
+    for argv, message in (
+        ((missing,), f"cannot read circuit file '{missing}': No such file or directory"),
+        ((str(tmp_path),), f"cannot read circuit file '{tmp_path}': Is a directory"),
+        ((str(plain), "--out", str(tmp_path)), f"cannot write report to '{tmp_path}': Is a directory"),
+    ):
+        code, out, err = run(capsys, "simulate", *argv, "--in", "jones:1,0,0,0")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_simulate_exit_codes(tmp_path, capsys):
     empty = write_circuit(tmp_path, "")
     code, _, err = run(capsys, "simulate", empty, "--in", "jones:1,0,0,0")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twobeam import (
+    CoherencyMatrix,
     PhysicsError,
     StokesVector,
     coherency_from_stokes,
@@ -18,6 +19,7 @@ from twobeam import (
     purity_report,
     r_a,
     rotator4,
+    stokes_from_coherency,
     wigner_decompose,
     wigner_recompose,
 )
@@ -125,9 +127,26 @@ def test_channel_preserves_positivity():
         assert c.det >= -1e-12 * max(1.0, c.trace**2)
 
 
+def test_channel_on_coherency_matches_stokes_form():
+    # s12 -> e^-2l s12 is the Stokes form's map, with the same rounding:
+    # s0 and s1 are the input's, and s2, s3 are the same products.
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        c = coherency_from_stokes(random_physical_stokes(rng))
+        lam = rng.uniform(0, 5)
+        out = decohere_channel(c, lam)
+        assert isinstance(out, CoherencyMatrix)
+        assert (out.s11, out.s22) == (c.s11, c.s22)
+        got = stokes_from_coherency(out)
+        want = decohere_channel(stokes_from_coherency(c), lam)
+        assert (got.s0, got.s1, got.s2, got.s3) == (want.s0, want.s1, want.s2, want.s3)
+
+
 def test_channel_rejects_recoherence():
-    with pytest.raises(PhysicsError):
-        decohere_channel(StokesVector(1, 0, 0.5, 0), -0.1)
+    for state in (StokesVector(1, 0, 0.5, 0), CoherencyMatrix(0.5, 0.5, 0.25)):
+        for lam in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(PhysicsError):
+                decohere_channel(state, lam)
     out = decohere_channel(StokesVector(1, 0, 0.5, 0), 0.25)
     assert abs(out.s2 - 0.5 * math.exp(-0.5)) < 1e-15
 

@@ -324,3 +324,20 @@ def test_repeated_evaluation_builds_each_element_once(monkeypatch):
     assert evaluate(ast, jones) == first
     evaluate(ast, mixed)
     assert len(built) == 4
+
+
+def test_evaluate_carries_one_state(monkeypatch):
+    # The coherency matrix is the state; Stokes vectors are taken only for
+    # the report's input and final entries, not once per stage.
+    rng = random.Random(1010)
+    coherent = [s for s in (random_stage(rng) for _ in range(400)) if "decohere" not in s]
+    jones_case = (parse("; ".join(coherent[:200])), random_inputs(rng)[0])
+    assert len(jones_case[0].stages) == 200
+    mixed_case = (parse(decohering_circuit(rng)), random_inputs(rng)[2])
+    built = []
+    check = StokesVector.__post_init__
+    monkeypatch.setattr(StokesVector, "__post_init__", lambda s: built.append(s) or check(s))
+    for ast, inp in (jones_case, mixed_case):
+        del built[:]
+        report = evaluate(ast, inp)
+        assert built == [report.input_stokes, report.final_stokes]
