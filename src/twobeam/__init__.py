@@ -5,25 +5,38 @@ Jones vectors, coherency matrices and Stokes four-vectors; unimodular
 classification and little-group matrices; decoherence maps and the
 reduced 2x2 factorizations; a small circuit DSL with an evaluator and
 a command line front end.
+
+Submodules are registered at import and run on first attribute access.
+The lazy loader takes no lock: touch what you use before starting threads.
 """
 
-# Each module's __all__ is its public surface; the package re-exports
-# all of them (tests/test_exports.py checks that every name resolves).
-from .states import *  # noqa: F401,F403
-from .elements import *  # noqa: F401,F403
-from .littlegroup import *  # noqa: F401,F403
-from .decoherence import *  # noqa: F401,F403
-from .circuit import *  # noqa: F401,F403
+import importlib.util
+import sys
 
-from . import states as _states
+
+def _lazy(name):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_MODULES = tuple(map(_lazy, ("states", "elements", "littlegroup", "decoherence", "circuit")))
+states, elements, littlegroup, decoherence, circuit = _MODULES
 
 
 def __getattr__(name):
-    # MINKOWSKI: the states module builds it on first use, once. Nothing
-    # else is looked up there: a star import reads __all__ through here.
-    if name != "MINKOWSKI":
-        raise AttributeError(f"module 'twobeam' has no attribute {name!r}")
-    return _states.MINKOWSKI
+    # The package re-exports each module's __all__ (tests/test_exports.py
+    # checks that every name resolves); a star import reads __all__ here.
+    if name == "__all__":
+        return [public for module in _MODULES for public in module.__all__]
+    if name == "MINKOWSKI":  # not in __all__: states builds it, with numpy, on first use
+        return states.MINKOWSKI
+    for module in _MODULES:
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module 'twobeam' has no attribute {name!r}")
 
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ crash the parser. The format is versioned as "circuit-v1".
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .states import (
@@ -35,6 +35,7 @@ from .states import (
     PhysicsError,
     StokesVector,
     CLASSIFY_TOL,
+    _Record,
     coherency_from_jones,
     coherency_from_stokes,
     conjugate,
@@ -129,8 +130,7 @@ def _unknown_element(name):
     return f"unknown element '{name}' (one of {', '.join(STAGES)})"
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(_Record, compare=("name", "params")):
     """One element of a circuit, with canonical radian parameters.
 
     Locations take no part in equality, so structurally identical
@@ -142,8 +142,8 @@ class Stage:
 
     name: str
     params: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
     def arg(self, name):
         for key, value in self.params:
@@ -152,12 +152,11 @@ class Stage:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class CircuitAst:
+class CircuitAst(_Record):
     stages: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
+        vars(self)["stages"] = tuple(self.stages)
         for stage in self.stages:
             if not isinstance(stage, Stage):
                 raise TypeError("CircuitAst stages must be Stage instances")

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 
+from . import circuit, decoherence, elements, littlegroup
 from .states import (
     CLASSIFY_TOL,
     JonesVector,
@@ -26,24 +27,6 @@ from .states import (
     lift,
     metric_defect,
     relative_norm,
-)
-from .elements import rotator4
-from .littlegroup import (
-    InterpolationParams,
-    classify,
-    closed_form_family,
-    conjugated_rotation,
-    f1,
-    family_metric_defect,
-)
-from .decoherence import iwasawa_decompose, wigner_decompose
-from .circuit import (
-    STAGES,
-    CircuitError,
-    CircuitSemanticError,
-    evaluate,
-    parse,
-    unparse,
 )
 
 __all__ = ["main"]
@@ -152,14 +135,14 @@ def _lift_stage(spec):
         name, *args = spec.split()
         text = f"{name}({', '.join(args)})"
     try:
-        stages = parse(text).stages
-    except CircuitError as err:
+        stages = circuit.parse(text).stages
+    except circuit.CircuitError as err:
         raise ValueError(err.message) from None
-    coherent = ", ".join(name for name, kind in STAGES.items() if kind.action)
+    coherent = ", ".join(name for name, kind in circuit.STAGES.items() if kind.action)
     if len(stages) != 1:
         raise ValueError(f"lift takes one element ({coherent}), got {len(stages)} stages")
     stage = stages[0]
-    action = STAGES[stage.name].action
+    action = circuit.STAGES[stage.name].action
     if action is None:
         raise ValueError(f"{stage.name} is a channel, not an element; lift takes {coherent}")
     try:
@@ -224,19 +207,19 @@ def _deliver(args, command, inputs, results, warnings=(), lines=None):
     return 0
 
 
-def _stage_dict(r):
+def _stage_dict(r, before, after, cls):
     return {
         "stage": r.stage,
         "params": {k: v for k, v in r.params},
-        "stokes_before": _stokes_list(r.stokes_before),
-        "stokes_after": _stokes_list(r.stokes_after),
+        "stokes_before": _stokes_list(before),
+        "stokes_after": _stokes_list(after),
         "coherency_after": {
             "s11": r.coherency_after.s11,
             "s22": r.coherency_after.s22,
             "s12": [r.coherency_after.s12.real, r.coherency_after.s12.imag],
         },
         "purity_after": r.purity_after._asdict(),
-        "classification_after": vars(r.classification_after),
+        "classification_after": vars(cls),
     }
 
 
@@ -247,34 +230,39 @@ def _cmd_simulate(args):
             text = fh.read()
     except OSError as err:
         raise ValueError(f"cannot read circuit file '{args.circuit}': {err.strerror or err}") from None
-    ast = parse(text)
+    except UnicodeDecodeError as err:
+        bad = f"byte 0x{err.object[err.start]:02x} is not UTF-8"
+        raise ValueError(f"cannot read circuit file '{args.circuit}': {bad}") from None
+    ast = circuit.parse(text)
     state = _input_state(args.input_spec)
-    report = evaluate(ast, state, tol=args.tol)
-    canonical = unparse(ast)
+    report = circuit.evaluate(ast, state, tol=args.tol)
+    canonical = circuit.unparse(ast)
     warnings = [PHASE_SIGN_WARNING] if any(s.name == "phase" for s in ast.stages) else []
-
-    results = {
-        "circuit_format": report.circuit_format,
-        "circuit": canonical,
-        "stages": [_stage_dict(r) for r in report.stages],
-        "final_stokes": _stokes_list(report.final_stokes),
-        "final_jones": _jones_list(report.final_jones) if report.final_jones else None,
-        "final_purity": report.final_purity._asdict(),
-        "final_classification": vars(report.final_classification),
-    }
     inputs = {"circuit_path": args.circuit, "input": args.input_spec, "tol": args.tol}
+    # Each Stokes vector is read once: a stage's before is the previous stage's after.
+    stokes = [report.input_stokes, *(r.stokes_after for r in report.stages)]
+    classes = [littlegroup.classify(s, args.tol) for s in stokes[1:]]
+
+    if args.format == "json":
+        results = {
+            "circuit_format": report.circuit_format,
+            "circuit": canonical,
+            "stages": [_stage_dict(*row) for row in zip(report.stages, stokes, stokes[1:], classes)],
+            "final_stokes": _stokes_list(report.final_stokes),
+            "final_jones": _jones_list(report.final_jones) if report.final_jones else None,
+            "final_purity": report.final_purity._asdict(),
+            "final_classification": vars(report.final_classification),
+        }
+        return _deliver(args, "simulate", inputs, results, warnings)
 
     # The text summary also shows the input state, which results do not hold.
     lines = [f"circuit: {canonical}"]
     if report.input_jones is not None:
         lines.append("input jones: " + ", ".join(_fmt(x) for x in _jones_list(report.input_jones)))
     lines.append(f"input stokes: {_stokes_text(report.input_stokes)}")
-    for i, r in enumerate(report.stages, 1):
+    for i, (r, after, cls) in enumerate(zip(report.stages, stokes[1:], classes), 1):
         ptxt = ", ".join(f"{k}={_fmt(v)}" for k, v in r.params)
-        lines.append(
-            f"stage {i}: {r.stage}({ptxt}) -> stokes {_stokes_text(r.stokes_after)} "
-            f"[{r.classification_after.tag}]"
-        )
+        lines.append(f"stage {i}: {r.stage}({ptxt}) -> stokes {_stokes_text(after)} [{cls.tag}]")
     if report.final_jones is not None:
         lines.append("final jones: " + ", ".join(_fmt(x) for x in _jones_list(report.final_jones)))
     lines.append(f"final stokes: {_stokes_text(report.final_stokes)}")
@@ -286,13 +274,13 @@ def _cmd_simulate(args):
         f"final purity: trace_sq={_fmt(p.trace_sq)} det={_fmt(p.det)} "
         f"degree_of_polarization={_fmt(p.degree_of_polarization)}"
     )
-    return _deliver(args, "simulate", inputs, results, warnings, lines)
+    return _deliver(args, "simulate", inputs, None, warnings, lines)
 
 
 def _cmd_classify(args):
     shape = "classify takes four comma-separated reals: s0,s1,s2,s3"
     s = StokesVector(*_reals(args.stokes, 4, f"stokes '{args.stokes}'", shape))
-    results = {**vars(classify(s, tol=args.tol)), "relative_norm": relative_norm(s)}
+    results = {**vars(littlegroup.classify(s, tol=args.tol)), "relative_norm": relative_norm(s)}
     return _deliver(args, "classify", {"stokes": _stokes_list(s), "tol": args.tol}, results)
 
 
@@ -316,26 +304,26 @@ def _cmd_littlegroup(args):
     if closed:
         if args.alpha is None or args.u is None:
             raise ValueError("closed-form mode needs both --alpha and --u")
-        params = InterpolationParams(args.alpha, args.u)
-        t = closed_form_family(params)
+        params = littlegroup.InterpolationParams(args.alpha, args.u)
+        t = littlegroup.closed_form_family(params)
         results = {
             "mode": "closed-form-family",
             "alpha": params.alpha,
             "u": params.u,
             "w": params.w,
             "matrix": _matrix_rows(t.entries),
-            "metric_defect": family_metric_defect(params),
+            "metric_defect": littlegroup.family_metric_defect(params),
             "lorentz": t.lorentz,
         }
         if params.alpha == 1.0:
-            results["f1_residual"] = _max_diff(t.entries, f1(params.u).entries)
+            results["f1_residual"] = _max_diff(t.entries, littlegroup.f1(params.u).entries)
         elif params.alpha == 0.0:
             theta = -2.0 * math.atan(params.u / 2.0)
-            results["rotator_residual"] = _max_diff(t.entries, rotator4(theta).entries)
+            results["rotator_residual"] = _max_diff(t.entries, elements.rotator4(theta).entries)
         return _deliver(args, "littlegroup", {"alpha": args.alpha, "u": args.u}, results)
     if args.theta is None or args.eta is None:
         raise ValueError("give --alpha and --u, or --theta and --eta")
-    t = conjugated_rotation(args.theta, args.eta)
+    t = littlegroup.conjugated_rotation(args.theta, args.eta)
     rows = _matrix_rows(t.entries)
     fixed = (math.cosh(args.eta), math.sinh(args.eta), 0.0, 0.0)
     image = [sum(x * y for x, y in zip(row, fixed)) for row in rows]
@@ -355,10 +343,10 @@ def _cmd_decompose(args):
     vals = _reals(args.matrix, 4, f"matrix '{args.matrix}'", shape)
     m = (vals[:2], vals[2:])
     if args.kind == "iwasawa":
-        f = iwasawa_decompose(m)
+        f = decoherence.iwasawa_decompose(m)
         results = {"kind": "iwasawa", "angle": f.angle, "exponent": f.exponent, "shear": f.shear}
     else:
-        f = wigner_decompose(m)
+        f = decoherence.wigner_decompose(m)
         results = {
             "kind": "wigner",
             "axis_angle": f.axis_angle,
@@ -436,7 +424,7 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, OSError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 3 if isinstance(err, (CircuitSemanticError, PhysicsError, OverflowError)) else 2
+        return 3 if isinstance(err, (circuit.CircuitSemanticError, PhysicsError, OverflowError)) else 2
 
 
 if __name__ == "__main__":

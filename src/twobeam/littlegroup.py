@@ -23,6 +23,7 @@ from .states import (
     PhysicsError,
     StokesVector,
     Transform4,
+    _Record,
     _SQUARE_MIN,
     _finite,
     metric_defect,
@@ -202,8 +203,7 @@ def conjugated_rotation(theta, eta) -> Transform4:
     return squeeze4(eta) @ rotator4(theta) @ squeeze4(-eta)
 
 
-@dataclass(frozen=True)
-class InterpolationParams:
+class InterpolationParams(_Record):
     """Parameters (alpha, u, w) of the rotation-to-shear bridge.
 
     From a rotation angle theta and rapidity eta: alpha = tanh(eta),
@@ -230,9 +230,7 @@ class InterpolationParams:
             w = float(w)
         if not math.isfinite(w) or w <= 0.0:
             raise PhysicsError("w must be finite and positive")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "w", w)
+        vars(self).update(alpha=alpha, u=u, w=w)
 
     @classmethod
     def from_angles(cls, theta, eta):

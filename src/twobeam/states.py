@@ -35,7 +35,6 @@ functions, so everything here is safe to share across threads.
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -102,8 +101,52 @@ _METRIC_MAX = 0.5 * math.sqrt(sys.float_info.max)
 _SQUARE_MIN = math.sqrt(sys.float_info.min)
 
 
-@dataclass(frozen=True)
-class JonesVector:
+class _Record:
+    """Frozen record: a subclass's annotations are its fields, in order.
+
+    Its __init__ fills the instance __dict__, which stays open to memos,
+    then calls self.__post_init__ (looked up per call, so it can be
+    patched). ==, hash and repr go field by field, == and hash over
+    ``compare`` (default: every field) and between instances of one class.
+    """
+
+    def __init_subclass__(cls, compare=None):
+        if "__annotations__" not in cls.__dict__:
+            return  # a subclass without fields of its own keeps its parent's
+        fields = tuple(cls.__annotations__)
+        cls._fields, cls._compare = fields, fields if compare is None else compare
+        stores = "".join(f"\n    d[{f!r}] = {f}" for f in fields)
+        source = f"def __init__(self, {', '.join(fields)}):\n    d = self.__dict__{stores}"
+        namespace = {}
+        exec(source + "\n    self.__post_init__()", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__defaults__ = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
+
+    def __post_init__(self):
+        pass
+
+    def _key(self):
+        return tuple(getattr(self, f) for f in self._compare)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        items = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({items})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class JonesVector(_Record):
     """Two complex beam amplitudes at a reference plane."""
 
     psi1: complex
@@ -127,8 +170,7 @@ class JonesVector:
         return np.array([self.psi1, self.psi2], dtype=complex)
 
 
-@dataclass(frozen=True)
-class Element2:
+class Element2(_Record):
     """A 2x2 unimodular beam transformation.
 
     Entries are row-major (alpha, beta; gamma, delta). The determinant
@@ -167,8 +209,7 @@ class Element2:
         return cls(*_entries2(m, "element matrix must be 2x2"))
 
 
-@dataclass(frozen=True)
-class CoherencyMatrix:
+class CoherencyMatrix(_Record):
     """Hermitian correlation matrix [[s11, s12], [conj(s12), s22]].
 
     The diagonal holds the two beam intensities, so it must be
@@ -190,6 +231,8 @@ class CoherencyMatrix:
         if s11 * 0.0 + s22 * 0.0 + s12 * 0.0 != 0.0:
             raise NonFiniteError("coherency entries must be finite")
         size = abs(s11) + abs(s22)
+        if size == math.inf:
+            raise NonFiniteError("coherency intensities overflow: |s11| + |s22| is infinite")
         if s11 < -1e-12 * size or s22 < -1e-12 * size:
             raise PhysicsError("diagonal coherency entries must be nonnegative")
         if 0.0 < size < _SQUARE_MIN:
@@ -229,8 +272,7 @@ class CoherencyMatrix:
         return cls(a.real, d.real, b)
 
 
-@dataclass(frozen=True)
-class StokesVector:
+class StokesVector(_Record):
     """Four real Stokes components (s0, s1, s2, s3).
 
     s0 is the total intensity and must be nonnegative. The light-cone
@@ -280,8 +322,7 @@ class StokesVector:
         return self
 
 
-@dataclass(frozen=True, eq=False)
-class Transform4:
+class Transform4(_Record):
     """A real 4x4 map on Stokes vectors, held as 16 row-major floats.
 
     ``entries`` may be given as 16 numbers or as 4 rows of 4 (nested
@@ -295,6 +336,7 @@ class Transform4:
 
     entries: tuple
     lorentz: bool = False
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity, not entries
 
     def __post_init__(self):
         e = _flat16(self.entries)
@@ -312,7 +354,7 @@ class Transform4:
                 raise PhysicsError(
                     f"matrix flagged lorentz does not preserve the metric: defect {defect:.3e}"
                 )
-        object.__setattr__(self, "entries", e)
+        vars(self)["entries"] = e
 
     @property
     def m(self):

@@ -414,13 +414,31 @@ def test_simulate_reads_utf8_and_names_file_errors(tmp_path, capsys):
     assert docs[0]["results"] == docs[1]["results"]
 
     missing = str(tmp_path / "missing.circ")
+    latin = tmp_path / "latin.circ"
+    latin.write_bytes("# caf\u00e9\nrotate(theta=0.3)\n".encode("latin-1"))
     for argv, message in (
         ((missing,), f"cannot read circuit file '{missing}': No such file or directory"),
+        ((str(latin),), f"cannot read circuit file '{latin}': byte 0xe9 is not UTF-8"),
         ((str(tmp_path),), f"cannot read circuit file '{tmp_path}': Is a directory"),
         ((str(plain), "--out", str(tmp_path)), f"cannot write report to '{tmp_path}': Is a directory"),
     ):
         code, out, err = run(capsys, "simulate", *argv, "--in", "jones:1,0,0,0")
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_simulate_reads_each_stokes_vector_once(tmp_path, capsys, monkeypatch, fmt):
+    # 8 stages: the input and final vectors plus one per stage, for either format.
+    import twobeam.circuit as circuit
+
+    calls = []
+    convert = circuit.stokes_from_coherency
+    monkeypatch.setattr(circuit, "stokes_from_coherency", lambda c: calls.append(c) or convert(c))
+    path = write_circuit(tmp_path, "rotate(theta=0.3); decohere(lambda=0.1); phase(phi=0.2); " * 2
+                         + "squeeze(eta=0.4); atten(eta1=0.1, eta2=0.2)")
+    code, out, err = run(capsys, "simulate", path, "--in", "jones:1,0,0.5,0.5", "--format", fmt)
+    assert (code, err) == (0, "") and out
+    assert len(calls) == 10
 
 
 def test_simulate_exit_codes(tmp_path, capsys):

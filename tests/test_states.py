@@ -259,6 +259,14 @@ def test_squares_that_overflow_raise_non_finite():
         CoherencyMatrix(1e160, 0.0, 0.0)
     with pytest.raises(NonFiniteError, match="too large to square"):
         coherency_from_jones(JonesVector(1e80, 0))
+    # finite intensities whose sum overflows, with or without a negative one
+    for s11, s22 in ((1e308, 1e308), (1e308, -1e308)):
+        with pytest.raises(NonFiniteError, match="infinite"):
+            CoherencyMatrix(s11, s22, 0.0)
+    with pytest.raises(NonFiniteError, match="infinite"):
+        coherency_from_jones(JonesVector(1e154, 1e154))
+    # the largest accepted trace still has a purity report
+    assert purity_report(CoherencyMatrix(1.3e154, 0.0, 0.0)).trace_sq == 1.0
 
 
 def test_lift_overflow_is_plain():
