@@ -105,25 +105,22 @@ class _Record:
     """Frozen record: a subclass's annotations are its fields, in order.
 
     Its __init__ fills the instance __dict__, which stays open to memos,
-    then calls self.__post_init__ (looked up per call, so it can be
-    patched). ==, hash and repr go field by field, == and hash over
-    ``compare`` (default: every field) and between instances of one class.
+    then calls self.__post_init__ if the class has one (looked up per
+    call, so it can be patched). ==, hash and repr go field by field; ==
+    and hash over ``compare`` (default: all) and within one class only.
     """
 
     def __init_subclass__(cls, compare=None):
         if "__annotations__" not in cls.__dict__:
             return  # a subclass without fields of its own keeps its parent's
         fields = tuple(cls.__annotations__)
-        cls._fields, cls._compare = fields, fields if compare is None else compare
+        cls.__match_args__, cls._compare = fields, fields if compare is None else compare
         stores = "".join(f"\n    d[{f!r}] = {f}" for f in fields)
-        source = f"def __init__(self, {', '.join(fields)}):\n    d = self.__dict__{stores}"
+        hook = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
         namespace = {}
-        exec(source + "\n    self.__post_init__()", namespace)
+        exec(f"def __init__(self, {', '.join(fields)}):\n    d = self.__dict__{stores}{hook}", namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__defaults__ = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
-
-    def __post_init__(self):
-        pass
 
     def _key(self):
         return tuple(getattr(self, f) for f in self._compare)
@@ -137,7 +134,7 @@ class _Record:
         return hash(self._key())
 
     def __repr__(self):
-        items = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        items = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__qualname__}({items})"
 
     def __setattr__(self, name, value=None):

@@ -114,7 +114,9 @@ def test_transform4_compares_by_identity():
     assert len({a, b}) == 2
 
 
-def test_defaults_and_keywords():
+def test_defaults_keywords_and_match_args():
+    assert StokesVector.__match_args__ == ("s0", "s1", "s2", "s3")
+    assert Stage.__match_args__ == ("name", "params", "line", "col")
     assert Transform4(IDENTITY16).lorentz is False
     assert Transform4(entries=IDENTITY16, lorentz=True).lorentz is True
     assert Stage("rotate", (("theta", 1.0),)).line == 0
