@@ -6,19 +6,36 @@ classification and little-group matrices; decoherence maps and the
 reduced 2x2 factorizations; a small circuit DSL with an evaluator and
 a command line front end.
 
-Submodules are registered at import and run on first attribute access.
-The lazy loader takes no lock: touch what you use before starting threads.
+Submodules are registered at import and run on first attribute access,
+under one lock: a thread that reads a module another thread is running
+waits until it has run.
 """
 
 import importlib.util
 import sys
+import threading
+import types
+
+_RUN_LOCK, _RUNNING = threading.RLock(), set()
+_get = types.ModuleType.__getattribute__
+
+
+class _LazyModule(types.ModuleType):
+    def __getattribute__(self, name):
+        with _RUN_LOCK:
+            # The running thread, and the module's own imports in it, see
+            # the module as it is so far, as in any circular import.
+            if type(self) is _LazyModule and self not in _RUNNING:
+                _RUNNING.add(self)
+                _get(self, "__spec__").loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return _get(self, name)
 
 
 def _lazy(name):
     spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module.__class__ = _LazyModule
     return module
 
 

@@ -25,7 +25,6 @@ crash the parser. The format is versioned as "circuit-v1".
 
 import math
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .states import (
@@ -84,6 +83,8 @@ class CircuitSyntaxError(CircuitError):
 
 class CircuitSemanticError(CircuitError):
     """Grammatical text with a bad parameter or stage failure."""
+
+    exit_code = 3  # the command line's code for a semantic error
 
 
 class StageKind(NamedTuple):
@@ -387,8 +388,7 @@ class StageRecord(NamedTuple):
         return classify(self.stokes_after, self.tol)
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(_Record):
     """Stage-by-stage history of a circuit evaluation.
 
     final_jones is populated only when the input carried amplitudes

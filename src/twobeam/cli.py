@@ -424,7 +424,8 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, OSError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 3 if isinstance(err, (circuit.CircuitSemanticError, PhysicsError, OverflowError)) else 2
+        # Read off the error, so that an exit does not run `circuit`.
+        return getattr(err, "exit_code", 3 if isinstance(err, OverflowError) else 2)
 
 
 if __name__ == "__main__":

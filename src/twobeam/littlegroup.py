@@ -15,7 +15,6 @@ matrices are not metric-preserving away from the endpoints.
 """
 
 import math
-from dataclasses import dataclass
 
 from .states import (
     CLASSIFY_TOL,
@@ -54,8 +53,7 @@ IMPURE = "impure"
 NON_PHYSICAL = "non-physical"
 
 
-@dataclass(frozen=True)
-class StateClass:
+class StateClass(_Record):
     """Light-cone class of a Stokes vector.
 
     eta_to_standard is the signed boost rapidity that standardize will

@@ -64,6 +64,8 @@ __all__ = [
 class PhysicsError(ValueError):
     """An input violates a physical constraint or numeric domain."""
 
+    exit_code = 3  # the command line's code for a physicality error
+
 
 class NonFiniteError(PhysicsError):
     """A state or element component is infinite or NaN.
@@ -101,6 +103,20 @@ _METRIC_MAX = 0.5 * math.sqrt(sys.float_info.max)
 _SQUARE_MIN = math.sqrt(sys.float_info.min)
 
 
+class _DataclassFields:
+    """A record's fields as `dataclasses.fields`, `asdict` and `replace`
+    read them; the dataclasses module is imported on that first read."""
+
+    def __init__(self, annotations):
+        self.annotations = annotations
+
+    def __get__(self, record, cls):
+        import dataclasses as dc
+        return dc.make_dataclass(cls.__name__, [
+            (f, t, dc.field(default=getattr(cls, f, dc.MISSING), compare=f in cls._compare))
+            for f, t in self.annotations.items()]).__dataclass_fields__
+
+
 class _Record:
     """Frozen record: a subclass's annotations are its fields, in order.
 
@@ -111,10 +127,12 @@ class _Record:
     """
 
     def __init_subclass__(cls, compare=None):
-        if "__annotations__" not in cls.__dict__:
-            return  # a subclass without fields of its own keeps its parent's
+        # Since 3.10 a class without annotations of its own reads {} here.
         fields = tuple(cls.__annotations__)
+        if not fields:
+            return  # a subclass without fields of its own keeps its parent's
         cls.__match_args__, cls._compare = fields, fields if compare is None else compare
+        cls.__dataclass_fields__ = _DataclassFields(cls.__annotations__)
         stores = "".join(f"\n    d[{f!r}] = {f}" for f in fields)
         hook = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
         namespace = {}

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 SUBMODULES = {f"twobeam.{m}" for m in ("states", "elements", "littlegroup", "decoherence", "circuit")}
 
 # Runs its code, then prints as the last line of stdout the names in
@@ -28,7 +29,7 @@ sys.argv = ["twobeam", *{argv!r}]
 try:
     runpy.run_module("twobeam.cli", run_name="__main__", alter_sys=True)
 except SystemExit as stop:
-    assert stop.code == 0, stop.code
+    assert stop.code == {code}, stop.code
 """
 
 
@@ -52,20 +53,68 @@ def test_cli_import_registers_every_submodule_without_numpy():
     assert "numpy" not in registered
 
 
+NOT_DECOMPOSE = {"twobeam.circuit", "twobeam.littlegroup", "twobeam.elements"}
+
+
 @pytest.mark.parametrize(
-    "argv, idle",
+    "argv, code, idle",
     [
-        (
-            ["decompose", "iwasawa", "--matrix=1,0,0,1"],
-            {"twobeam.circuit", "twobeam.littlegroup", "twobeam.elements", "dataclasses"},
-        ),
-        (["classify", "1,0.5,0,0", "--format=json"], {"twobeam.circuit"}),
-        (["littlegroup", "--alpha=0.5", "--u=1"], {"twobeam.circuit"}),
-        (["littlegroup", "--theta=0.5", "--eta=1", "--format=json"], {"twobeam.circuit"}),
+        (["decompose", "iwasawa", "--matrix=1,0,0,1"], 0, NOT_DECOMPOSE),
+        (["decompose", "wigner", "--matrix=1,0,0,2"], 3, NOT_DECOMPOSE),
+        (["classify", "1,0.5,0,0", "--format=json"], 0, {"twobeam.circuit"}),
+        (["classify", "1,x,0,0"], 2, NOT_DECOMPOSE | {"twobeam.decoherence"}),
+        (["classify", "0,0,0,0"], 3, {"twobeam.circuit"}),
+        (["littlegroup", "--alpha=0.5", "--u=1"], 0, {"twobeam.circuit"}),
+        (["littlegroup", "--theta=0.5", "--eta=1", "--format=json"], 0, {"twobeam.circuit"}),
     ],
 )
-def test_commands_run_only_the_modules_they_use(argv, idle):
-    registered, ran = probe(RUN_CLI.format(argv=argv))
+def test_commands_run_only_the_modules_they_use(argv, code, idle):
+    registered, ran = probe(RUN_CLI.format(argv=argv, code=code))
     assert SUBMODULES <= registered
     assert not idle & ran
     assert "numpy" not in registered
+    assert "dataclasses" not in registered
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", str(DATA / "psd_rounding_chain.txt"), "--in=stokes:1,0.5,0,0"],
+        ["lift", "rotate theta=1", "--format=json"],
+    ],
+)
+def test_no_command_imports_dataclasses(argv):
+    registered, ran = probe(RUN_CLI.format(argv=argv, code=0))
+    assert "twobeam.circuit" in ran
+    assert "dataclasses" not in registered
+
+
+# Thread A starts running `circuit` and, before the module's first line,
+# lets thread B read a name from it. B must wait for A's run to finish:
+# a load without a lock would show B a module with no `parse` yet.
+RACE = """
+import threading, time, twobeam
+started = threading.Event()
+
+def pause_at_module_start(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "<module>" and \\
+            frame.f_code.co_filename.endswith("circuit.py"):
+        started.set()
+        time.sleep(0.2)
+
+def first_use():
+    sys.settrace(pause_at_module_start)
+    twobeam.circuit.evaluate
+    sys.settrace(None)
+
+a = threading.Thread(target=first_use)
+a.start()
+assert started.wait(30)
+assert callable(twobeam.circuit.parse)
+a.join()
+"""
+
+
+def test_a_module_runs_once_under_a_lock_for_concurrent_first_use():
+    registered, ran = probe(RACE)
+    assert SUBMODULES <= ran

@@ -1,5 +1,7 @@
 """The value semantics of the frozen records: equality, hashing, repr, immutability."""
 
+import dataclasses
+
 import pytest
 
 from twobeam import (
@@ -8,6 +10,7 @@ from twobeam import (
     Element2,
     InterpolationParams,
     JonesVector,
+    StateClass,
     StokesVector,
     Transform4,
     evaluate,
@@ -48,6 +51,12 @@ RECORDS = [
         lambda: InterpolationParams(0.5, 1.0, 0.8421052631578947),
         lambda: InterpolationParams(0.5, -1),
         "InterpolationParams(alpha=0.5, u=1.0, w=0.8421052631578947)",
+    ),
+    (
+        lambda: StateClass("impure", 0.75, 0.5),
+        lambda: StateClass("impure", 0.75, 0.5),
+        lambda: StateClass("pure", 0.75),
+        "StateClass(tag='impure', invariant_norm=0.75, eta_to_standard=0.5)",
     ),
     (
         lambda: Stage("rotate", (("theta", 1.0),), 1, 1),
@@ -137,3 +146,20 @@ def test_evaluate_keeps_each_element_on_its_stage():
     evaluate(ast, StokesVector(1, 0, 0.5, 0))
     assert vars(rotate)["_element"] is kept
     assert rotate == Stage("rotate", (("theta", 0.3),))
+
+
+def test_dataclasses_functions_read_the_records():
+    s = StokesVector(1, 0.5, 0, 0)
+    assert dataclasses.is_dataclass(s) and dataclasses.is_dataclass(StateClass)
+    assert dataclasses.replace(s, s1=0.25) == StokesVector(1, 0.25, 0, 0)
+    assert dataclasses.asdict(s) == {"s0": 1.0, "s1": 0.5, "s2": 0.0, "s3": 0.0}
+    fields = [(f.name, f.compare, f.default) for f in dataclasses.fields(Stage)]
+    missing = dataclasses.MISSING
+    assert fields == [("name", True, missing), ("params", True, missing), ("line", False, 0),
+                      ("col", False, 0)]
+    report = evaluate(parse("rotate(theta=0.3)"), s)
+    relabeled = dataclasses.replace(report.final_classification, tag="pure")
+    changed = dataclasses.replace(report, final_classification=relabeled)
+    assert changed.final_classification.tag == "pure" and changed.stages == report.stages
+    with pytest.raises(AttributeError):
+        changed.final_stokes = s
