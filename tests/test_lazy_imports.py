@@ -118,3 +118,41 @@ a.join()
 def test_a_module_runs_once_under_a_lock_for_concurrent_first_use():
     registered, ran = probe(RACE)
     assert SUBMODULES <= ran
+
+
+# More threads than cores touch the five modules at once, each in its own
+# order, with a short switch interval: every read must find its name, and
+# every module's code must run exactly once.
+STRESS = """
+import threading, twobeam
+names = ["states.StokesVector", "elements.rotator", "littlegroup.classify",
+         "decoherence.iwasawa_decompose", "circuit.parse"]
+runs, missing = [], []
+
+def count_module_runs(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "<module>" and \\
+            "twobeam" in frame.f_code.co_filename:
+        runs.append(frame.f_code.co_filename)
+
+def touch(k):
+    for name in names[k % 5:] + names[:k % 5]:
+        module, attr = name.split(".")
+        if not hasattr(getattr(twobeam, module), attr):
+            missing.append(name)
+
+sys.setswitchinterval(1e-6)
+threading.setprofile(count_module_runs)
+threads = [threading.Thread(target=touch, args=(k,)) for k in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(30)
+assert not any(t.is_alive() for t in threads)
+assert not missing, missing
+assert len(runs) == len(set(runs)) == 5, runs
+"""
+
+
+def test_concurrent_first_use_runs_each_module_once():
+    registered, ran = probe(STRESS)
+    assert SUBMODULES <= ran
