@@ -3,14 +3,17 @@
     python3 bench/record.py --parent HEAD~1 --out BENCH_7.json
     python3 bench/record.py --parent A --change B --out rerun.json
 
-The parent revision (and --change, when given) is exported with
-`git archive` into a temporary directory; without --change the change
-side is the working tree that holds this script. For each workload the
-script then runs `perfbench/run.py --trace 0` on the parent and on the
-change in alternation, for every workload of BENCHMARK.json and for
-its `run_seconds`: ten pairs, pair k with seed 701 + k on both sides,
-and the side that runs first alternates from pair to pair, so that a
-drift in the host's speed biases neither side.
+Each side runs from a fresh copy in a temporary directory: the parent
+revision (and --change, when given) exported with `git archive`, and
+without --change a copy of the working tree that holds this script,
+the files `git ls-files -co --exclude-standard` lists (tracked and
+untracked, not ignored, less those deleted from the working tree). So
+neither side starts with a warm `__pycache__` or from another path.
+For each workload the script then runs `perfbench/run.py --trace 0` on
+the parent and on the change in alternation, for every workload of
+BENCHMARK.json and for its `run_seconds`: ten pairs, pair k with seed
+701 + k on both sides, and the side that runs first alternates from
+pair to pair, so that a drift in the host's speed biases neither side.
 
 The output holds, per workload and side, the median and interquartile
 range of each end-to-end metric of BENCHMARK.json, the summed
@@ -23,6 +26,7 @@ standard library only and sets no pass/fail gate.
 import argparse
 import json
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
@@ -45,6 +49,17 @@ def export(rev, into):
     into.mkdir()
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+    return into
+
+
+def copy_worktree(into):
+    """Copy the working tree's tracked and untracked, not ignored, files under into."""
+    into.mkdir()
+    for name in git("ls-files", "-z", "-co", "--exclude-standard").split("\0"):
+        source = ROOT / name
+        if name and source.is_file():  # a tracked file may be deleted from the tree
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
     return into
 
 
@@ -120,7 +135,8 @@ def main(argv=None):
     }
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"parent": export(args.parent, Path(tmp) / "parent")}
-        sides["change"] = export(args.change, Path(tmp) / "change") if args.change else ROOT
+        change_dir = Path(tmp) / "change"
+        sides["change"] = export(args.change, change_dir) if args.change else copy_worktree(change_dir)
         for workload in [w["name"] for w in bench["workloads"]]:
             runs = []
             for k, seed in enumerate(SEEDS):

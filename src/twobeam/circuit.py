@@ -21,12 +21,21 @@ parameters (split's ratio becomes the equivalent mixer angle), so
 unparse emits a canonical text and parse(unparse(ast)) == ast. All
 rejections carry a 1-based line:column location; no input text can
 crash the parser. The format is versioned as "circuit-v1".
+
+A stage scanner matches well-formed text one stage at a time. It looks
+each stage up by its signature, the name and argument names, in a table
+built from STAGES; a stage in canonical form is checked in place and
+any other goes through the general argument validator. Text the
+scanner does not accept falls back to a token parser, which locates
+the error.
 """
 
+import functools
 import math
 import re
 from typing import NamedTuple
 
+from . import decoherence, littlegroup
 from .states import (
     CoherencyMatrix,
     JonesVector,
@@ -35,15 +44,13 @@ from .states import (
     StokesVector,
     CLASSIFY_TOL,
     _Record,
-    coherency_from_jones,
+    _coherency_outer,
     coherency_from_stokes,
     conjugate,
     purity_report,
     stokes_from_coherency,
 )
 from .elements import attenuator, phase_shifter, rotator, split_angle, squeezer
-from .decoherence import decohere_channel
-from .littlegroup import classify
 
 __all__ = [
     "CIRCUIT_FORMAT",
@@ -208,10 +215,11 @@ def _validate_stage(name, args, line, col):
 
 
 # The lexical rules, each written once for the stage scanner and the
-# tokenizer. _GAP is whitespace and comments. A comment must run to the
-# end of its line, so a gap splits into whitespace and comments one way
-# only and a failed match backtracks in linear time.
-_GAP = r"[ \t\n\r\f\v]*(?:#[^\n]*(?![^\n])[ \t\n\r\f\v]*)*"
+# tokenizer. _GAP is whitespace and comments. A comment runs to the end of
+# its line, so a gap splits into whitespace and comments one way only and
+# its quantifiers can be possessive: a failed match never backtracks into
+# a gap, because nothing that may follow one starts with whitespace or "#".
+_GAP = r"[ \t\n\r\f\v]*+(?:#[^\n]*+[ \t\n\r\f\v]*+)*+"
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUM = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
@@ -228,17 +236,51 @@ _END_RE = re.compile(rf"{_GAP}\Z")
 # The tokenizer, one alternative per token kind. _GAP can match empty, so
 # it comes after the kinds that need a character; where nothing starts,
 # finditer takes its empty match and then, at the same place, "bad".
-_TOKEN_RE = re.compile(
-    rf"(?P<ident>{_IDENT})|(?P<number>{_NUM})|(?P<sym>[;(),=])|(?P<gap>{_GAP})|(?P<bad>.)"
-)
+_TOKEN = rf"(?P<ident>{_IDENT})|(?P<number>{_NUM})|(?P<sym>[;(),=])|(?P<gap>{_GAP})|(?P<bad>.)"
+
+
+@functools.cache
+def _token_re():
+    # Only rejected text is tokenized, so the pattern compiles on first use.
+    return re.compile(_TOKEN)
+
+
+def _signatures():
+    """{(name, first argument, second argument): per-argument checks}.
+
+    One entry per stage kind, with its parameters in canonical order, and
+    one for its alias in place of the first. An argument's check is
+    (canonical name, takes deg, must be nonnegative, convert or None),
+    read from the StageKind fields that _validate_stage reads; a missing
+    second argument is None. A kind with more than two parameters gets a
+    longer key, which no stage _STAGE_RE matches can hit.
+    """
+    table = {}
+    for name, kind in STAGES.items():
+        first = kind.params[0]
+        check = {key: (key, key in kind.angles, key in kind.nonnegative, None) for key in kind.params}
+        orders = [kind.params]
+        if kind.alias:
+            alias, convert = kind.alias
+            check[alias] = (first, alias in kind.angles, first in kind.nonnegative, convert)
+            orders.append((alias, *kind.params[1:]))
+        for order in orders:
+            table[(name, *order) + (None,) * (2 - len(order))] = tuple(map(check.get, order))
+    return table
+
+
+_SIGNATURES = _signatures()
 
 
 def _scan(text):
     """The AST of text the scanner accepts, else None.
 
-    Locations come from newline counts. Arguments carry no location, so
-    a stage that fails validation returns None and the token parser
-    reports the located error.
+    A stage whose argument names are a signature in _SIGNATURES (its
+    kind's parameters in canonical order, or an alias) is checked in
+    place; any other stage goes through _validate_stage. Locations come
+    from newline counts. Arguments carry no location, so a stage that
+    fails its checks returns None and the token parser reports the
+    located error.
     """
     stages = []
     pos = mark = 0
@@ -248,8 +290,6 @@ def _scan(text):
         if m is None:
             return None
         name, n1, v1, d1, n2, v2, d2, sep = m.groups()
-        if name not in STAGES:
-            return None
         start = m.start(1)
         line += text.count("\n", mark, start)
         newline = text.rfind("\n", mark, start)
@@ -257,17 +297,38 @@ def _scan(text):
             line_start = newline
         mark = start
         col = start - line_start
-        args = []
-        for key, number, deg in ((n1, v1, d1), (n2, v2, d2)):
-            if key is not None:
+        checks = _SIGNATURES.get((name, n1, n2))
+        if checks is not None:
+            params = []
+            number, deg = v1, d1
+            for key, angle, nonnegative, convert in checks:
                 value = float(number)
-                if not math.isfinite(value):
+                if not math.isfinite(value) or deg and not angle:
                     return None
-                args.append(_Arg(key, value, 0, 0, deg is not None))
-        try:
-            params = _validate_stage(name, args, line, col)
-        except CircuitError:
+                if convert:
+                    try:
+                        value = convert(value)
+                    except PhysicsError:
+                        return None
+                if nonnegative and value < 0.0:
+                    return None
+                params.append((key, math.radians(value) if deg else value))
+                number, deg = v2, d2  # the next check is the second argument's
+            params = tuple(params)
+        elif name not in STAGES:
             return None
+        else:
+            args = []
+            for key, number, deg in ((n1, v1, d1), (n2, v2, d2)):
+                if key is not None:
+                    value = float(number)
+                    if not math.isfinite(value):
+                        return None
+                    args.append(_Arg(key, value, 0, 0, deg is not None))
+            try:
+                params = _validate_stage(name, args, line, col)
+            except CircuitError:
+                return None
         stages.append(Stage(name, params, line, col))
         pos = m.end()
         if not sep or _END_RE.match(text, pos):
@@ -282,7 +343,7 @@ def _parse_tokens(text):
     """
     tokens = []
     line, line_start = 1, -1
-    for m in _TOKEN_RE.finditer(text):
+    for m in _token_re().finditer(text):
         kind, start = m.lastgroup, m.start()
         if kind == "gap":
             line += text.count("\n", start, m.end())
@@ -338,8 +399,10 @@ def parse(text) -> CircuitAst:
     """Parse circuit text; raise a located CircuitError on rejection.
 
     Well-formed text is matched stage by stage with one regular
-    expression; the token parser handles the rest and locates the
-    error.
+    expression. A stage whose arguments are its parameters in canonical
+    order (or split's ratio) is checked from the signature table; other
+    orders go through the general validator. The token parser handles
+    the rest and locates the error.
     """
     if not isinstance(text, str):
         raise TypeError("circuit text must be str")
@@ -385,7 +448,7 @@ class StageRecord(NamedTuple):
 
     @property
     def classification_after(self):
-        return classify(self.stokes_after, self.tol)
+        return littlegroup.classify(self.stokes_after, self.tol)
 
 
 class SimulationReport(_Record):
@@ -414,9 +477,11 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     whose validation is the stage's gate. A coherent stage is its STAGES
     action: an overall factor k (1 except for atten) times a unimodular
     G. While the amplitude track is live (Jones input, no decohere yet)
-    it is the single source of truth: psi -> k conj(G) psi, and the
-    coherency is the outer product of the new amplitudes, so a pure
-    state stays pure to rounding however long the chain. Without
+    it is the single source of truth: the two amplitudes are carried as
+    plain complex numbers, psi -> k conj(G) psi, and the coherency is
+    their outer product, so a pure state stays pure to rounding however
+    long the chain; a non-finite amplitude fails that matrix's gate. One
+    JonesVector is built from them at the end, for the report. Without
     amplitudes the matrix is conjugated, C -> k^2 G C G+. decohere
     scales s12 by e^-2 lambda and ends the amplitude track. Stokes
     vectors are read from the matrices: the report's input and final
@@ -428,17 +493,17 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     the Stage, so evaluating one AST on many states rebuilds nothing.
     """
     if isinstance(inp, JonesVector):
-        jones = inp
-        coh = coherency_from_jones(inp)
+        p1, p2 = inp.psi1, inp.psi2
+        coh = _coherency_outer(p1, p2)
+        input_jones = inp
     elif isinstance(inp, StokesVector):
-        jones = None
+        p1 = p2 = input_jones = None
         coh = coherency_from_stokes(inp, tol)
     else:
         raise TypeError("input must be a JonesVector or StokesVector")
     input_stokes = stokes_from_coherency(coh)
     if coh.trace <= 0.0:
         raise PhysicsError("evaluation requires positive input intensity")
-    input_jones = jones
     records = []
     for stage in ast.stages:
         before = coh
@@ -447,22 +512,21 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
             if kind is None:
                 raise PhysicsError(_unknown_element(stage.name))
             if kind.action is None:  # decohere, the one channel
-                coh = decohere_channel(coh, stage.params[0][1])
-                jones = None
+                coh = decoherence.decohere_channel(coh, stage.params[0][1])
+                p1 = None
             else:
                 memo = vars(stage)
                 if "_element" not in memo:
                     memo["_element"] = kind.action(*[value for _, value in stage.params])
                 scale, g = memo["_element"]
-                if jones is None:
+                if p1 is None:
                     coh = conjugate(coh, g, scale)
                 else:
-                    p1, p2 = jones.psi1, jones.psi2
-                    jones = JonesVector(
+                    p1, p2 = (
                         scale * (g.alpha.conjugate() * p1 + g.beta.conjugate() * p2),
                         scale * (g.gamma.conjugate() * p1 + g.delta.conjugate() * p2),
                     )
-                    coh = coherency_from_jones(jones)
+                    coh = _coherency_outer(p1, p2)
                 if coh.trace <= 0.0:
                     raise PhysicsError("beam attenuated to zero intensity (underflow)")
         except (NonFiniteError, OverflowError) as err:
@@ -482,7 +546,7 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
         stages=tuple(records),
         final_stokes=final_stokes,
         final_coherency=coh,
-        final_jones=jones,
+        final_jones=None if p1 is None else JonesVector(p1, p2),
         final_purity=purity_report(coh),
-        final_classification=classify(final_stokes, tol),
+        final_classification=littlegroup.classify(final_stokes, tol),
     )

@@ -443,7 +443,13 @@ def coherency_from_jones(j: JonesVector) -> CoherencyMatrix:
     s12 = conj(psi1) * psi2. The result has rank 1 (det = 0 up to
     rounding).
     """
-    p1, p2 = j.psi1, j.psi2
+    return _coherency_outer(j.psi1, j.psi2)
+
+
+def _coherency_outer(p1, p2):
+    # The outer product of two complex amplitudes. A non-finite amplitude
+    # gives a non-finite s11 or s22, which CoherencyMatrix rejects with
+    # NonFiniteError.
     return CoherencyMatrix(
         p1.real * p1.real + p1.imag * p1.imag,
         p2.real * p2.real + p2.imag * p2.imag,

@@ -17,9 +17,11 @@ from twobeam import (
     evaluate,
     minkowski_norm,
     parse,
+    split_angle,
     stokes_from_coherency,
     unparse,
 )
+from twobeam import circuit
 
 GOLDEN = [
     "rotate(theta=0.5)",
@@ -103,6 +105,30 @@ def test_split_normalization():
     for r in (0.1, 0.5, 0.9):
         rep = evaluate(parse(f"split(ratio={r})"), JonesVector(1, 0))
         assert abs(abs(rep.final_jones.psi1) ** 2 - r) < 1e-12
+
+
+def test_canonical_stages_skip_the_general_validator(monkeypatch):
+    # A stage whose arguments are its kind's parameters in canonical order,
+    # or split's ratio, is checked in place; any other order goes through
+    # _validate_stage and gives the same AST.
+    calls = []
+    validate = circuit._validate_stage
+    monkeypatch.setattr(circuit, "_validate_stage", lambda *a: calls.append(a) or validate(*a))
+    text = (
+        "rotate(theta=30 deg); split(ratio=0.25); split(theta=-45deg);\n"
+        "phase(phi=0.5); atten(eta1=0.1, eta2=0.2); squeeze(eta=-0.3); decohere(lambda=0.4)"
+    )
+    ast = parse(text)
+    assert calls == []
+    assert {s.name for s in ast.stages} == set(circuit.STAGES)
+    assert ast.stages[0].params == (("theta", math.radians(30.0)),)
+    assert ast.stages[1].params == (("theta", split_angle(0.25)),)
+    assert ast.stages[2].params == (("theta", math.radians(-45.0)),)
+    assert [(s.line, s.col) for s in ast.stages] == [
+        (1, 1), (1, 23), (1, 42), (2, 1), (2, 17), (2, 44), (2, 63)
+    ]
+    assert repr(parse("atten(eta2=0.2, eta1=0.1)")) == repr(parse("atten(eta1=0.1, eta2=0.2)"))
+    assert len(calls) == 1
 
 
 def test_malformed_located():

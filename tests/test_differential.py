@@ -8,6 +8,8 @@ back to for any text its stage scanner does not accept.
 
 import math
 import random
+import re
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -86,11 +88,17 @@ def test_overflow_is_located_and_plain():
     # Elements are built by evaluate, not parse, and a failed build is not
     # kept, so every evaluation of one AST raises the same located error.
     # In the chain, the 72nd squeeze is where s0 first becomes too large
-    # to square.
+    # to square; in the last case the amplitude itself becomes infinite
+    # inside the stage (e^700 * 1e70).
     chain = ";".join(["squeeze(eta=5); rotate(theta=0.3)"] * 200)
-    for text, where in (("squeeze(eta=2000)", "1:1"), (chain, "1:2415")):
+    unit = (JonesVector(1.0, 0.0), StokesVector(1.0, 0.5, 0.5, 0.0))
+    for text, where, inputs in (
+        ("squeeze(eta=2000)", "1:1", unit),
+        (chain, "1:2415", unit),
+        ("rotate(theta=0.1);\nsqueeze(eta=1400)", "2:1", (JonesVector(1e70, 0.0),)),
+    ):
         ast = parse(text)
-        for inp in (JonesVector(1.0, 0.0), StokesVector(1.0, 0.5, 0.5, 0.0)) * 2:
+        for inp in inputs * 2:
             try:
                 evaluate(ast, inp)
             except CircuitSemanticError as err:
@@ -263,17 +271,44 @@ def test_scanner_agrees_with_token_parser_on_fuzz_corpus():
         assert outcome(parse, text) == outcome(token_parse, text), repr(text)
 
 
-def test_scanner_agrees_with_token_parser_on_formatted_circuits():
+def formatted_corpus():
+    """600 seeded formatted circuits, each with four mutations of it."""
     rng = random.Random(31)
     for _ in range(600):
         text = formatted_circuit(rng)
+        yield text, [mutated(rng, text) for _ in range(4)]
+
+
+def test_scanner_agrees_with_token_parser_on_formatted_circuits():
+    for text, mutations in formatted_corpus():
         assert _scan(text) is not None, repr(text)
         want = outcome(token_parse, text)
         assert not isinstance(want[0], type), repr(text)
         assert outcome(parse, text) == want, repr(text)
-        for _ in range(4):
-            bad = mutated(rng, text)
+        for bad in mutations:
             assert outcome(parse, bad) == outcome(token_parse, bad), repr(bad)
+
+
+# _GAP as it was before its quantifiers were made possessive, the
+# reference for the gap language. The scanner and the token parser share
+# _GAP, so their differential cannot see a change to it.
+BACKTRACKING_GAP = r"[ \t\n\r\f\v]*(?:#[^\n]*(?![^\n])[ \t\n\r\f\v]*)*"
+
+
+def test_possessive_gap_matches_like_the_backtracking_gap():
+    texts = list(fuzz_corpus())
+    for text, mutations in formatted_corpus():
+        texts += [text, *mutations]
+    for pattern in (circuit._STAGE_RE.pattern, circuit._END_RE.pattern, circuit._TOKEN):
+        reference = re.compile(pattern.replace(circuit._GAP, BACKTRACKING_GAP))
+        assert reference.pattern != pattern
+        new = re.compile(pattern)
+        for text in texts:
+            # Every start position: the span of the match and of each group.
+            starts = range(len(text) + 1)
+            want = [m and m.regs for m in map(reference.match, repeat(text), starts)]
+            got = [m and m.regs for m in map(new.match, repeat(text), starts)]
+            assert got == want, repr(text)
 
 
 def decohering_circuit(rng):
@@ -328,16 +363,20 @@ def test_repeated_evaluation_builds_each_element_once(monkeypatch):
 
 def test_evaluate_carries_one_state(monkeypatch):
     # The coherency matrix is the state; Stokes vectors are taken only for
-    # the report's input and final entries, not once per stage.
+    # the report's input and final entries, not once per stage, and the
+    # amplitudes are carried as numbers: one JonesVector, for final_jones.
     rng = random.Random(1010)
     coherent = [s for s in (random_stage(rng) for _ in range(400)) if "decohere" not in s]
     jones_case = (parse("; ".join(coherent[:200])), random_inputs(rng)[0])
     assert len(jones_case[0].stages) == 200
     mixed_case = (parse(decohering_circuit(rng)), random_inputs(rng)[2])
-    built = []
-    check = StokesVector.__post_init__
+    built, amplitudes = [], []
+    check, check_jones = StokesVector.__post_init__, JonesVector.__post_init__
     monkeypatch.setattr(StokesVector, "__post_init__", lambda s: built.append(s) or check(s))
-    for ast, inp in (jones_case, mixed_case):
-        del built[:]
+    monkeypatch.setattr(JonesVector, "__post_init__", lambda j: amplitudes.append(j) or check_jones(j))
+    for (ast, inp), jones_built in ((jones_case, 1), (mixed_case, 0)):
+        del built[:], amplitudes[:]
         report = evaluate(ast, inp)
         assert built == [report.input_stokes, report.final_stokes]
+        assert len(amplitudes) == jones_built
+        assert all(j is report.final_jones for j in amplitudes)

@@ -66,6 +66,7 @@ NOT_DECOMPOSE = {"twobeam.circuit", "twobeam.littlegroup", "twobeam.elements"}
         (["classify", "0,0,0,0"], 3, {"twobeam.circuit"}),
         (["littlegroup", "--alpha=0.5", "--u=1"], 0, {"twobeam.circuit"}),
         (["littlegroup", "--theta=0.5", "--eta=1", "--format=json"], 0, {"twobeam.circuit"}),
+        (["lift", "rotate theta=1", "--format=json"], 0, {"twobeam.littlegroup", "twobeam.decoherence"}),
     ],
 )
 def test_commands_run_only_the_modules_they_use(argv, code, idle):
@@ -117,7 +118,9 @@ a.join()
 
 def test_a_module_runs_once_under_a_lock_for_concurrent_first_use():
     registered, ran = probe(RACE)
-    assert SUBMODULES <= ran
+    # circuit runs the modules it imports from, and reaches littlegroup
+    # and decoherence only when a call uses them.
+    assert SUBMODULES & ran == {"twobeam.circuit", "twobeam.states", "twobeam.elements"}
 
 
 # More threads than cores touch the five modules at once, each in its own
