@@ -486,8 +486,8 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     scales s12 by e^-2 lambda and ends the amplitude track. Stokes
     vectors are read from the matrices: the report's input and final
     ones once, a StageRecord's on access. Stage failures re-raise as
-    located CircuitSemanticError; arithmetic overflow and an intensity
-    that underflows to zero are reported as such.
+    located CircuitSemanticError, as is a final class that overflows;
+    overflow and an intensity that underflows to zero say so.
 
     Each stage's element is built on its first evaluation and kept on
     the Stage, so evaluating one AST on many states rebuilds nothing.
@@ -504,7 +504,7 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     input_stokes = stokes_from_coherency(coh)
     if coh.trace <= 0.0:
         raise PhysicsError("evaluation requires positive input intensity")
-    records = []
+    records, stage = [], None
     for stage in ast.stages:
         before = coh
         try:
@@ -529,7 +529,7 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
                     coh = _coherency_outer(p1, p2)
                 if coh.trace <= 0.0:
                     raise PhysicsError("beam attenuated to zero intensity (underflow)")
-        except (NonFiniteError, OverflowError) as err:
+        except NonFiniteError as err:
             raise CircuitSemanticError(
                 f"stage {stage.name}: beam intensity overflowed", stage.line, stage.col
             ) from err
@@ -548,5 +548,15 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
         final_coherency=coh,
         final_jones=None if p1 is None else JonesVector(p1, p2),
         final_purity=purity_report(coh),
-        final_classification=littlegroup.classify(final_stokes, tol),
+        final_classification=_classify_at(stage, final_stokes, tol),
     )
+
+
+def _classify_at(stage, stokes, tol):
+    """classify the state after stage, locating an overflow there (stage None: the input)."""
+    try:
+        return littlegroup.classify(stokes, tol)
+    except NonFiniteError as err:
+        if stage is None:
+            raise
+        raise CircuitSemanticError(f"stage {stage.name}: {err}", stage.line, stage.col) from err

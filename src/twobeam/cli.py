@@ -124,7 +124,7 @@ def _input_state(spec):
 
 
 def _lift_stage(spec):
-    """The stage of a one-element lift spec and the entries of k^2 lift(G).
+    """The stage of a one-element lift spec, the entries of k^2 lift(G) and their metric defect.
 
     The spec is circuit text, or the older 'squeeze eta=0.6' spelling,
     which is rewritten to 'squeeze(eta=0.6)' first. Every rejection is
@@ -147,11 +147,10 @@ def _lift_stage(spec):
         raise ValueError(f"{stage.name} is a channel, not an element; lift takes {coherent}")
     try:
         k, g = action(*[value for _, value in stage.params])
-        return stage, tuple(k * k * x for x in lift(g).entries)
+        m = tuple(k * k * x for x in lift(g).entries)
+        return stage, m, metric_defect(m)
     except PhysicsError as err:
         raise ValueError(f"{stage.name}: {err}") from None
-    except OverflowError:
-        raise ValueError(f"{stage.name}: element entries overflowed") from None
 
 
 def _text_value(value):
@@ -241,7 +240,7 @@ def _cmd_simulate(args):
     inputs = {"circuit_path": args.circuit, "input": args.input_spec, "tol": args.tol}
     # Each Stokes vector is read once: a stage's before is the previous stage's after.
     stokes = [report.input_stokes, *(r.stokes_after for r in report.stages)]
-    classes = [littlegroup.classify(s, args.tol) for s in stokes[1:]]
+    classes = [circuit._classify_at(*row, args.tol) for row in zip(ast.stages, stokes[1:])]
 
     if args.format == "json":
         results = {
@@ -285,13 +284,13 @@ def _cmd_classify(args):
 
 
 def _cmd_lift(args):
-    stage, m = _lift_stage(args.element)
+    stage, m, defect = _lift_stage(args.element)
     warnings = [PHASE_SIGN_WARNING] if stage.name == "phase" else []
     results = {
         "element": stage.name,
         "params": dict(stage.params),
         "matrix": _matrix_rows(m),
-        "metric_defect": metric_defect(m),
+        "metric_defect": defect,
     }
     return _deliver(args, "lift", {"element": args.element}, results, warnings)
 

@@ -25,7 +25,8 @@ as an overall scalar decay times a squeezer.
 import cmath
 import math
 
-from .states import Element2, NonFiniteError, PhysicsError, Transform4, _entries2, _finite, _mul2
+from .states import UNIMODULAR_TOL, Element2, NonFiniteError, PhysicsError, Transform4
+from .states import _entries2, _finite, _mul2, _scaled
 
 __all__ = [
     "rotator",
@@ -61,7 +62,10 @@ def phase_shifter(phi) -> Element2:
 def squeezer(eta) -> Element2:
     """Relative amplitude gain e^{eta/2} on beam 1, e^{-eta/2} on beam 2."""
     eta = _finite(eta, "eta")
-    return Element2(complex(math.exp(eta / 2.0)), 0j, 0j, complex(math.exp(-eta / 2.0)))
+    try:
+        return Element2(complex(math.exp(eta / 2.0)), 0j, 0j, complex(math.exp(-eta / 2.0)))
+    except OverflowError:
+        raise NonFiniteError(f"squeezer overflowed: e^({abs(eta):g}/2) is too large") from None
 
 
 def attenuator(eta1, eta2):
@@ -84,14 +88,20 @@ def compose(*elements) -> Element2:
     """Product of elements in application order: the first acts first.
 
     compose(a, b, c) returns the element whose matrix is C B A, so that
-    applying the result equals applying a, then b, then c.
+    applying the result equals applying a, then b, then c. Its det rounds
+    off 1 by about eps (|alpha delta| + |beta gamma|): that scales its check.
     """
     if not elements:
         raise PhysicsError("compose requires at least one element")
-    m = _entries2(elements[0])
-    for e in elements[1:]:
-        m = _mul2(_entries2(e), m)
-    return Element2(*m)
+    m = (1.0, 0.0, 0.0, 1.0)
+    for g in elements:
+        m = _mul2(_entries2(g if isinstance(g, Element2) else Element2.from_matrix(g)), m)
+    if not all(map(cmath.isfinite, m)):
+        raise NonFiniteError("compose overflowed: product entries are not finite")
+    one, a, b, c, d = _scaled(1.0, *m)
+    if abs(a * d - b * c - one * one) > UNIMODULAR_TOL * (abs(a * d) + abs(b * c)):
+        raise PhysicsError("product must be unimodular: |det - 1| > tol (|alpha delta| + |beta gamma|)")
+    return Element2._checked(*m)
 
 
 def rotator4(theta) -> Transform4:

@@ -16,19 +16,8 @@ matrices are not metric-preserving away from the endpoints.
 
 import math
 
-from .states import (
-    CLASSIFY_TOL,
-    LORENTZ_TOL,
-    PhysicsError,
-    StokesVector,
-    Transform4,
-    _Record,
-    _SQUARE_MIN,
-    _finite,
-    metric_defect,
-    minkowski_norm,
-    relative_norm,
-)
+from .states import CLASSIFY_TOL, PhysicsError, StokesVector, Transform4, metric_defect, minkowski_norm
+from .states import _Record, _finite, _is_lorentz, _scaled
 from .elements import phase4, rotator4, squeeze4
 
 __all__ = [
@@ -73,32 +62,26 @@ def classify(s: StokesVector, tol=CLASSIFY_TOL) -> StateClass:
     chains of elements classify by their relative rounding level, not
     their absolute intensity. Within the band: pure. Above: impure,
     with the rapidity of the standardizing boost. Below the negative
-    band: non-physical (spacelike). Where s0^2 underflows, relative_norm
-    is compared with tol instead, so the class does not depend on scale.
+    band: non-physical (spacelike). All on s rescaled by _scaled; the
+    class reports the norm of s itself, NonFiniteError if it overflows.
     """
-    if s.s0 < _SQUARE_MIN:
-        if s.s0 <= 0.0:
-            raise PhysicsError("classification requires positive total intensity")
-        norm, rel = minkowski_norm(s), relative_norm(s)
-        if rel < -tol:
-            return StateClass(NON_PHYSICAL, norm)
-        if rel <= tol:
-            return StateClass(PURE, norm)
-        eta = math.atanh(math.hypot(s.s1, s.s2, s.s3) / s.s0)
-        return StateClass(IMPURE, norm, -eta if s.s1 < 0.0 else eta)
-    norm = minkowski_norm(s)
-    band = tol * s.s0**2
+    if s.s0 <= 0.0:
+        raise PhysicsError("classification requires positive total intensity")
+    s0, s1, s2, s3 = _scaled(s.s0, s.s1, s.s2, s.s3)
+    norm = s0**2 - s1**2 - s2**2 - s3**2
+    invariant = norm if s0 == s.s0 else minkowski_norm(s)
+    band = tol * s0**2
     if norm < -band:
-        return StateClass(NON_PHYSICAL, norm)
+        return StateClass(NON_PHYSICAL, invariant)
     if norm <= band:
-        return StateClass(PURE, norm)
-    p = math.sqrt(s.s1**2 + s.s2**2 + s.s3**2) / s.s0
+        return StateClass(PURE, invariant)
+    p = math.sqrt(s1**2 + s2**2 + s3**2) / s0
     if p >= 1.0:  # on the cone to rounding; tol is below the rounding of s0^2
-        return StateClass(PURE, norm)
+        return StateClass(PURE, invariant)
     eta = math.atanh(p)
-    if s.s1 < 0.0:
+    if s1 < 0.0:
         eta = -eta
-    return StateClass(IMPURE, norm, eta)
+    return StateClass(IMPURE, invariant, eta)
 
 
 def standardize(s: StokesVector, tol=CLASSIFY_TOL):
@@ -262,8 +245,7 @@ def closed_form_family(p: InterpolationParams) -> Transform4:
     family_metric_defect for the size of the deviation.
     """
     m = _family_matrix(p)
-    allowed = LORENTZ_TOL * max(1.0, max(map(abs, m)) ** 2)
-    return Transform4(m, lorentz=metric_defect(m) <= allowed)
+    return Transform4(m, lorentz=_is_lorentz(m))
 
 
 def family_metric_defect(p: InterpolationParams) -> float:

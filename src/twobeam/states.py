@@ -93,14 +93,21 @@ def __getattr__(name):
     m.setflags(write=False)
     return m
 
-# m^T g m sums four products of entries of m; below this entry size
-# (about 6.7e153) the metric check of a Transform4 cannot overflow.
-_METRIC_MAX = 0.5 * math.sqrt(sys.float_info.max)
+_SQUARE_MIN, _SQUARE_MAX = math.sqrt(sys.float_info.min), 0.5 * math.sqrt(sys.float_info.max)
 
-# Below this (about 1.5e-154) a square is no longer a normal float: it
-# loses precision and then underflows to 0, so tests that compare
-# squares of intensities switch to ratios taken over the intensity.
-_SQUARE_MIN = math.sqrt(sys.float_info.min)
+
+def _scaled(*xs):
+    """xs as they are if their largest magnitude is 0 or in [_SQUARE_MIN,
+    _SQUARE_MAX], where squares are normal and sums of four finite, and
+    the first, a real that callers divide by, is 0 or at least
+    _SQUARE_MIN; else divided exactly by the power of two that puts the
+    largest in [1, 2). State checks are homogeneous: they read the same.
+    """
+    big = max(map(abs, xs))
+    if _SQUARE_MIN <= big <= _SQUARE_MAX and (xs[0] >= _SQUARE_MIN or xs[0] == 0.0) or big == 0.0:
+        return xs
+    unit = math.ldexp(1.0, math.frexp(big)[1] - 1)
+    return tuple(x / unit for x in xs)
 
 
 class _DataclassFields:
@@ -178,7 +185,8 @@ class JonesVector(_Record):
 
     @property
     def intensity(self):
-        return abs(self.psi1) ** 2 + abs(self.psi2) ** 2
+        a, b = abs(self.psi1), abs(self.psi2)
+        return _in_range(a * a + b * b, "Jones intensity")
 
     def as_array(self):
         import numpy as np
@@ -209,6 +217,12 @@ class Element2(_Record):
         drift = abs(a * d - b * c - 1.0)
         if drift > UNIMODULAR_TOL:
             raise PhysicsError(f"element must be unimodular: |det - 1| = {drift:.3e}")
+
+    @classmethod
+    def _checked(cls, *entries):  # complex entries the caller has checked
+        g = cls.__new__(cls)
+        vars(g).update(zip(cls.__match_args__, entries))
+        return g
 
     @property
     def det(self):
@@ -248,17 +262,14 @@ class CoherencyMatrix(_Record):
         size = abs(s11) + abs(s22)
         if size == math.inf:
             raise NonFiniteError("coherency intensities overflow: |s11| + |s22| is infinite")
+        re, im = s12.real, s12.imag
+        if not _SQUARE_MIN <= size <= _SQUARE_MAX:  # _scaled's range, tested inline
+            s11, s22, re, im = _scaled(s11, s22, re, im)
+            size = abs(s11) + abs(s22)
         if s11 < -1e-12 * size or s22 < -1e-12 * size:
             raise PhysicsError("diagonal coherency entries must be nonnegative")
-        if 0.0 < size < _SQUARE_MIN:
-            # the products underflow: test the same matrix scaled to trace 1
-            s11, s22, s12, size = s11 / size, s22 / size, s12 / size, 1.0
-        det = s11 * s22 - (s12.real * s12.real + s12.imag * s12.imag)
-        try:
-            floor = -1e-12 * size**2
-        except OverflowError:
-            raise NonFiniteError(f"coherency trace {s11 + s22:.3e} is too large to square") from None
-        if det < floor:
+        det = s11 * s22 - (re * re + im * im)
+        if det < -1e-12 * size**2:
             raise PhysicsError(f"coherency matrix must be positive semidefinite: det = {det:.3e}")
 
     @property
@@ -267,7 +278,7 @@ class CoherencyMatrix(_Record):
 
     @property
     def det(self):
-        return self.s11 * self.s22 - abs(self.s12) ** 2
+        return _in_range(self.s11 * self.s22 - abs(self.s12) * abs(self.s12), "coherency det")
 
     @property
     def matrix(self):
@@ -326,13 +337,10 @@ class StokesVector(_Record):
 
     def require_physical(self, tol=CLASSIFY_TOL):
         """Raise unless the vector lies on or inside the light cone."""
-        if 0.0 < self.s0 < _SQUARE_MIN:
-            spacelike = relative_norm(self) < -tol
-        else:
-            spacelike = minkowski_norm(self) < -tol * self.s0**2
-        if spacelike:
-            # the norm itself underflows for tiny s0; its ratio to s0^2 does not
-            rel = relative_norm(self) if self.s0 > 0.0 else -math.inf
+        s0, s1, s2, s3 = _scaled(self.s0, self.s1, self.s2, self.s3)
+        norm, sq = s0**2 - s1**2 - s2**2 - s3**2, s0**2
+        if norm < -tol * sq:
+            rel = norm / sq if sq else -math.inf
             raise PhysicsError(f"non-physical Stokes vector (spacelike): relative_norm = {rel:.3e}")
         return self
 
@@ -357,18 +365,8 @@ class Transform4(_Record):
         e = _flat16(self.entries)
         if not all(map(math.isfinite, e)):
             raise PhysicsError("transform entries must be finite")
-        if self.lorentz:
-            big = max(map(abs, e))
-            if big > _METRIC_MAX:
-                raise NonFiniteError(
-                    f"transform entries too large for the metric check: {big:.3e}"
-                )
-            allowed = LORENTZ_TOL * max(1.0, big) ** 2
-            defect = _defect(e)
-            if defect > allowed:
-                raise PhysicsError(
-                    f"matrix flagged lorentz does not preserve the metric: defect {defect:.3e}"
-                )
+        if self.lorentz and not _is_lorentz(e):
+            raise PhysicsError("matrix flagged lorentz does not preserve the metric")
         vars(self)["entries"] = e
 
     @property
@@ -410,21 +408,29 @@ def _flat16(m):
     return e
 
 
-def _defect(e):
-    """Max-entry size of m^T g m - g for the row-major entries e of m."""
+def _defects(e, g=1.0):
+    """The entry sizes of m^T G m - G, G = g diag(1,-1,-1,-1), for the row-major entries e of m."""
     a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = e
-    return max(
-        abs(a0 * a0 - b0 * b0 - c0 * c0 - d0 * d0 - 1.0),
-        abs(a1 * a1 - b1 * b1 - c1 * c1 - d1 * d1 + 1.0),
-        abs(a2 * a2 - b2 * b2 - c2 * c2 - d2 * d2 + 1.0),
-        abs(a3 * a3 - b3 * b3 - c3 * c3 - d3 * d3 + 1.0),
-        abs(a0 * a1 - b0 * b1 - c0 * c1 - d0 * d1),
-        abs(a0 * a2 - b0 * b2 - c0 * c2 - d0 * d2),
-        abs(a0 * a3 - b0 * b3 - c0 * c3 - d0 * d3),
-        abs(a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2),
-        abs(a1 * a3 - b1 * b3 - c1 * c3 - d1 * d3),
-        abs(a2 * a3 - b2 * b3 - c2 * c3 - d2 * d3),
+    return (
+        abs(a0 * a0 - b0 * b0 - c0 * c0 - d0 * d0 - g), abs(a1 * a1 - b1 * b1 - c1 * c1 - d1 * d1 + g),
+        abs(a2 * a2 - b2 * b2 - c2 * c2 - d2 * d2 + g), abs(a3 * a3 - b3 * b3 - c3 * c3 - d3 * d3 + g),
+        abs(a0 * a1 - b0 * b1 - c0 * c1 - d0 * d1), abs(a0 * a2 - b0 * b2 - c0 * c2 - d0 * d2),
+        abs(a0 * a3 - b0 * b3 - c0 * c3 - d0 * d3), abs(a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2),
+        abs(a1 * a3 - b1 * b3 - c1 * c3 - d1 * d3), abs(a2 * a3 - b2 * b3 - c2 * c3 - d2 * d3),
     )
+
+
+def _is_lorentz(e):
+    """Transform4's metric check of the row-major entries e: m^T g m = g to
+    LORENTZ_TOL max(1, max|e|)^2, taken on (1, e) rescaled by _scaled."""
+    t = _scaled(1.0, *e)
+    return max(_defects(t[1:], t[0] * t[0])) <= LORENTZ_TOL * max(map(abs, t)) ** 2
+
+
+def _in_range(x, what):  # x, unless it is inf or NaN, a value beyond the float range
+    if x * 0.0 != 0.0:
+        raise NonFiniteError(f"{what} is beyond the float range")
+    return x
 
 
 def _finite(x, what):
@@ -532,10 +538,7 @@ def lift(g) -> Transform4:
     is written out as its quadratic form in the entries of G. M is a
     proper orthochronous Lorentz matrix, identical for G and -G.
     """
-    a, b, c, d = _entries2(g)
-    drift = abs(a * d - b * c - 1.0)
-    if drift > UNIMODULAR_TOL:
-        raise PhysicsError(f"lift requires a unimodular element: |det - 1| = {drift:.3e}")
+    a, b, c, d = _entries2(g if isinstance(g, Element2) else Element2.from_matrix(g))
     aa, bb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
     cc, dd = c.real * c.real + c.imag * c.imag, d.real * d.real + d.imag * d.imag
     ab, cd, ac = a * b.conjugate(), c * d.conjugate(), a * c.conjugate()
@@ -567,13 +570,10 @@ def purity_report(c: CoherencyMatrix) -> PurityReport:
     state gives trace_sq = 1 and det = 0 regardless of intensity, and
     the fully mixed state gives trace_sq = 1/2, det = 1/4.
     """
-    s11, s22, s12 = c.s11, c.s22, c.s12
-    tr = unit = s11 + s22
-    if tr < _SQUARE_MIN:
-        if tr <= 0.0:
-            raise PhysicsError("purity report requires positive total intensity")
-        # tr^2 underflows: take the same ratios from c / tr, of trace 1.
-        s11, s22, s12, unit = s11 / tr, s22 / tr, s12 / tr, 1.0
+    tr = c.s11 + c.s22
+    if tr <= 0.0:
+        raise PhysicsError("purity report requires positive total intensity")
+    unit, s11, s22, s12 = _scaled(tr, c.s11, c.s22, c.s12)
     cross = abs(s12) ** 2
     unit2 = unit**2
     trace_sq = (s11**2 + s22**2 + 2.0 * cross) / unit2
@@ -597,20 +597,18 @@ def minkowski_norm(s: StokesVector) -> float:
 
 
 def relative_norm(s: StokesVector) -> float:
-    """minkowski_norm(s) / s0^2, for s0 > 0.
-
-    Where s0^2 underflows it is 1 - p^2 with p = |(s1, s2, s3)| / s0,
-    which does not depend on the scale of s.
-    """
-    if s.s0 >= _SQUARE_MIN:
-        return minkowski_norm(s) / s.s0**2
-    p = math.hypot(s.s1, s.s2, s.s3) / s.s0
-    return (1.0 - p) * (1.0 + p)
+    """minkowski_norm(s) / s0^2, for s0 > 0, taken on s rescaled by
+    _scaled; NonFiniteError where it lies beyond the float range."""
+    s0, s1, s2, s3 = _scaled(s.s0, s.s1, s.s2, s.s3)
+    sq = s0**2
+    return _in_range((sq - s1**2 - s2**2 - s3**2) / sq if sq else -math.inf, "relative norm")
 
 
 def metric_defect(m) -> float:
     """Max-entry deviation of m^T g m from g, with g = diag(1,-1,-1,-1).
 
-    m is a Transform4, 4 rows of 4 or 16 row-major numbers.
+    m is a Transform4, 4 rows of 4 or 16 row-major numbers. Raises
+    NonFiniteError where a product of entries overflows.
     """
-    return _defect(_flat16(m))
+    defects = _defects(_flat16(m))  # max() skips a NaN that is not first
+    return _in_range(max(defects) if all(map(math.isfinite, defects)) else math.inf, "metric defect")

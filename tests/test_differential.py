@@ -9,9 +9,11 @@ back to for any text its stage scanner does not accept.
 import math
 import random
 import re
+import sys
 from itertools import repeat
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 from twobeam import (
@@ -84,17 +86,37 @@ def test_long_boost_chain_stays_pure():
     assert relative_error(report.final_stokes, fold(ast, jones_stokes(jones))) < 1e-9
 
 
+def first_squeeze_above_float_max(pairs):
+    """The 1-based squeeze of pairs x "squeeze(eta=5); rotate(theta=0.3)" after
+    which a 60-digit Jones track from (1, 0) first has an intensity above
+    the largest float."""
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    top, gain = mp.mpf(sys.float_info.max), mp.exp(mp.mpf(5) / 2)
+    c, s = mp.cos(mp.mpf(0.3) / 2), mp.sin(mp.mpf(0.3) / 2)
+    p1, p2 = mp.mpf(1), mp.mpf(0)
+    for k in range(1, pairs + 1):
+        p1, p2 = gain * p1, p2 / gain
+        if p1 * p1 + p2 * p2 > top:
+            return k
+        p1, p2 = c * p1 - s * p2, s * p1 + c * p2
+    raise AssertionError("the chain does not overflow")
+
+
 def test_overflow_is_located_and_plain():
     # Elements are built by evaluate, not parse, and a failed build is not
     # kept, so every evaluation of one AST raises the same located error.
-    # In the chain, the 72nd squeeze is where s0 first becomes too large
-    # to square; in the last case the amplitude itself becomes infinite
-    # inside the stage (e^700 * 1e70).
+    # In the chain, the squeeze after which the exact intensity first
+    # exceeds the largest float is where it overflows: the state checks
+    # are scale-free, so nothing fails earlier. In the last case the
+    # amplitude itself becomes infinite inside the stage (e^700 * 1e70).
     chain = ";".join(["squeeze(eta=5); rotate(theta=0.3)"] * 200)
     unit = (JonesVector(1.0, 0.0), StokesVector(1.0, 0.5, 0.5, 0.0))
+    pair = len("squeeze(eta=5); rotate(theta=0.3);")
+    col = 1 + pair * (first_squeeze_above_float_max(200) - 1)
     for text, where, inputs in (
         ("squeeze(eta=2000)", "1:1", unit),
-        (chain, "1:2415", unit),
+        (chain, f"1:{col}", unit),
         ("rotate(theta=0.1);\nsqueeze(eta=1400)", "2:1", (JonesVector(1e70, 0.0),)),
     ):
         ast = parse(text)

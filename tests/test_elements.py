@@ -164,6 +164,8 @@ def test_finite_parameter_required():
 
 def test_squeeze4_overflow_is_plain():
     # a plain error, not OverflowError("math range error") from math.cosh
-    for eta in (800.0, -800.0):
-        with pytest.raises(NonFiniteError, match="squeeze4 overflowed"):
-            squeeze4(eta)
+    # or math.exp
+    for ctor, eta in ((squeeze4, 800.0), (squeezer, 3000.0)):
+        for sign in (1.0, -1.0):
+            with pytest.raises(NonFiniteError, match=f"{ctor.__name__} overflowed"):
+                ctor(sign * eta)

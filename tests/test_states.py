@@ -251,14 +251,13 @@ def test_metric_defect_identity():
 
 
 def test_squares_that_overflow_raise_non_finite():
-    # s0 above about 1.3e154 cannot be squared; the error says so
+    # s0 above about 1.3e154 cannot be squared; the absolute norm says so
     # instead of surfacing as errno 34.
     with pytest.raises(NonFiniteError, match="too large to square"):
         minkowski_norm(StokesVector(1e160, 1e160, 0, 0))
-    with pytest.raises(NonFiniteError, match="too large to square"):
-        CoherencyMatrix(1e160, 0.0, 0.0)
-    with pytest.raises(NonFiniteError, match="too large to square"):
-        coherency_from_jones(JonesVector(1e80, 0))
+    # the gate's checks are scale-free: finite states this large pass it
+    assert CoherencyMatrix(1e160, 0.0, 0.0).trace == 1e160
+    assert coherency_from_jones(JonesVector(1e80, 0)).s11 == 1e80 * 1e80
     # finite intensities whose sum overflows, with or without a negative one
     for s11, s22 in ((1e308, 1e308), (1e308, -1e308)):
         with pytest.raises(NonFiniteError, match="infinite"):
@@ -275,9 +274,8 @@ def test_lift_overflow_is_plain():
         # entries of the lift overflow
         with pytest.raises(NonFiniteError, match="lift overflowed"):
             lift(squeezer(800.0))
-        # entries are finite, but the metric check would overflow
-        with pytest.raises(NonFiniteError, match="metric check"):
-            lift(squeezer(400.0))
+        # entries are finite, and the scale-free metric check passes them
+        assert lift(squeezer(400.0)).lorentz
         assert lift(squeezer(300.0)).m[0, 0] == pytest.approx(math.cosh(300.0), rel=1e-12)
 
 
