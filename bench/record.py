@@ -19,12 +19,16 @@ The output holds, per workload and side, the median and interquartile
 range of each end-to-end metric of BENCHMARK.json, the summed
 attempted/failed counts and the context line of the first run; and per
 metric the median and quartiles of the paired change/parent ratio,
-with the number of pairs in which the change was better. It uses the
+with the number of pairs in which the change was better. It also
+records sys.version and PYTHONDONTWRITEBYTECODE, which both sides
+inherit: with bytecode writing off, every cli-mix child compiles the
+package from source, which moves cli-mix by about 20%. It uses the
 standard library only and sets no pass/fail gate.
 """
 
 import argparse
 import json
+import os
 import shlex
 import shutil
 import statistics
@@ -131,6 +135,8 @@ def main(argv=None):
         "pairs": len(SEEDS),
         "seconds": seconds,
         "seeds": list(SEEDS),
+        "python": sys.version,
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:

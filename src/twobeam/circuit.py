@@ -490,7 +490,8 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     overflow and an intensity that underflows to zero say so.
 
     Each stage's element is built on its first evaluation and kept on
-    the Stage, so evaluating one AST on many states rebuilds nothing.
+    the Stage, and conjugate keeps the element's conjugation constants
+    on it, so evaluating one AST on many states rebuilds nothing.
     """
     if isinstance(inp, JonesVector):
         p1, p2 = inp.psi1, inp.psi2
@@ -508,17 +509,19 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     for stage in ast.stages:
         before = coh
         try:
-            kind = STAGES.get(stage.name)
-            if kind is None:
-                raise PhysicsError(_unknown_element(stage.name))
-            if kind.action is None:  # decohere, the one channel
+            element = stage.__dict__.get("_element")
+            if element is None:
+                kind = STAGES.get(stage.name)
+                if kind is None:
+                    raise PhysicsError(_unknown_element(stage.name))
+                if kind.action is not None:
+                    params = [value for _, value in stage.params]
+                    element = stage.__dict__["_element"] = kind.action(*params)
+            if element is None:  # decohere, the one channel
                 coh = decoherence.decohere_channel(coh, stage.params[0][1])
                 p1 = None
             else:
-                memo = vars(stage)
-                if "_element" not in memo:
-                    memo["_element"] = kind.action(*[value for _, value in stage.params])
-                scale, g = memo["_element"]
+                scale, g = element
                 if p1 is None:
                     coh = conjugate(coh, g, scale)
                 else:

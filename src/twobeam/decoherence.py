@@ -19,7 +19,8 @@ angle.
 import math
 from typing import NamedTuple
 
-from .states import CoherencyMatrix, PhysicsError, StokesVector, Transform4, _entries2, _finite, _mul2
+from .states import CoherencyMatrix, NonFiniteError, PhysicsError, StokesVector, Transform4
+from .states import _entries2, _finite, _in_range, _mul2
 
 __all__ = [
     "decoherence4",
@@ -44,8 +45,13 @@ def decoherence4(lam) -> Transform4:
     preserving channel is its e^-l multiple; see decohere_channel.
     """
     lam = _finite(lam, "lambda")
-    e = math.exp(lam)
-    r = 1.0 / e
+    try:
+        e = math.exp(lam)
+        r = 1.0 / e
+        if r == math.inf:  # e^lam is subnormal: its inverse overflows
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise NonFiniteError(f"decoherence4 overflowed: e^{abs(lam):g} is too large") from None
     return Transform4(
         (e, 0.0, 0.0, 0.0, 0.0, e, 0.0, 0.0, 0.0, 0.0, r, 0.0, 0.0, 0.0, 0.0, r), lorentz=lam == 0.0
     )
@@ -72,7 +78,10 @@ def decohere_channel(state, lam):
 
 def _squeeze2(lam):
     lam = _finite(lam, "lambda")
-    return math.exp(lam), 0.0, 0.0, math.exp(-lam)
+    try:
+        return math.exp(lam), 0.0, 0.0, math.exp(-lam)
+    except OverflowError:
+        raise NonFiniteError(f"squeeze overflowed: e^{abs(lam):g} is too large") from None
 
 
 def _rotation2(theta):
@@ -107,7 +116,7 @@ def _check_unimodular2(m):
     a, b, c, d = (x.real for x in entries)
     if not all(map(math.isfinite, (a, b, c, d))):
         raise PhysicsError("matrix entries must be finite")
-    det = a * d - b * c
+    det = _in_range(a * d - b * c, "matrix determinant")  # NaN would pass the test below
     if abs(det - 1.0) >= 1e-10:
         raise PhysicsError(f"matrix must have unit determinant: |det - 1| = {abs(det - 1.0):.3e}")
     return a, b, c, d

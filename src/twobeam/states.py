@@ -200,6 +200,8 @@ class Element2(_Record):
     must be 1 within ``UNIMODULAR_TOL``; everything an ideal lossless
     element does to the pair of amplitudes lives in this group, and
     lossy attenuators factor into a scalar times one of these.
+    conjugate keeps the element's conjugation constants in its instance
+    __dict__, which ==, hash and repr do not read.
     """
 
     alpha: complex
@@ -377,9 +379,11 @@ class Transform4(_Record):
         return m
 
     def apply(self, s: StokesVector) -> StokesVector:
-        e, s0, s1, s2, s3 = self.entries, s.s0, s.s1, s.s2, s.s3
+        a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = self.entries
+        s0, s1, s2, s3 = s.s0, s.s1, s.s2, s.s3
         return StokesVector(
-            *[e[i] * s0 + e[i + 1] * s1 + e[i + 2] * s2 + e[i + 3] * s3 for i in (0, 4, 8, 12)]
+            a0 * s0 + a1 * s1 + a2 * s2 + a3 * s3, b0 * s0 + b1 * s1 + b2 * s2 + b3 * s3,
+            c0 * s0 + c1 * s1 + c2 * s2 + c3 * s3, d0 * s0 + d1 * s1 + d2 * s2 + d3 * s3,
         )
 
     def __matmul__(self, other):
@@ -423,6 +427,9 @@ def _defects(e, g=1.0):
 def _is_lorentz(e):
     """Transform4's metric check of the row-major entries e: m^T g m = g to
     LORENTZ_TOL max(1, max|e|)^2, taken on (1, e) rescaled by _scaled."""
+    big = max(1.0, *map(abs, e))
+    if big <= _SQUARE_MAX:  # _scaled's range, tested inline: (1, e) as it is
+        return max(_defects(e)) <= LORENTZ_TOL * big ** 2
     t = _scaled(1.0, *e)
     return max(_defects(t[1:], t[0] * t[0])) <= LORENTZ_TOL * max(map(abs, t)) ** 2
 
@@ -512,21 +519,37 @@ def conjugate(c: CoherencyMatrix, g, scale=1.0) -> CoherencyMatrix:
     transformation; an attenuator is its overall amplitude factor
     ``scale`` times a unimodular G. The product is written out
     entrywise, so the result is Hermitian by construction: real
-    diagonal, one off-diagonal entry.
+    diagonal, one off-diagonal entry. The products of G's entries that
+    do not involve C are an Element2's conjugation constants, kept in
+    its instance __dict__ on first use.
 
     This is the transform for states without amplitudes. While a beam
     still has its Jones vector psi, transforming psi -> scale conj(G)
     psi and taking the outer product (coherency_from_jones) gives the
     same matrix, rank 1 to rounding.
     """
+    kept = g.__dict__.get("_conjugation") if isinstance(g, Element2) else None
+    aa, bb, ab, cc, dd, cd, ad, bc, a, cbar, b, dbar = kept or _conjugation(g)
     p, q, s = c.s11, c.s22, c.s12
+    k2 = scale * scale
+    s11 = aa * p + bb * q + 2.0 * (ab * s).real
+    s22 = cc * p + dd * q + 2.0 * (cd * s).real
+    s12 = p * a * cbar + q * b * dbar + ad * s + bc * s.conjugate()
+    return CoherencyMatrix(k2 * s11, k2 * s22, k2 * s12)
+
+
+def _conjugation(g):
+    """g's conjugation constants: the products of its entries that do not
+    involve C, then the entries that conjugate still multiplies by C's
+    entries one at a time. Kept on g if it is an Element2; two threads
+    may both compute and store them, which stores equal values."""
     a, b, c, d = _entries2(g)
     abar, bbar, cbar, dbar = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    k2 = scale * scale
-    s11 = (a * abar).real * p + (b * bbar).real * q + 2.0 * (a * bbar * s).real
-    s22 = (c * cbar).real * p + (d * dbar).real * q + 2.0 * (c * dbar * s).real
-    s12 = p * a * cbar + q * b * dbar + a * dbar * s + b * cbar * s.conjugate()
-    return CoherencyMatrix(k2 * s11, k2 * s22, k2 * s12)
+    k = ((a * abar).real, (b * bbar).real, a * bbar, (c * cbar).real, (d * dbar).real, c * dbar,
+         a * dbar, b * cbar, a, cbar, b, dbar)
+    if isinstance(g, Element2):
+        vars(g)["_conjugation"] = k
+    return k
 
 
 def lift(g) -> Transform4:

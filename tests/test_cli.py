@@ -326,6 +326,13 @@ def test_decompose_rejects_non_unimodular(capsys):
     assert "determinant" in err
 
 
+def test_decompose_overflowing_determinant_is_plain(capsys):
+    for kind in ("iwasawa", "wigner"):
+        code, out, err = run(capsys, "decompose", kind, "--matrix", "1e300,1e300,1e300,1e300")
+        assert_plain_error(code, out, err, 3)
+        assert "determinant is beyond the float range" in err
+
+
 def test_decompose_bad_matrix(capsys):
     code, _, err = run(capsys, "decompose", "iwasawa", "--matrix", "1,0,0")
     assert code == 2

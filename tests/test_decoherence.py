@@ -5,6 +5,8 @@ import pytest
 
 from twobeam import (
     CoherencyMatrix,
+    IwasawaFactors,
+    NonFiniteError,
     PhysicsError,
     StokesVector,
     coherency_from_stokes,
@@ -256,3 +258,27 @@ def test_wigner_matches_svd():
 def test_wigner_rejects_non_unimodular():
     with pytest.raises(PhysicsError):
         wigner_decompose(np.diag([3.0, 1.0]))
+
+
+@pytest.mark.parametrize("decompose", [iwasawa_decompose, wigner_decompose])
+def test_decompose_rejects_an_overflowing_determinant(decompose):
+    # 1e300 * 1e300 - 1e300 * 1e300 is inf - inf: a NaN determinant, which
+    # a test of the form |det - 1| >= tol lets through.
+    for m in ([[1e300, 1e300], [1e300, 1e300]], [[1e300, 0.0], [0.0, 1e300]]):
+        with pytest.raises(NonFiniteError, match="determinant is beyond the float range"):
+            decompose(m)
+
+
+def test_exponentials_that_overflow_raise_non_finite():
+    for make in (
+        lambda: decoherence4(800.0),
+        lambda: decoherence4(-800.0),  # e^-800 is 0: 1 / e would divide by zero
+        lambda: decoherence4(-709.9),  # e^-709.9 is subnormal: 1 / e is inf
+        lambda: d_a(800.0),
+        lambda: d_a(-800.0),
+        lambda: IwasawaFactors(0.0, 800.0, 0.0).entries,
+    ):
+        with pytest.raises(NonFiniteError, match="overflowed"):
+            make()
+    assert decoherence4(709.0).m[0, 0] == math.exp(709.0)
+    assert decoherence4(-708.0).m[3, 3] == 1.0 / math.exp(-708.0)

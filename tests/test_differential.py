@@ -27,7 +27,7 @@ from twobeam import (
     purity_report,
     stokes_from_coherency,
 )
-from twobeam import circuit
+from twobeam import circuit, states
 from twobeam.circuit import _parse_tokens, _scan
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -379,8 +379,15 @@ def test_repeated_evaluation_builds_each_element_once(monkeypatch):
     first = evaluate(ast, jones)
     assert len(built) == 4
     assert evaluate(ast, jones) == first
-    evaluate(ast, mixed)
+    second = evaluate(ast, mixed)
     assert len(built) == 4
+    # The first Stokes-input evaluation keeps each element's conjugation
+    # constants on it; later ones read no element entries at all.
+    read = []
+    entries2 = states._entries2
+    monkeypatch.setattr(states, "_entries2", lambda *a: read.append(a) or entries2(*a))
+    assert evaluate(ast, mixed) == second
+    assert read == []
 
 
 def test_evaluate_carries_one_state(monkeypatch):
