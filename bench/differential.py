@@ -1,0 +1,221 @@
+"""Output differential of the `twobeam` command line between two revisions.
+
+    python3 bench/differential.py --parent HEAD~1
+    python3 bench/differential.py --parent A --change B
+
+Each side runs from a fresh copy in a temporary directory, made as
+bench/record.py makes it: the parent revision (and --change, when
+given) exported with `git archive`, and without --change a copy of the
+working tree. A fixed seeded list of `twobeam` argument vectors covers
+all five subcommands in both formats, with and without --tol, Jones and
+Stokes inputs at intensities from 1e-100 to 1e100, and circuit files
+with comments, `deg`, atten's arguments in either order, decohere,
+chains that overflow or underflow, and invalid text. Each circuit file
+is written once into one temporary directory, so the circuit_path a
+report echoes is the same on both sides. Each side runs every vector
+in-process through `cli.main`, in one child interpreter.
+
+Every invocation whose exit code, stdout or stderr differs is printed
+with both sides' output; the exit status is 1 if any differ, else 0.
+Standard library only.
+"""
+
+import argparse
+import json
+import math
+import os
+import random
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from record import copy_worktree, export  # bench/ is the script's directory, so on sys.path
+
+SEED = 15
+
+# Run in each side's checkout: the argument vectors come in on stdin, and
+# [exit code, stdout, stderr] per vector goes out as one JSON list.
+CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, "src")
+from twobeam import cli
+outcomes = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # a crash is an outcome to compare
+            code = f"raised {type(exc).__name__}: {exc}"
+    outcomes.append([code, out.getvalue(), err.getvalue()])
+json.dump(outcomes, sys.stdout)
+"""
+
+GAPS = ("", " ", "\n", " # note\n", "\n# two\n# lines\n", "\t", "\r\n")
+BAD_STAGES = (
+    "decohere(lambda=-0.5)", "rotate(theta=1", "twist(theta=1)", "atten(eta1=1, eta1=2)",
+    "split(ratio=1.5)", "rotate(theta=1e400)", "phase(phi=0.1 rad)", "squeeze(eta=1 deg)",
+    "atten(eta2=0.3)", "split(ratio=0.5, theta=1)", "rotate(theta=0.5,)", "phase(phi=٣)",
+)
+
+
+def number(rng, x):
+    return rng.choice((repr(x), f"{x:.3e}", f"{x:+.6f}", f"{x:.2f}"))
+
+
+def stage(rng):
+    """One valid stage: every kind, deg angles, split's ratio, atten in either order."""
+    kind = rng.choice(("rotate", "split", "phase", "atten", "squeeze", "decohere"))
+    if kind == "split" and rng.random() < 0.4:
+        return f"split(ratio={number(rng, rng.random())})"
+    if kind in ("rotate", "split", "phase"):
+        key = "phi" if kind == "phase" else "theta"
+        if rng.random() < 0.3:
+            return f"{kind}({key}={number(rng, rng.uniform(-180.0, 180.0))}{rng.choice(GAPS)}deg)"
+        return f"{kind}({key}={number(rng, rng.uniform(-4.0, 4.0))})"
+    if kind == "atten":
+        args = [f"eta{i}{rng.choice(GAPS)}={number(rng, rng.uniform(0.0, 2.0))}" for i in (1, 2)]
+        if rng.random() < 0.5:
+            args.reverse()
+        return f"atten({', '.join(args)})"
+    if kind == "squeeze":
+        return f"squeeze(eta={number(rng, rng.uniform(-2.0, 2.0))})"
+    return f"decohere(lambda={number(rng, rng.uniform(0.0, 3.0))})"
+
+
+def circuit_text(rng, kind):
+    stages = [stage(rng) for _ in range(rng.randint(1, 8))]
+    if kind == "overflow":
+        extreme = rng.choice(("squeeze(eta=300)", "squeeze(eta=-300)", "atten(eta1=400, eta2=400)"))
+        stages.insert(rng.randrange(len(stages) + 1), "; ".join([extreme] * rng.randint(2, 5)))
+    elif kind == "bad":
+        stages.insert(rng.randrange(len(stages) + 1), rng.choice(BAD_STAGES))
+    text = rng.choice(GAPS) + ";".join(rng.choice(GAPS) + s + rng.choice(GAPS) for s in stages)
+    if kind == "mutated":
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice(";(),=#x-.e") + text[i + rng.randrange(2):]
+    return text + rng.choice(("", ";", "# trailing comment"))
+
+
+def direction(rng):
+    v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+    n = math.sqrt(sum(x * x for x in v)) or 1.0
+    return [x / n for x in v]
+
+
+def stokes(rng):
+    """s0 from 1e-100 to 1e100, degree of polarization mostly within [0, 1]."""
+    s0 = 10.0 ** rng.randint(-100, 100) * rng.uniform(0.5, 2.0)
+    p = rng.choice((0.0, 1.0, 1.0 + 1e-12, 1.5, rng.random(), rng.random()))
+    return [s0] + [s0 * p * x for x in direction(rng)]
+
+
+def reals(values):
+    return ",".join(repr(x) for x in values)
+
+
+def input_spec(rng):
+    if rng.random() < 0.5:
+        scale = 10.0 ** (rng.randint(-100, 100) / 2)
+        return "jones:" + reals(scale * rng.gauss(0.0, 1.0) for _ in range(4))
+    return "stokes:" + reals(stokes(rng))
+
+
+def det1(rng):
+    """Row-major entries of r(t) d(s) [[1, h], [0, 1]], of unit determinant."""
+    t, s, h = rng.uniform(-math.pi, math.pi), rng.uniform(-10.0, 10.0), rng.uniform(-3.0, 3.0)
+    c, sn, e = math.cos(t), math.sin(t), math.exp(s)
+    return [c * e, c * e * h - sn / e, sn * e, sn * e * h + c / e]
+
+
+# Unit-determinant matrices whose factors reach the float range, singular
+# or overflowing determinants, and malformed lists.
+EDGE_MATRICES = (
+    "1e-300,1e300,0,1e300", "1e-300,1e308,0,1e300", "1.5e308,0,1.5e308,6.666666666666667e-309",
+    "1e300,1e300,1e300,1e300", "2,0,0,1", "1,0,0", "1,0,0,1", "0,-1,1,0", "-1,0,0,-1",
+)
+LIFT_SPECS = (
+    "rotate(theta=0.3)", "phase(phi=-1.2)", "squeeze(eta=0.6)", "squeeze eta=0.6", "rotate theta=2",
+    "split(ratio=0.25)", "split(theta=30 deg)", "atten(eta1=0.2, eta2=0.5)",
+    "atten(eta2=0.5, eta1=0.2)", "decohere(lambda=1)", "squeeze(eta=800)", "twist(theta=1)",
+    "rotate(theta=1); phase(phi=2)", "phase",
+)
+
+
+def vectors(rng, circuit_dir):
+    """The argument vectors; writes their circuit files under circuit_dir."""
+    paths = []
+    for i, kind in enumerate(["valid"] * 150 + ["overflow"] * 30 + ["bad"] * 30 + ["mutated"] * 30):
+        path = circuit_dir / f"c{i:03d}.circ"
+        path.write_text(circuit_text(rng, kind), encoding="utf-8")
+        paths.append(str(path))
+    paths.append(str(circuit_dir / "missing.circ"))
+
+    def fmt():
+        return ["--format", rng.choice(("json", "text"))]
+
+    def tol():  # the default two times in three
+        return rng.choice(([], [], ["--tol", rng.choice(("1e-3", "1e-12", "1e-15", "0.05"))]))
+
+    out = []
+    for i in range(360):
+        out.append(["simulate", paths[i % len(paths)], "--in", input_spec(rng), *fmt(), *tol()])
+    for _ in range(100):
+        out.append(["classify", reals(stokes(rng)), *fmt(), *tol()])
+    out += [["classify", "1,2,3", *fmt()], ["classify", "1,0,0,0", "--tol", "-1"]]
+    for spec in LIFT_SPECS * 4:
+        out.append(["lift", spec, *fmt()])
+    for _ in range(60):
+        if rng.random() < 0.5:
+            args = ["--alpha", repr(rng.choice((0.0, 1.0, rng.random()))), "--u", repr(rng.uniform(-3, 3))]
+        else:
+            args = ["--theta", repr(rng.uniform(-4, 4)), "--eta", repr(rng.choice((rng.uniform(-3, 3), 800.0)))]
+        out.append(["littlegroup", *rng.choice((args, args, args[:2], args + ["--u", "1"])), *fmt()])
+    for kind in ("iwasawa", "wigner"):
+        for _ in range(45):
+            # one word: argparse would take "-0.5,..." after a space for an option
+            out.append(["decompose", kind, f"--matrix={reals(det1(rng))}", *fmt()])
+        for matrix in EDGE_MATRICES:
+            out.append(["decompose", kind, f"--matrix={matrix}", *fmt()])
+    return out
+
+
+def run_side(checkout, argvs):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD], cwd=checkout, input=json.dumps(argvs),
+        capture_output=True, text=True, env=env,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"the child in {checkout} failed:\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--change", default=None, help="git revision (default: this working tree)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        parent = export(args.parent, tmp / "parent")
+        change = export(args.change, tmp / "change") if args.change else copy_worktree(tmp / "change")
+        (tmp / "circuits").mkdir()
+        argvs = vectors(random.Random(SEED), tmp / "circuits")
+        outcomes = zip(run_side(parent, argvs), run_side(change, argvs))
+        differ = 0
+        for argv_, (old, new) in zip(argvs, outcomes):
+            if old != new:
+                differ += 1
+                print(f"$ twobeam {shlex.join(argv_)}")
+                for field, a, b in zip(("exit", "stdout", "stderr"), old, new):
+                    if a != b:
+                        print(f"  {field} parent: {a!r}\n  {field} change: {b!r}")
+    print(f"{differ} of {len(argvs)} invocations differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,10 +24,10 @@ crash the parser. The format is versioned as "circuit-v1".
 
 A stage scanner matches well-formed text one stage at a time. It looks
 each stage up by its signature, the name and argument names, in a table
-built from STAGES; a stage in canonical form is checked in place and
-any other goes through the general argument validator. Text the
-scanner does not accept falls back to a token parser, which locates
-the error.
+built from STAGES, and checks a stage it finds there in place. Any
+other text, valid or not, goes whole to a token parser, the one general
+path: it gives the same AST for valid text and locates the error in
+rejected text.
 """
 
 import functools
@@ -275,12 +275,11 @@ _SIGNATURES = _signatures()
 def _scan(text):
     """The AST of text the scanner accepts, else None.
 
-    A stage whose argument names are a signature in _SIGNATURES (its
-    kind's parameters in canonical order, or an alias) is checked in
-    place; any other stage goes through _validate_stage. Locations come
-    from newline counts. Arguments carry no location, so a stage that
-    fails its checks returns None and the token parser reports the
-    located error.
+    Every stage's argument names must be a signature in _SIGNATURES (its
+    kind's parameters in canonical order, or an alias), and the stage is
+    checked in place. Locations come from newline counts. Arguments
+    carry no location, so a stage with another signature, or one that
+    fails its checks, returns None and the token parser handles the text.
     """
     stages = []
     pos = mark = 0
@@ -298,38 +297,24 @@ def _scan(text):
         mark = start
         col = start - line_start
         checks = _SIGNATURES.get((name, n1, n2))
-        if checks is not None:
-            params = []
-            number, deg = v1, d1
-            for key, angle, nonnegative, convert in checks:
-                value = float(number)
-                if not math.isfinite(value) or deg and not angle:
-                    return None
-                if convert:
-                    try:
-                        value = convert(value)
-                    except PhysicsError:
-                        return None
-                if nonnegative and value < 0.0:
-                    return None
-                params.append((key, math.radians(value) if deg else value))
-                number, deg = v2, d2  # the next check is the second argument's
-            params = tuple(params)
-        elif name not in STAGES:
+        if checks is None:
             return None
-        else:
-            args = []
-            for key, number, deg in ((n1, v1, d1), (n2, v2, d2)):
-                if key is not None:
-                    value = float(number)
-                    if not math.isfinite(value):
-                        return None
-                    args.append(_Arg(key, value, 0, 0, deg is not None))
-            try:
-                params = _validate_stage(name, args, line, col)
-            except CircuitError:
+        params = []
+        number, deg = v1, d1
+        for key, angle, nonnegative, convert in checks:
+            value = float(number)
+            if not math.isfinite(value) or deg and not angle:
                 return None
-        stages.append(Stage(name, params, line, col))
+            if convert:
+                try:
+                    value = convert(value)
+                except PhysicsError:
+                    return None
+            if nonnegative and value < 0.0:
+                return None
+            params.append((key, math.radians(value) if deg else value))
+            number, deg = v2, d2  # the next check is the second argument's
+        stages.append(Stage(name, tuple(params), line, col))
         pos = m.end()
         if not sep or _END_RE.match(text, pos):
             return CircuitAst(tuple(stages))
@@ -398,11 +383,11 @@ def _parse_tokens(text):
 def parse(text) -> CircuitAst:
     """Parse circuit text; raise a located CircuitError on rejection.
 
-    Well-formed text is matched stage by stage with one regular
-    expression. A stage whose arguments are its parameters in canonical
-    order (or split's ratio) is checked from the signature table; other
-    orders go through the general validator. The token parser handles
-    the rest and locates the error.
+    Well-formed text whose stages all name their arguments in canonical
+    order (or split's ratio) is matched stage by stage with one regular
+    expression and checked from the signature table. Any other text is
+    parsed whole by the token parser, with the same result, and a
+    rejection is located there.
     """
     if not isinstance(text, str):
         raise TypeError("circuit text must be str")

@@ -133,7 +133,8 @@ class IwasawaFactors(NamedTuple):
     def entries(self):
         """Row-major entries of the recomposed matrix."""
         shear = (1.0, self.shear, 0.0, 1.0)
-        return _mul2(_mul2(_rotation2(self.angle), _squeeze2(self.exponent)), shear)
+        entries = _mul2(_mul2(_rotation2(self.angle), _squeeze2(self.exponent)), shear)
+        return tuple(_in_range(x, "Iwasawa product e^exponent * shear") for x in entries)
 
 
 def iwasawa_decompose(m) -> IwasawaFactors:
@@ -144,10 +145,10 @@ def iwasawa_decompose(m) -> IwasawaFactors:
     to rounding level (1e-12 scale).
     """
     m00, m01, m10, m11 = _check_unimodular2(m)
-    r11 = math.hypot(m00, m10)
+    r11 = _in_range(math.hypot(m00, m10), "Iwasawa factor e^exponent")
     k = math.atan2(m10, m00)
     top = math.cos(k) * m01 + math.sin(k) * m11
-    return IwasawaFactors(k, math.log(r11), top / r11)
+    return IwasawaFactors(k, math.log(r11), _in_range(top / r11, "Iwasawa shear"))
 
 
 def iwasawa_recompose(f: IwasawaFactors):
@@ -192,9 +193,10 @@ def wigner_decompose(m) -> WignerFactors:
     dif_c, dif_s = m00 - m11, m10 + m01
     total = math.hypot(sum_c, sum_s)
     excess = math.hypot(dif_c, dif_s)
+    # e^s = (total + excess) / 2, halved term by term so that it overflows only where e^s does
+    sigma = _in_range(math.log(0.5 * total + 0.5 * excess), "squeeze exponent")
     if excess <= 1e-14 * total:
         return WignerFactors(math.atan2(sum_s, sum_c), 0.0, 0.0)
-    sigma = math.log(0.5 * (total + excess))
     plus = math.atan2(sum_s, sum_c)
     minus = math.atan2(dif_s, dif_c)
     psi = 0.5 * (plus + minus)

@@ -72,6 +72,8 @@ def test_golden_round_trip():
         ast = parse(text)
         canonical = unparse(ast)
         assert parse(canonical) == ast, text
+        # canonical text takes the stage scanner's path
+        assert circuit._scan(canonical) == ast, text
         # unparse of a parse of canonical text is a fixed point
         assert unparse(parse(canonical)) == canonical
 
@@ -289,6 +291,13 @@ def test_evaluate_stage_failure_located():
         evaluate(ast, JonesVector(1, 0))
     assert err.value.line == 1 and err.value.col == 20
     assert "squeeze" in err.value.message
+    # a hand-built AST skips the parser's check of the stage name
+    ast = CircuitAst((Stage("mirror", (("theta", 0.1),), 3, 7),))
+    with pytest.raises(CircuitSemanticError) as err:
+        evaluate(ast, JonesVector(1, 0))
+    assert str(err.value) == (
+        "3:7: stage mirror: unknown element 'mirror' (one of rotate, split, phase, atten, squeeze, decohere)"
+    )
 
 
 def test_hand_built_ast_checks_lambda_at_evaluation():

@@ -333,6 +333,22 @@ def test_decompose_overflowing_determinant_is_plain(capsys):
         assert "determinant is beyond the float range" in err
 
 
+def test_decompose_factor_beyond_the_float_range_is_plain(capsys):
+    tall = "1.5e308,0,1.5e308,6.666666666666667e-309"
+    for kind, matrix, what in (
+        ("iwasawa", "1e-300,1e300,0,1e300", "Iwasawa shear"),
+        ("iwasawa", tall, "Iwasawa factor e^exponent"),
+        ("wigner", tall, "squeeze exponent"),
+    ):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "decompose", kind, "--matrix", matrix, "--format", fmt)
+            assert_plain_error(code, out, err, 3)
+            assert f"{what} is beyond the float range" in err
+    r, _ = run_json(capsys, "decompose", "wigner", "--matrix", "1e-300,1e308,0,1e300")
+    assert abs(r["results"]["squeeze_exponent"] - math.log(1e308)) < 1e-12
+    assert r["results"]["residual"] < 1.5e-14 * 1e308
+
+
 def test_decompose_bad_matrix(capsys):
     code, _, err = run(capsys, "decompose", "iwasawa", "--matrix", "1,0,0")
     assert code == 2

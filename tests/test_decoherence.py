@@ -269,6 +269,32 @@ def test_decompose_rejects_an_overflowing_determinant(decompose):
             decompose(m)
 
 
+# Unit determinant, but a factor beyond the float range: the shear is 1e600,
+# and the first column's length e^exponent = e^sigma = 2.1e308.
+SHEARED = [[1e-300, 1e300], [0.0, 1e300]]
+TALL = [[1.5e308, 0.0], [1.5e308, 1.0 / 1.5e308]]
+
+
+def test_decompose_rejects_a_factor_beyond_the_float_range():
+    for decompose, m, what in (
+        (iwasawa_decompose, SHEARED, "Iwasawa shear"),
+        (iwasawa_decompose, TALL, r"Iwasawa factor e\^exponent"),
+        (wigner_decompose, TALL, "squeeze exponent"),
+    ):
+        with pytest.raises(NonFiniteError, match=f"{what} is beyond the float range"):
+            decompose(m)
+    with pytest.raises(NonFiniteError, match=r"Iwasawa product e\^exponent \* shear is beyond"):
+        IwasawaFactors(0.0, 700.0, 1e300).entries
+
+
+def test_wigner_squeeze_near_the_float_limit():
+    # total + excess overflows, but e^sigma, their half, is 1e308
+    m = [[1e-300, 1e308], [0.0, 1e300]]
+    f = wigner_decompose(m)
+    assert abs(f.squeeze_exponent - math.log(1e308)) < 1e-12
+    assert np.abs(wigner_recompose(f) - m).max() < 1.5e-14 * 1e308
+
+
 def test_exponentials_that_overflow_raise_non_finite():
     for make in (
         lambda: decoherence4(800.0),

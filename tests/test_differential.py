@@ -303,7 +303,10 @@ def formatted_corpus():
 
 def test_scanner_agrees_with_token_parser_on_formatted_circuits():
     for text, mutations in formatted_corpus():
-        assert _scan(text) is not None, repr(text)
+        # The scanner takes the text exactly when no atten in it names eta2
+        # first; any other order is left whole to the token parser.
+        canonical = "eta2" not in re.findall(r"eta[12]", text)[0::2]
+        assert (_scan(text) is not None) == canonical, repr(text)
         want = outcome(token_parse, text)
         assert not isinstance(want[0], type), repr(text)
         assert outcome(parse, text) == want, repr(text)

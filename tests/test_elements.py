@@ -79,6 +79,11 @@ def test_general_and_compose():
     assert np.allclose(ab.matrix, b.matrix @ a.matrix, atol=1e-15)
     with pytest.raises(PhysicsError):
         compose()
+    # each factor is within tolerance of det 1, their product is not
+    with pytest.raises(PhysicsError, match="product must be unimodular"):
+        compose(*[Element2(1 + 9e-13, 0, 0, 1)] * 10)
+    with pytest.raises(NonFiniteError, match="compose overflowed"):
+        compose(*[squeezer(700.0)] * 3)
 
 
 def test_closed_forms_match_lift():
@@ -160,6 +165,8 @@ def test_finite_parameter_required():
     for ctor in (rotator, phase_shifter, squeezer, rotator4, phase4, squeeze4):
         with pytest.raises(PhysicsError):
             ctor(math.inf)
+    with pytest.raises(PhysicsError, match="attenuation exponents must be finite"):
+        attenuator(math.inf, 0)
 
 
 def test_squeeze4_overflow_is_plain():
