@@ -10,10 +10,14 @@ working tree. A fixed seeded list of `twobeam` argument vectors covers
 all five subcommands in both formats, with and without --tol, Jones and
 Stokes inputs at intensities from 1e-100 to 1e100, and circuit files
 with comments, `deg`, atten's arguments in either order, decohere,
-chains that overflow or underflow, and invalid text. Each circuit file
-is written once into one temporary directory, so the circuit_path a
-report echoes is the same on both sides. Each side runs every vector
-in-process through `cli.main`, in one child interpreter.
+chains that overflow or underflow, and invalid text. After those come
+the two-word `--matrix` spelling with a negative first entry,
+conjugated rotations with |eta| up to 300 (4x4 products whose entries
+reach cosh(300)^2), and `decompose wigner` of sigma = 20
+recompositions. Each circuit file is written once into one temporary
+directory, so the circuit_path a report echoes is the same on both
+sides. Each side runs every vector in-process through `cli.main`, in
+one child interpreter.
 
 Every invocation whose exit code, stdout or stderr differs is printed
 with both sides' output; the exit status is 1 if any differ, else 0.
@@ -130,6 +134,14 @@ def det1(rng):
     return [c * e, c * e * h - sn / e, sn * e, sn * e * h + c / e]
 
 
+def wigner(a, sigma, b):
+    """Row-major entries of r(a) diag(e^sigma, e^-sigma) r(b), with r(t) the rotation
+    [[cos t, -sin t], [sin t, cos t]]: a Wigner recomposition."""
+    ca, sa, cb, sb, e = math.cos(a), math.sin(a), math.cos(b), math.sin(b), math.exp(sigma)
+    return [ca * e * cb - sa / e * sb, -ca * e * sb - sa / e * cb,
+            sa * e * cb + ca / e * sb, ca / e * cb - sa * e * sb]
+
+
 # Unit-determinant matrices whose factors reach the float range, singular
 # or overflowing determinants, and malformed lists.
 EDGE_MATRICES = (
@@ -175,10 +187,22 @@ def vectors(rng, circuit_dir):
         out.append(["littlegroup", *rng.choice((args, args, args[:2], args + ["--u", "1"])), *fmt()])
     for kind in ("iwasawa", "wigner"):
         for _ in range(45):
-            # one word: argparse would take "-0.5,..." after a space for an option
+            # one word, which every revision parses; two-word vectors come last
             out.append(["decompose", kind, f"--matrix={reals(det1(rng))}", *fmt()])
         for matrix in EDGE_MATRICES:
             out.append(["decompose", kind, f"--matrix={matrix}", *fmt()])
+    for kind in ("iwasawa", "wigner"):
+        for _ in range(10):
+            m = det1(rng)  # -m has det 1 too
+            m = m if m[0] < 0.0 else [-x for x in m]
+            out.append(["decompose", kind, "--matrix", reals(m), *fmt()])
+        out.append(["decompose", kind, "--matrix", "-1,0,0,-1", *fmt()])
+    for _ in range(20):
+        eta = rng.choice((rng.uniform(-300.0, 300.0), rng.uniform(-30.0, 30.0), 300.0, -300.0))
+        out.append(["littlegroup", "--theta", repr(rng.uniform(-4.0, 4.0)), "--eta", repr(eta), *fmt()])
+    for _ in range(10):
+        m = wigner(rng.uniform(-math.pi, math.pi), 20.0, rng.uniform(-math.pi, math.pi))
+        out.append(["decompose", "wigner", f"--matrix={reals(m)}", *fmt()])
     return out
 
 

@@ -16,6 +16,7 @@ significant digits. The envelope is versioned "report-v1".
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import circuit, decoherence, elements, littlegroup
@@ -405,6 +406,9 @@ def _build_parser():
     p = sub.add_parser("decompose", parents=[common], help="factor a det-1 real 2x2 matrix")
     p.add_argument("kind", choices=("iwasawa", "wigner"))
     p.add_argument("--matrix", required=True, help="four reals, row-major: m00,m01,m10,m11")
+    # argparse's negative-number pattern, a private attribute, matches one number only
+    # and would take "-1,0,0,-1" for an option; here any "-digit" word is a value.
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.set_defaults(func=_cmd_decompose)
 
     return parser

@@ -40,9 +40,10 @@ def decoherence4(lam) -> Transform4:
     """diag(e^l, e^l, e^-l, e^-l) on Stokes vectors.
 
     Amplifies (s0, s1) as it suppresses (s2, s3), so it lies outside
-    the Lorentz group for every l != 0 (the transform is flagged
-    accordingly). It commutes with phase4. The physical, intensity
-    preserving channel is its e^-l multiple; see decohere_channel.
+    the Lorentz group for every l != 0; its lorentz reads False once
+    the metric defect, about 2|l|, exceeds LORENTZ_TOL. It commutes
+    with phase4. The physical, intensity preserving channel is its
+    e^-l multiple; see decohere_channel.
     """
     lam = _finite(lam, "lambda")
     try:
@@ -52,9 +53,7 @@ def decoherence4(lam) -> Transform4:
             raise OverflowError
     except (OverflowError, ZeroDivisionError):
         raise NonFiniteError(f"decoherence4 overflowed: e^{abs(lam):g} is too large") from None
-    return Transform4(
-        (e, 0.0, 0.0, 0.0, 0.0, e, 0.0, 0.0, 0.0, 0.0, r, 0.0, 0.0, 0.0, 0.0, r), lorentz=lam == 0.0
-    )
+    return Transform4((e, 0.0, 0.0, 0.0, 0.0, e, 0.0, 0.0, 0.0, 0.0, r, 0.0, 0.0, 0.0, 0.0, r))
 
 
 def decohere_channel(state, lam):

@@ -111,9 +111,7 @@ def rotator4(theta) -> Transform4:
     """
     theta = _finite(theta, "theta")
     c, s = math.cos(theta), math.sin(theta)
-    return Transform4(
-        (1.0, 0.0, 0.0, 0.0, 0.0, c, -s, 0.0, 0.0, s, c, 0.0, 0.0, 0.0, 0.0, 1.0), lorentz=True
-    )
+    return Transform4((1.0, 0.0, 0.0, 0.0, 0.0, c, -s, 0.0, 0.0, s, c, 0.0, 0.0, 0.0, 0.0, 1.0))
 
 
 def phase4(phi) -> Transform4:
@@ -128,9 +126,7 @@ def phase4(phi) -> Transform4:
     """
     phi = _finite(phi, "phi")
     c, s = math.cos(phi), math.sin(phi)
-    return Transform4(
-        (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, c, s, 0.0, 0.0, -s, c), lorentz=True
-    )
+    return Transform4((1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, c, s, 0.0, 0.0, -s, c))
 
 
 def squeeze4(eta) -> Transform4:
@@ -140,9 +136,7 @@ def squeeze4(eta) -> Transform4:
         ch, sh = math.cosh(eta), math.sinh(eta)
     except OverflowError:
         raise NonFiniteError(f"squeeze4 overflowed: cosh({eta:g}) is too large") from None
-    return Transform4(
-        (ch, sh, 0.0, 0.0, sh, ch, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0), lorentz=True
-    )
+    return Transform4((ch, sh, 0.0, 0.0, sh, ch, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0))
 
 
 def split_angle(ratio) -> float:

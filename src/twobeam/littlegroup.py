@@ -17,7 +17,7 @@ matrices are not metric-preserving away from the endpoints.
 import math
 
 from .states import CLASSIFY_TOL, PhysicsError, StokesVector, Transform4, metric_defect, minkowski_norm
-from .states import _Record, _finite, _is_lorentz, _scaled
+from .states import _Record, _finite, _scaled
 from .elements import phase4, rotator4, squeeze4
 
 __all__ = [
@@ -109,15 +109,12 @@ def standardize(s: StokesVector, tol=CLASSIFY_TOL):
     ca, sa = math.cos(a), math.sin(a)
     ch, sh = math.cosh(boost), math.sinh(boost)
     u, v = -sa * c, -sa * sn
-    t = Transform4(
-        (
-            ch, sh * ca, sh * u, sh * v,
-            sh, ch * ca, ch * u, ch * v,
-            0.0, sa, ca * c, ca * sn,
-            0.0, 0.0, -sn, c,
-        ),
-        lorentz=True,
-    )
+    t = Transform4((
+        ch, sh * ca, sh * u, sh * v,
+        sh, ch * ca, ch * u, ch * v,
+        0.0, sa, ca * c, ca * sn,
+        0.0, 0.0, -sn, c,
+    ))
     return t, t.apply(s)
 
 
@@ -125,9 +122,7 @@ def f1(u) -> Transform4:
     """Shear transform fixing (1,1,0,0); one-parameter group in u."""
     u = _finite(u, "u")
     h = 0.5 * u * u
-    return Transform4(
-        (1.0 + h, -h, u, 0.0, h, 1.0 - h, u, 0.0, u, -u, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0), lorentz=True
-    )
+    return Transform4((1.0 + h, -h, u, 0.0, h, 1.0 - h, u, 0.0, u, -u, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0))
 
 
 def f2(v) -> Transform4:
@@ -138,9 +133,7 @@ def f2(v) -> Transform4:
     """
     v = _finite(v, "v")
     h = 0.5 * v * v
-    return Transform4(
-        (1.0 + h, -h, 0.0, v, h, 1.0 - h, 0.0, v, 0.0, 0.0, 1.0, 0.0, v, -v, 0.0, 1.0), lorentz=True
-    )
+    return Transform4((1.0 + h, -h, 0.0, v, h, 1.0 - h, 0.0, v, 0.0, 0.0, 1.0, 0.0, v, -v, 0.0, 1.0))
 
 
 def f_product(u, v) -> Transform4:
@@ -240,12 +233,11 @@ def closed_form_family(p: InterpolationParams) -> Transform4:
 
     At alpha = 0 with u = -2 tan(theta/2) and the derived w it equals
     rotator4(theta); at alpha = 1 it equals f1(u) exactly. At
-    intermediate alpha it is not metric-preserving, so the returned
-    transform carries a measured lorentz flag; use
-    family_metric_defect for the size of the deviation.
+    intermediate alpha it is not metric-preserving, which the returned
+    transform's lorentz reads; family_metric_defect gives the size of
+    the deviation.
     """
-    m = _family_matrix(p)
-    return Transform4(m, lorentz=_is_lorentz(m))
+    return Transform4(_family_matrix(p))
 
 
 def family_metric_defect(p: InterpolationParams) -> float:

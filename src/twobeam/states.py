@@ -217,7 +217,8 @@ class Element2(_Record):
         if a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 != 0.0:
             raise NonFiniteError("element entries must be finite")
         drift = abs(a * d - b * c - 1.0)
-        if drift > UNIMODULAR_TOL:
+        if not drift <= UNIMODULAR_TOL:  # NaN, from a det that overflows, fails this too
+            drift = _in_range(drift, "element determinant")
             raise PhysicsError(f"element must be unimodular: |det - 1| = {drift:.3e}")
 
     @classmethod
@@ -289,11 +290,11 @@ class CoherencyMatrix(_Record):
 
     @classmethod
     def from_matrix(cls, m):
-        """Build from a 2x2 array, checking Hermiticity to rounding level."""
+        """Build from a 2x2 array, Hermitian to 1e-12 of its largest entry."""
         a, b, c, d = _entries2(m, "coherency matrix must be 2x2")
         if a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 != 0.0:
             raise PhysicsError("coherency entries must be finite")
-        scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
+        scale = max(abs(a), abs(b), abs(c), abs(d))
         herm = max(abs(b - c.conjugate()), abs(a.imag), abs(d.imag))
         if herm > 1e-12 * scale:
             raise PhysicsError(f"matrix is not Hermitian: residual {herm:.3e}")
@@ -352,24 +353,26 @@ class Transform4(_Record):
 
     ``entries`` may be given as 16 numbers or as 4 rows of 4 (nested
     lists or an ndarray); ``m`` returns the matrix as a read-only
-    ndarray. When flagged ``lorentz`` the matrix must preserve the
-    Minkowski form; the check scales with max|m|^2 so that large
-    boosts, whose cosh^2 - sinh^2 cancellation carries rounding
-    proportional to the squared magnitude, validate at the same
-    relative level as unit-scale matrices (1e-10 absolute there).
+    ndarray. The constructor checks only shape and finiteness.
     """
 
     entries: tuple
-    lorentz: bool = False
     __eq__, __hash__ = object.__eq__, object.__hash__  # identity, not entries
 
     def __post_init__(self):
         e = _flat16(self.entries)
         if not all(map(math.isfinite, e)):
             raise PhysicsError("transform entries must be finite")
-        if self.lorentz and not _is_lorentz(e):
-            raise PhysicsError("matrix flagged lorentz does not preserve the metric")
         vars(self)["entries"] = e
+
+    @property
+    def lorentz(self):
+        """Whether the matrix preserves the Minkowski form, read from the
+        entries on each access. The check scales with max|m|^2, so large
+        boosts, whose cosh^2 - sinh^2 cancellation carries rounding
+        proportional to the squared magnitude, pass at the same relative
+        level as unit-scale matrices (LORENTZ_TOL absolute there)."""
+        return _is_lorentz(self.entries)
 
     @property
     def m(self):
@@ -395,7 +398,7 @@ class Transform4(_Record):
             for i in (0, 4, 8, 12)
             for j in (0, 1, 2, 3)
         )
-        return Transform4(product, lorentz=self.lorentz and other.lorentz)
+        return Transform4(product)
 
 
 def _flat16(m):
@@ -574,7 +577,7 @@ def lift(g) -> Transform4:
     )
     if not all(map(math.isfinite, m)):
         raise NonFiniteError("lift overflowed: element entries too large to square")
-    return Transform4(m, lorentz=True)
+    return Transform4(m)
 
 
 class PurityReport(NamedTuple):

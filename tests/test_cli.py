@@ -170,6 +170,12 @@ def test_lift_overflow_is_plain(capsys):
             assert_plain_error(code, out, err, 2)
 
 
+def test_classify_bad_number(capsys):
+    code, out, err = run(capsys, "classify", "1,x,0,0")
+    assert_plain_error(code, out, err, 2)
+    assert err == "error: bad number in stokes '1,x,0,0'\n"
+
+
 def test_classify_overflow_is_plain(capsys):
     code, out, err = run(capsys, "classify", "1e160,1e160,0,0")
     assert_plain_error(code, out, err, 3)
@@ -304,6 +310,8 @@ def test_littlegroup_argument_rules(capsys):
     assert code == 2
     code, _, err = run(capsys, "littlegroup", "--alpha", "2", "--u", "1")
     assert code == 3  # out of domain
+    code, _, err = run(capsys, "littlegroup")
+    assert (code, err) == (2, "error: give --alpha and --u, or --theta and --eta\n")
 
 
 def test_decompose_iwasawa(capsys):
@@ -352,6 +360,20 @@ def test_decompose_factor_beyond_the_float_range_is_plain(capsys):
 def test_decompose_bad_matrix(capsys):
     code, _, err = run(capsys, "decompose", "iwasawa", "--matrix", "1,0,0")
     assert code == 2
+    code, out, err = run(capsys, "decompose", "wigner", "--matrix=inf,0,0,1")
+    assert_plain_error(code, out, err, 3)
+    assert err == "error: matrix entries must be finite\n"
+
+
+def test_decompose_matrix_with_a_negative_first_entry(capsys):
+    for kind in ("iwasawa", "wigner"):
+        for matrix in ("-1,0,0,-1", "-.5,0,0,-2", "-2,1e-3,0,-0.5"):
+            two_words = run(capsys, "decompose", kind, "--matrix", matrix, "--format", "json")
+            assert two_words[0] == 0, two_words
+            assert two_words == run(capsys, "decompose", kind, f"--matrix={matrix}", "--format", "json")
+    # a bare --matrix is still a usage error, as is an option where its value should be
+    assert run(capsys, "decompose", "iwasawa", "--matrix")[0] == 2
+    assert run(capsys, "decompose", "iwasawa", "--matrix", "--format", "json")[0] == 2
 
 
 def write_circuit(tmp_path, text):
@@ -389,6 +411,9 @@ def test_simulate_jones_track_reported(tmp_path, capsys):
     assert abs(j[0] - 1 / math.sqrt(2)) < 1e-12
     assert abs(j[2] - 1 / math.sqrt(2)) < 1e-12
     assert doc["results"]["final_stokes"][2] == pytest.approx(1.0, abs=1e-12)
+    code, out, err = run(capsys, "simulate", path, "--in", "jones:1,0,0,0", "--format", "text")
+    assert (code, err) == (0, "")
+    assert "\nfinal jones: 0.70710678118654757, 0, 0.70710678118654746, 0\n" in out
 
 
 def test_simulate_stokes_input(tmp_path, capsys):
@@ -483,6 +508,10 @@ def test_simulate_exit_codes(tmp_path, capsys):
 
     code, _, err = run(capsys, "simulate", good, "--in", "fourier:1,0,0,0")
     assert code == 2
+
+    code, _, err = run(capsys, "simulate", good, "--in", "1,0,0,0")
+    assert code == 2
+    assert err == "error: input spec must be 'jones:re1,im1,re2,im2' or 'stokes:s0,s1,s2,s3'\n"
 
     bad = write_circuit(tmp_path, "decohere(lambda=-2)")
     code, _, err = run(capsys, "simulate", bad, "--in", "jones:1,0,0,0")

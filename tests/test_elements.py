@@ -84,6 +84,14 @@ def test_general_and_compose():
         compose(*[Element2(1 + 9e-13, 0, 0, 1)] * 10)
     with pytest.raises(NonFiniteError, match="compose overflowed"):
         compose(*[squeezer(700.0)] * 3)
+    # singular matrices whose determinant overflows to NaN
+    for build in (
+        lambda: Element2(1e160, 1e160, 1e160, 1e160),
+        lambda: Element2.from_matrix([[1e300, 1e300], [1e300, 1e300]]),
+        lambda: compose([[1e200, 1e200], [1e200, 1e200]]),
+    ):
+        with pytest.raises(NonFiniteError, match="element determinant is beyond the float range"):
+            build()
 
 
 def test_closed_forms_match_lift():

@@ -126,8 +126,10 @@ def test_transform4_compares_by_identity():
 def test_defaults_keywords_and_match_args():
     assert StokesVector.__match_args__ == ("s0", "s1", "s2", "s3")
     assert Stage.__match_args__ == ("name", "params", "line", "col")
-    assert Transform4(IDENTITY16).lorentz is False
-    assert Transform4(entries=IDENTITY16, lorentz=True).lorentz is True
+    assert Transform4.__match_args__ == ("entries",)
+    assert Transform4(entries=IDENTITY16).lorentz is True
+    with pytest.raises(TypeError):
+        Transform4(IDENTITY16, lorentz=True)
     assert Stage("rotate", (("theta", 1.0),)).line == 0
     assert InterpolationParams(alpha=1.0, u=0.5).w == 1.0
     with pytest.raises(TypeError):

@@ -181,10 +181,8 @@ def test_cli_prints_no_null_for_an_overflowed_value(capsys):
 
 
 def test_metric_check_of_a_huge_non_lorentz_matrix():
-    # its squares overflow; the check is made, not refused
-    with pytest.raises(PhysicsError, match="does not preserve the metric") as info:
-        Transform4([[1e200, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], lorentz=True)
-    assert not isinstance(info.value, NonFiniteError)
+    # its squares overflow; the check is made, not refused, and reading it raises nothing
+    assert Transform4([[1e200, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).lorentz is False
 
 
 def test_huge_intermediate_state_round_trips():

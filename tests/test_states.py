@@ -17,6 +17,7 @@ from twobeam import (
     coherency_from_stokes,
     compose,
     conjugate,
+    decoherence4,
     lift,
     metric_defect,
     minkowski_norm,
@@ -24,6 +25,7 @@ from twobeam import (
     purity_report,
     relative_norm,
     rotator,
+    rotator4,
     squeezer,
     stokes_from_coherency,
 )
@@ -125,6 +127,9 @@ def test_coherency_validation():
         CoherencyMatrix(1.0, 1.0, 2.0)  # |s12|^2 > s11 s22
     with pytest.raises(PhysicsError):
         CoherencyMatrix.from_matrix([[1.0, 1.0], [0.0, 1.0]])  # not Hermitian
+    with pytest.raises(PhysicsError, match="not Hermitian"):
+        CoherencyMatrix.from_matrix([[1e-13, 1e-13], [0.0, 1e-13]])  # nor at any scale
+    assert CoherencyMatrix.from_matrix([[0.0, 0.0], [0.0, 0.0]]).trace == 0.0
     c = CoherencyMatrix.from_matrix([[0.5, 0.5j], [-0.5j, 0.5]])
     assert c.s12 == 0.5j
 
@@ -223,10 +228,16 @@ def test_purity_and_light_cone_are_scale_free_where_squares_underflow():
 
 
 def test_transform4_lorentz_flag():
-    with pytest.raises(PhysicsError):
-        Transform4(np.diag([2.0, 1.0, 1.0, 1.0]), lorentz=True)
     t = Transform4(np.diag([2.0, 1.0, 1.0, 1.0]))
     assert not t.lorentz
+    # read from the entries, however the matrix was made
+    for t, expected in (
+        (Transform4(np.eye(4)), True),
+        (rotator4(0.3) @ Transform4(np.eye(4)), True),
+        (decoherence4(1e-300), True),  # e^lambda rounds to 1: exactly the identity
+        (decoherence4(0.3), False),
+    ):
+        assert t.lorentz is expected, t
     # boosts validate at their own scale: cosh^2 - sinh^2 carries
     # rounding ~ cosh^2 * eps, far above 1e-10 in absolute terms
     big = lift(squeezer(10.0))
