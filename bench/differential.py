@@ -14,7 +14,11 @@ chains that overflow or underflow, and invalid text. After those come
 the two-word `--matrix` spelling with a negative first entry,
 conjugated rotations with |eta| up to 300 (4x4 products whose entries
 reach cosh(300)^2), and `decompose wigner` of sigma = 20
-recompositions. Each circuit file is written once into one temporary
+recompositions. Last come `simulate` vectors for the per-stage gate of
+the evaluator: pure inputs against squeeze(eta=+-20...40), lambda up to
+50, an atten that underflows to zero and a squeeze that overflows
+mid-chain, from Jones and Stokes inputs at intensities 1e-300 and 1e300.
+Each circuit file is written once into one temporary
 directory, so the circuit_path a report echoes is the same on both
 sides. Each side runs every vector in-process through `cli.main`, in
 one child interpreter.
@@ -148,6 +152,17 @@ EDGE_MATRICES = (
     "1e-300,1e300,0,1e300", "1e-300,1e308,0,1e300", "1.5e308,0,1.5e308,6.666666666666667e-309",
     "1e300,1e300,1e300,1e300", "2,0,0,1", "1,0,0", "1,0,0,1", "0,-1,1,0", "-1,0,0,-1",
 )
+# Circuits for the per-stage gate: squeezes of |eta| 20 to 40 on pure
+# inputs, lambda up to 50, an atten that underflows a unit beam to zero
+# and a second squeeze(eta=400) that overflows it mid-chain.
+GATE_CIRCUITS = (
+    "squeeze(eta=20)", "squeeze(eta=-20)", "squeeze(eta=40)", "squeeze(eta=-40)",
+    "rotate(theta=0.7); squeeze(eta=30); phase(phi=-1.1); squeeze(eta=-35)",
+    "decohere(lambda=50)", "rotate(theta=0.4); decohere(lambda=20); squeeze(eta=3); decohere(lambda=35)",
+    "phase(phi=0.3); atten(eta1=400, eta2=400); rotate(theta=1)",
+    "split(ratio=0.3); squeeze(eta=400); phase(phi=0.7); squeeze(eta=400); rotate(theta=0.2)",
+    "atten(eta1=40, eta2=0.5); decohere(lambda=12.5); squeeze(eta=-25)",
+)
 LIFT_SPECS = (
     "rotate(theta=0.3)", "phase(phi=-1.2)", "squeeze(eta=0.6)", "squeeze eta=0.6", "rotate theta=2",
     "split(ratio=0.25)", "split(theta=30 deg)", "atten(eta1=0.2, eta2=0.5)",
@@ -203,6 +218,19 @@ def vectors(rng, circuit_dir):
     for _ in range(10):
         m = wigner(rng.uniform(-math.pi, math.pi), 20.0, rng.uniform(-math.pi, math.pi))
         out.append(["decompose", "wigner", f"--matrix={reals(m)}", *fmt()])
+    for i, text in enumerate(GATE_CIRCUITS):
+        path = circuit_dir / f"gate{i}.circ"
+        path.write_text(text, encoding="utf-8")
+        specs = ["stokes:1.0,-1.0,0.0,0.0", "stokes:" + reals([1.0, *direction(rng)])]
+        for s0 in (1e-300, 1e300):
+            p = rng.choice((0.0, 1.0, rng.random()))
+            specs.append("stokes:" + reals([s0] + [s0 * p * x for x in direction(rng)]))
+            # a pure beam: unit amplitudes scaled to intensity s0
+            amplitudes = direction(rng) + [rng.gauss(0.0, 1.0)]
+            n = math.sqrt(sum(x * x for x in amplitudes))
+            specs.append("jones:" + reals(math.sqrt(s0) * x / n for x in amplitudes))
+        for spec in specs:
+            out.append(["simulate", str(path), "--in", spec, *fmt()])
     return out
 
 

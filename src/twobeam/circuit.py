@@ -44,9 +44,12 @@ from .states import (
     StokesVector,
     CLASSIFY_TOL,
     _Record,
-    _coherency_outer,
+    _check_coherency,
+    _conjugated,
+    _outer,
+    coherency_from_jones,
     coherency_from_stokes,
-    conjugate,
+    conjugate,  # noqa: F401  evaluate runs its formula; the name stays importable from here
     purity_report,
     stokes_from_coherency,
 )
@@ -143,9 +146,9 @@ class Stage(_Record, compare=("name", "params")):
 
     Locations take no part in equality, so structurally identical
     circuits compare equal regardless of layout. evaluate keeps a
-    coherent stage's (k, G) in the instance __dict__, outside the
-    compared fields, so each element is built once per AST; a failure
-    is not kept.
+    coherent stage's (k, G), and decohere's e^-2 lambda, in the instance
+    __dict__, outside the compared fields, so each is computed once per
+    AST; a failure is not kept.
     """
 
     name: str
@@ -409,6 +412,7 @@ def unparse(ast: CircuitAst) -> str:
 class StageRecord(NamedTuple):
     """One stage of an evaluation: the coherency matrices before and after it.
 
+    evaluate builds a report's records when its stages are first read.
     stokes_before, stokes_after, purity_after and classification_after
     are computed when read, with the tol given to evaluate.
     """
@@ -442,6 +446,8 @@ class SimulationReport(_Record):
     final_jones is populated only when the input carried amplitudes
     and no decoherence stage ran; a mixed state has no amplitude
     representation, so the track is dropped at the first decohere.
+    A report evaluate returns holds the entries it carried; its stages
+    are built from them on the first read, and that tuple is kept.
     """
 
     circuit_format: str
@@ -454,69 +460,83 @@ class SimulationReport(_Record):
     final_purity: tuple
     final_classification: object
 
+    def __getattr__(self, name):  # only where normal lookup fails
+        trail = vars(self).get("_trail") if name == "stages" else None
+        if trail is None:
+            raise AttributeError(f"'SimulationReport' object has no attribute {name!r}")
+        stages, tol, first, entries, last = trail
+        matrices = [first, *(CoherencyMatrix(*e) for e in entries), last]
+        steps = zip(stages, matrices, matrices[1:])
+        records = tuple(StageRecord(st.name, st.params, c0, c1, tol) for st, c0, c1 in steps)
+        return vars(self).setdefault("stages", records)  # the first stored, if two threads race
+
 
 def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     """Push a state through the circuit, recording every stage.
 
-    The state is the coherency matrix; each stage builds one new matrix,
-    whose validation is the stage's gate. A coherent stage is its STAGES
-    action: an overall factor k (1 except for atten) times a unimodular
-    G. While the amplitude track is live (Jones input, no decohere yet)
-    it is the single source of truth: the two amplitudes are carried as
-    plain complex numbers, psi -> k conj(G) psi, and the coherency is
-    their outer product, so a pure state stays pure to rounding however
-    long the chain; a non-finite amplitude fails that matrix's gate. One
-    JonesVector is built from them at the end, for the report. Without
-    amplitudes the matrix is conjugated, C -> k^2 G C G+. decohere
-    scales s12 by e^-2 lambda and ends the amplitude track. Stokes
-    vectors are read from the matrices: the report's input and final
-    ones once, a StageRecord's on access. Stage failures re-raise as
-    located CircuitSemanticError, as is a final class that overflows;
+    The state is the coherency matrix, carried as its entries; each
+    stage's new entries pass the CoherencyMatrix checks, its gate. A
+    coherent stage is its STAGES action: an overall factor k (1 except
+    for atten) times a unimodular G. While the amplitude track is live
+    (Jones input, no decohere yet) it is the single source of truth: the
+    two amplitudes are carried as plain complex numbers, psi -> k conj(G)
+    psi, and the entries are their outer product, so a pure state stays
+    pure to rounding however long the chain. One JonesVector is built
+    from them at the end, for the report. Without amplitudes the entries
+    go through conjugate's formula, C -> k^2 G C G+. decohere scales s12
+    by e^-2 lambda and ends the amplitude track. Stage failures re-raise
+    as located CircuitSemanticError, as is a final class that overflows;
     overflow and an intensity that underflows to zero say so.
 
-    Each stage's element is built on its first evaluation and kept on
-    the Stage, and conjugate keeps the element's conjugation constants
-    on it, so evaluating one AST on many states rebuilds nothing.
+    The StageRecords, and the matrices between stages, are built on the
+    first read of the report's stages. Each stage's (k, G), or decohere's
+    e^-2 lambda, is kept on the Stage, and conjugate's constants on G, so
+    evaluating one AST on many states rebuilds nothing.
     """
     if isinstance(inp, JonesVector):
         p1, p2 = inp.psi1, inp.psi2
-        coh = _coherency_outer(p1, p2)
+        first = coherency_from_jones(inp)
         input_jones = inp
     elif isinstance(inp, StokesVector):
         p1 = p2 = input_jones = None
-        coh = coherency_from_stokes(inp, tol)
+        first = coherency_from_stokes(inp, tol)
     else:
         raise TypeError("input must be a JonesVector or StokesVector")
-    input_stokes = stokes_from_coherency(coh)
-    if coh.trace <= 0.0:
+    input_stokes = stokes_from_coherency(first)
+    if first.trace <= 0.0:
         raise PhysicsError("evaluation requires positive input intensity")
-    records, stage = [], None
+    s11, s22, s12 = first.s11, first.s22, first.s12
+    trail, stage = [], None
     for stage in ast.stages:
-        before = coh
         try:
-            element = stage.__dict__.get("_element")
-            if element is None:
+            kept = stage.__dict__
+            element = kept.get("_element")
+            if element is None and "_decay" not in kept:
                 kind = STAGES.get(stage.name)
                 if kind is None:
                     raise PhysicsError(_unknown_element(stage.name))
-                if kind.action is not None:
-                    params = [value for _, value in stage.params]
-                    element = stage.__dict__["_element"] = kind.action(*params)
-            if element is None:  # decohere, the one channel
-                coh = decoherence.decohere_channel(coh, stage.params[0][1])
+                params = [value for _, value in stage.params]
+                if kind.action is None:  # decohere, the one channel
+                    kept["_decay"] = decoherence._decay(*params)
+                else:
+                    element = kept["_element"] = kind.action(*params)
+            if element is None:
+                decay = kept["_decay"]
+                s12 = complex(decay * s12.real, decay * s12.imag)
                 p1 = None
             else:
                 scale, g = element
                 if p1 is None:
-                    coh = conjugate(coh, g, scale)
+                    s11, s22, s12 = _conjugated(s11, s22, s12, g, scale)
                 else:
                     p1, p2 = (
                         scale * (g.alpha.conjugate() * p1 + g.beta.conjugate() * p2),
                         scale * (g.gamma.conjugate() * p1 + g.delta.conjugate() * p2),
                     )
-                    coh = _coherency_outer(p1, p2)
-                if coh.trace <= 0.0:
-                    raise PhysicsError("beam attenuated to zero intensity (underflow)")
+                    s11, s22, s12 = _outer(p1, p2)
+            _check_coherency(s11, s22, s12)
+            if s11 + s22 <= 0.0:
+                raise PhysicsError("beam attenuated to zero intensity (underflow)")
         except NonFiniteError as err:
             raise CircuitSemanticError(
                 f"stage {stage.name}: beam intensity overflowed", stage.line, stage.col
@@ -525,19 +545,22 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
             raise CircuitSemanticError(
                 f"stage {stage.name}: {err}", stage.line, stage.col
             ) from err
-        records.append(StageRecord(stage.name, stage.params, before, coh, tol))
-    final_stokes = stokes_from_coherency(coh)
-    return SimulationReport(
+        trail.append((s11, s22, s12))
+    last = CoherencyMatrix(*trail.pop()) if trail else first
+    final_stokes = stokes_from_coherency(last)
+    report = SimulationReport.__new__(SimulationReport)  # _trail in place of stages
+    vars(report).update(
         circuit_format=CIRCUIT_FORMAT,
         input_stokes=input_stokes,
         input_jones=input_jones,
-        stages=tuple(records),
+        _trail=(ast.stages, tol, first, trail, last),
         final_stokes=final_stokes,
-        final_coherency=coh,
+        final_coherency=last,
         final_jones=None if p1 is None else JonesVector(p1, p2),
-        final_purity=purity_report(coh),
+        final_purity=purity_report(last),
         final_classification=_classify_at(stage, final_stokes, tol),
     )
+    return report
 
 
 def _classify_at(stage, stokes, tol):

@@ -65,14 +65,19 @@ def decohere_channel(state, lam):
     physical, purity never increases, and the maps form a semigroup in
     l. Negative l (recoherence) is rejected.
     """
-    lam = _finite(lam, "lambda")
-    if lam < 0.0:
-        raise PhysicsError("lambda must be nonnegative")
-    k = math.exp(-2.0 * lam)
+    k = _decay(lam)
     if isinstance(state, CoherencyMatrix):
         return CoherencyMatrix(state.s11, state.s22, complex(k * state.s12.real, k * state.s12.imag))
     state.require_physical()
     return StokesVector(state.s0, state.s1, k * state.s2, k * state.s3)
+
+
+def _decay(lam):
+    """e^-2l, the channel's factor on s12, for a finite l >= 0 (kept by evaluate)."""
+    lam = _finite(lam, "lambda")
+    if lam < 0.0:
+        raise PhysicsError("lambda must be nonnegative")
+    return math.exp(-2.0 * lam)
 
 
 def _squeeze2(lam):

@@ -248,7 +248,8 @@ class CoherencyMatrix(_Record):
     nonnegative and the matrix positive semidefinite; both checks carry
     a slack for rounding from long element chains, 1e-12 of the trace
     (of its square for the determinant), so they hold at every
-    intensity. A zero matrix (dark field) is allowed.
+    intensity. A zero matrix (dark field) is allowed. The checks are
+    one function, which evaluate also runs on the entries it carries.
     """
 
     s11: float
@@ -260,20 +261,7 @@ class CoherencyMatrix(_Record):
         if not (type(s11) is type(s22) is float and type(s12) is complex):
             s11, s22, s12 = float(s11), float(s22), complex(s12)
             vars(self).update(s11=s11, s22=s22, s12=s12)
-        if s11 * 0.0 + s22 * 0.0 + s12 * 0.0 != 0.0:
-            raise NonFiniteError("coherency entries must be finite")
-        size = abs(s11) + abs(s22)
-        if size == math.inf:
-            raise NonFiniteError("coherency intensities overflow: |s11| + |s22| is infinite")
-        re, im = s12.real, s12.imag
-        if not _SQUARE_MIN <= size <= _SQUARE_MAX:  # _scaled's range, tested inline
-            s11, s22, re, im = _scaled(s11, s22, re, im)
-            size = abs(s11) + abs(s22)
-        if s11 < -1e-12 * size or s22 < -1e-12 * size:
-            raise PhysicsError("diagonal coherency entries must be nonnegative")
-        det = s11 * s22 - (re * re + im * im)
-        if det < -1e-12 * size**2:
-            raise PhysicsError(f"coherency matrix must be positive semidefinite: det = {det:.3e}")
+        _check_coherency(s11, s22, s12)
 
     @property
     def trace(self):
@@ -299,6 +287,24 @@ class CoherencyMatrix(_Record):
         if herm > 1e-12 * scale:
             raise PhysicsError(f"matrix is not Hermitian: residual {herm:.3e}")
         return cls(a.real, d.real, b)
+
+
+def _check_coherency(s11, s22, s12):
+    """CoherencyMatrix's checks of float s11, s22 and complex s12; evaluate runs them too."""
+    if s11 * 0.0 + s22 * 0.0 + s12 * 0.0 != 0.0:
+        raise NonFiniteError("coherency entries must be finite")
+    size = abs(s11) + abs(s22)
+    if size == math.inf:
+        raise NonFiniteError("coherency intensities overflow: |s11| + |s22| is infinite")
+    re, im = s12.real, s12.imag
+    if not _SQUARE_MIN <= size <= _SQUARE_MAX:  # _scaled's range, tested inline
+        s11, s22, re, im = _scaled(s11, s22, re, im)
+        size = abs(s11) + abs(s22)
+    if s11 < -1e-12 * size or s22 < -1e-12 * size:
+        raise PhysicsError("diagonal coherency entries must be nonnegative")
+    det = s11 * s22 - (re * re + im * im)
+    if det < -1e-12 * size**2:
+        raise PhysicsError(f"coherency matrix must be positive semidefinite: det = {det:.3e}")
 
 
 class StokesVector(_Record):
@@ -459,18 +465,15 @@ def coherency_from_jones(j: JonesVector) -> CoherencyMatrix:
     s12 = conj(psi1) * psi2. The result has rank 1 (det = 0 up to
     rounding).
     """
-    return _coherency_outer(j.psi1, j.psi2)
+    return CoherencyMatrix(*_outer(j.psi1, j.psi2))
 
 
-def _coherency_outer(p1, p2):
-    # The outer product of two complex amplitudes. A non-finite amplitude
-    # gives a non-finite s11 or s22, which CoherencyMatrix rejects with
+def _outer(p1, p2):
+    # The coherency entries of two complex amplitudes. A non-finite
+    # amplitude gives a non-finite s11 or s22, which the gate rejects with
     # NonFiniteError.
-    return CoherencyMatrix(
-        p1.real * p1.real + p1.imag * p1.imag,
-        p2.real * p2.real + p2.imag * p2.imag,
-        p1.conjugate() * p2,
-    )
+    s11, s22 = p1.real * p1.real + p1.imag * p1.imag, p2.real * p2.real + p2.imag * p2.imag
+    return s11, s22, p1.conjugate() * p2
 
 
 def stokes_from_coherency(c: CoherencyMatrix) -> StokesVector:
@@ -531,14 +534,18 @@ def conjugate(c: CoherencyMatrix, g, scale=1.0) -> CoherencyMatrix:
     psi and taking the outer product (coherency_from_jones) gives the
     same matrix, rank 1 to rounding.
     """
+    return CoherencyMatrix(*_conjugated(c.s11, c.s22, c.s12, g, scale))
+
+
+def _conjugated(p, q, s, g, scale):
+    """conjugate's entries: those of scale^2 G C G+ for C's s11 = p, s22 = q, s12 = s."""
     kept = g.__dict__.get("_conjugation") if isinstance(g, Element2) else None
     aa, bb, ab, cc, dd, cd, ad, bc, a, cbar, b, dbar = kept or _conjugation(g)
-    p, q, s = c.s11, c.s22, c.s12
     k2 = scale * scale
     s11 = aa * p + bb * q + 2.0 * (ab * s).real
     s22 = cc * p + dd * q + 2.0 * (cd * s).real
     s12 = p * a * cbar + q * b * dbar + ad * s + bc * s.conjugate()
-    return CoherencyMatrix(k2 * s11, k2 * s22, k2 * s12)
+    return k2 * s11, k2 * s22, k2 * s12
 
 
 def _conjugation(g):

@@ -6,6 +6,7 @@ the package. parse is checked against the token parser, which it falls
 back to for any text its stage scanner does not accept.
 """
 
+import dataclasses
 import math
 import random
 import re
@@ -19,7 +20,9 @@ import numpy as np
 from twobeam import (
     CircuitError,
     CircuitSemanticError,
+    CoherencyMatrix,
     JonesVector,
+    SimulationReport,
     StokesVector,
     classify,
     evaluate,
@@ -27,7 +30,7 @@ from twobeam import (
     purity_report,
     stokes_from_coherency,
 )
-from twobeam import circuit, states
+from twobeam import circuit, decoherence, states
 from twobeam.circuit import _parse_tokens, _scan
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -391,6 +394,18 @@ def test_repeated_evaluation_builds_each_element_once(monkeypatch):
     monkeypatch.setattr(states, "_entries2", lambda *a: read.append(a) or entries2(*a))
     assert evaluate(ast, mixed) == second
     assert read == []
+    # decohere keeps its e^-2 lambda on the Stage: a second evaluation
+    # computes no per-stage constant, and no stage calls decohere_channel.
+    decays, channel = [], []
+    decay = decoherence._decay
+    monkeypatch.setattr(decoherence, "_decay", lambda *a: decays.append(a) or decay(*a))
+    monkeypatch.setattr(decoherence, "decohere_channel", lambda *a: channel.append(a))
+    ast = parse("rotate(theta=0.4); decohere(lambda=0.5); squeeze(eta=0.2); decohere(lambda=30)")
+    first = [evaluate(ast, inp) for inp in (jones, mixed)]
+    assert len(built) == 6 and decays == [(0.5,), (30.0,)]
+    del read[:]
+    assert [evaluate(ast, inp) for inp in (jones, mixed)] == first
+    assert len(built) == 6 and len(decays) == 2 and read == [] and channel == []
 
 
 def test_evaluate_carries_one_state(monkeypatch):
@@ -412,3 +427,42 @@ def test_evaluate_carries_one_state(monkeypatch):
         assert built == [report.input_stokes, report.final_stokes]
         assert len(amplitudes) == jones_built
         assert all(j is report.final_jones for j in amplitudes)
+
+
+def test_evaluate_builds_records_on_first_read(monkeypatch):
+    # The loop carries plain entries: before .stages is read, the only
+    # matrices built are the input's and the final one. Reading .stages
+    # builds the records, and the matrices between stages, once.
+    rng = random.Random(1111)
+    built = []
+    check = CoherencyMatrix.__post_init__
+    monkeypatch.setattr(CoherencyMatrix, "__post_init__", lambda c: built.append(c) or check(c))
+    for _ in range(10):
+        ast = parse(decohering_circuit(rng))
+        for inp in random_inputs(rng):
+            del built[:]
+            report = evaluate(ast, inp)
+            assert len(built) == 2 and built[1] is report.final_coherency
+            stages = report.stages
+            assert len(built) == len(stages) + 1 == len(ast.stages) + 1
+            assert built[0] is stages[0].coherency_before
+            assert stages[-1].coherency_after is report.final_coherency
+            assert all(a.coherency_after is b.coherency_before for a, b in zip(stages, stages[1:]))
+            assert report.stages is stages and len(built) == len(stages) + 1
+    monkeypatch.undo()
+    # A report whose stages were never read behaves as one built eagerly.
+    ast, inp = parse(decohering_circuit(rng)), random_inputs(rng)[2]
+    fields = [f.name for f in dataclasses.fields(SimulationReport)]
+    assert tuple(fields) == SimulationReport.__match_args__
+    assert fields[3] == "stages"
+    eager = SimulationReport(*(getattr(evaluate(ast, inp), f) for f in fields))
+    assert "stages" in vars(eager)
+    assert evaluate(ast, inp) == eager and eager == evaluate(ast, inp)
+    assert hash(evaluate(ast, inp)) == hash(eager)
+    assert repr(evaluate(ast, inp)) == repr(eager)
+    assert dataclasses.replace(evaluate(ast, inp)) == eager
+    assert dataclasses.asdict(evaluate(ast, inp)) == dataclasses.asdict(eager)
+    match evaluate(ast, inp):
+        case SimulationReport(_, _, _, stages):
+            pass
+    assert stages == eager.stages
