@@ -18,6 +18,9 @@ recompositions. Last come `simulate` vectors for the per-stage gate of
 the evaluator: pure inputs against squeeze(eta=+-20...40), lambda up to
 50, an atten that underflows to zero and a squeeze that overflows
 mid-chain, from Jones and Stokes inputs at intensities 1e-300 and 1e300.
+After them come 500-stage circuit files drawn like the others, so some
+atten stages name eta2 first; the last file has a malformed stage near
+its end. Each runs from a Jones and a Stokes input, in both formats.
 Each circuit file is written once into one temporary
 directory, so the circuit_path a report echoes is the same on both
 sides. Each side runs every vector in-process through `cli.main`, in
@@ -231,6 +234,16 @@ def vectors(rng, circuit_dir):
             specs.append("jones:" + reals(math.sqrt(s0) * x / n for x in amplitudes))
         for spec in specs:
             out.append(["simulate", str(path), "--in", spec, *fmt()])
+    for i in range(3):
+        stages = [stage(rng) for _ in range(500)]
+        if i == 2:
+            stages[-rng.randint(2, 5)] = rng.choice(BAD_STAGES)
+        path = circuit_dir / f"long{i}.circ"
+        path.write_text(";\n".join(stages), encoding="utf-8")
+        jones = "jones:" + reals(rng.gauss(0.0, 1.0) for _ in range(4))
+        p = rng.random()
+        for spec in (jones, "stokes:" + reals([1.0] + [p * x for x in direction(rng)])):
+            out += [["simulate", str(path), "--in", spec, "--format", f] for f in ("json", "text")]
     return out
 
 

@@ -22,15 +22,15 @@ unparse emits a canonical text and parse(unparse(ast)) == ast. All
 rejections carry a 1-based line:column location; no input text can
 crash the parser. The format is versioned as "circuit-v1".
 
-A stage scanner matches well-formed text one stage at a time. It looks
-each stage up by its signature, the name and argument names, in a table
-built from STAGES, and checks a stage it finds there in place. Any
-other text, valid or not, goes whole to a token parser, the one general
-path: it gives the same AST for valid text and locates the error in
-rejected text.
+A stage scanner parses every valid text, one stage at a time. It looks
+each stage up by its signature, the name and argument names in either
+order, in a table built from STAGES, and checks the stage in place.
+Rejected text goes whole to a token parser, which locates the error; it
+gives the same AST for valid text, and tests use it as the reference.
 """
 
 import functools
+import itertools
 import math
 import re
 from typing import NamedTuple
@@ -251,24 +251,27 @@ def _token_re():
 def _signatures():
     """{(name, first argument, second argument): per-argument checks}.
 
-    One entry per stage kind, with its parameters in canonical order, and
-    one for its alias in place of the first. An argument's check is
-    (canonical name, takes deg, must be nonnegative, convert or None),
-    read from the StageKind fields that _validate_stage reads; a missing
-    second argument is None. A kind with more than two parameters gets a
-    longer key, which no stage _STAGE_RE matches can hit.
+    One entry per order of each argument-name set a kind takes: its
+    parameters, and its alias in place of the first; with at most two
+    parameters, a set and its reverse. An argument's check is (canonical
+    position, canonical name, takes deg, must be nonnegative, convert or
+    None), read from the StageKind fields that _validate_stage reads; a
+    missing second argument is None. A kind with more parameters gets
+    longer keys, which no stage _STAGE_RE matches can hit.
     """
     table = {}
     for name, kind in STAGES.items():
         first = kind.params[0]
-        check = {key: (key, key in kind.angles, key in kind.nonnegative, None) for key in kind.params}
-        orders = [kind.params]
+        check = {key: (i, key, key in kind.angles, key in kind.nonnegative, None)
+                 for i, key in enumerate(kind.params)}
+        names = [kind.params]
         if kind.alias:
             alias, convert = kind.alias
-            check[alias] = (first, alias in kind.angles, first in kind.nonnegative, convert)
-            orders.append((alias, *kind.params[1:]))
-        for order in orders:
-            table[(name, *order) + (None,) * (2 - len(order))] = tuple(map(check.get, order))
+            check[alias] = (0, first, alias in kind.angles, first in kind.nonnegative, convert)
+            names.append((alias, *kind.params[1:]))
+        for keys in names:
+            for order in itertools.permutations(keys):
+                table[(name, *order) + (None,) * (2 - len(order))] = tuple(map(check.get, order))
     return table
 
 
@@ -276,13 +279,13 @@ _SIGNATURES = _signatures()
 
 
 def _scan(text):
-    """The AST of text the scanner accepts, else None.
+    """The AST of valid text, else None.
 
     Every stage's argument names must be a signature in _SIGNATURES (its
-    kind's parameters in canonical order, or an alias), and the stage is
-    checked in place. Locations come from newline counts. Arguments
-    carry no location, so a stage with another signature, or one that
-    fails its checks, returns None and the token parser handles the text.
+    kind's parameters, or its alias for the first, in either order); the
+    stage is checked in place and each value goes to its canonical
+    position. Arguments carry no location, so rejected text returns None
+    and the token parser locates its error.
     """
     stages = []
     pos = mark = 0
@@ -302,9 +305,9 @@ def _scan(text):
         checks = _SIGNATURES.get((name, n1, n2))
         if checks is None:
             return None
-        params = []
+        params = [None] * len(checks)
         number, deg = v1, d1
-        for key, angle, nonnegative, convert in checks:
+        for i, key, angle, nonnegative, convert in checks:
             value = float(number)
             if not math.isfinite(value) or deg and not angle:
                 return None
@@ -315,7 +318,7 @@ def _scan(text):
                     return None
             if nonnegative and value < 0.0:
                 return None
-            params.append((key, math.radians(value) if deg else value))
+            params[i] = (key, math.radians(value) if deg else value)
             number, deg = v2, d2  # the next check is the second argument's
         stages.append(Stage(name, tuple(params), line, col))
         pos = m.end()
@@ -386,11 +389,9 @@ def _parse_tokens(text):
 def parse(text) -> CircuitAst:
     """Parse circuit text; raise a located CircuitError on rejection.
 
-    Well-formed text whose stages all name their arguments in canonical
-    order (or split's ratio) is matched stage by stage with one regular
-    expression and checked from the signature table. Any other text is
-    parsed whole by the token parser, with the same result, and a
-    rejection is located there.
+    Valid text is matched stage by stage with one regular expression and
+    checked from the signature table. Rejected text is parsed again by
+    the token parser, which locates the error.
     """
     if not isinstance(text, str):
         raise TypeError("circuit text must be str")
@@ -465,7 +466,7 @@ class SimulationReport(_Record):
         if trail is None:
             raise AttributeError(f"'SimulationReport' object has no attribute {name!r}")
         stages, tol, first, entries, last = trail
-        matrices = [first, *(CoherencyMatrix(*e) for e in entries), last]
+        matrices = [first, *(CoherencyMatrix._checked(*e) for e in entries), last]
         steps = zip(stages, matrices, matrices[1:])
         records = tuple(StageRecord(st.name, st.params, c0, c1, tol) for st, c0, c1 in steps)
         return vars(self).setdefault("stages", records)  # the first stored, if two threads race
@@ -489,9 +490,10 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     overflow and an intensity that underflows to zero say so.
 
     The StageRecords, and the matrices between stages, are built on the
-    first read of the report's stages. Each stage's (k, G), or decohere's
-    e^-2 lambda, is kept on the Stage, and conjugate's constants on G, so
-    evaluating one AST on many states rebuilds nothing.
+    first read of the report's stages; they, and the final matrix, hold
+    entries that passed the gate, unchecked again. Each stage's (k, G),
+    or decohere's e^-2 lambda, is kept on the Stage, and conjugate's
+    constants on G, so evaluating one AST on many states rebuilds nothing.
     """
     if isinstance(inp, JonesVector):
         p1, p2 = inp.psi1, inp.psi2
@@ -546,7 +548,7 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
                 f"stage {stage.name}: {err}", stage.line, stage.col
             ) from err
         trail.append((s11, s22, s12))
-    last = CoherencyMatrix(*trail.pop()) if trail else first
+    last = CoherencyMatrix._checked(*trail.pop()) if trail else first
     final_stokes = stokes_from_coherency(last)
     report = SimulationReport.__new__(SimulationReport)  # _trail in place of stages
     vars(report).update(

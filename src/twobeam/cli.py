@@ -55,8 +55,6 @@ def _emit_json(value):
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return _fmt(value)
     if isinstance(value, str):

@@ -1,11 +1,12 @@
 """Standard optical elements and their induced Stokes transforms.
 
-Each constructor returns a unimodular ``Element2``; ``lift`` from the
-states module maps any of them to the 4x4 Stokes picture. For the
-three one-parameter families this module also provides closed-form
-4x4 matrices (rotator4, phase4, squeeze4) whose fixed entries are
-exact, not rounded through the quadratic forms of lift; they agree
-with the lift to rounding level.
+Each constructor returns a unimodular ``Element2``, unchecked where its
+finite entries have determinant 1 by construction (rotator, phase_shifter,
+squeezer). ``lift`` from the states module maps any of them to the 4x4
+Stokes picture. For the three one-parameter families this module also
+provides closed-form 4x4 matrices (rotator4, phase4, squeeze4) whose
+fixed entries are exact, not rounded through the quadratic forms of
+lift; they agree with the lift to rounding level.
 
 Sign conventions, fixed once by the action on coherency matrices:
 
@@ -48,22 +49,22 @@ def rotator(theta) -> Element2:
     theta is the rotation angle seen by the Stokes vector.
     """
     theta = _finite(theta, "theta")
-    # Complex entries, which Element2 stores without converting them.
+    # Complex entries, as Element2 would store them: _checked converts nothing.
     c, s = complex(math.cos(theta / 2.0)), complex(math.sin(theta / 2.0))
-    return Element2(c, -s, s, c)
+    return Element2._checked(c, -s, s, c)
 
 
 def phase_shifter(phi) -> Element2:
     """Relative phase phi between the two beams, split symmetrically."""
     phi = _finite(phi, "phi")
-    return Element2(cmath.exp(-0.5j * phi), 0j, 0j, cmath.exp(0.5j * phi))
+    return Element2._checked(cmath.exp(-0.5j * phi), 0j, 0j, cmath.exp(0.5j * phi))
 
 
 def squeezer(eta) -> Element2:
     """Relative amplitude gain e^{eta/2} on beam 1, e^{-eta/2} on beam 2."""
     eta = _finite(eta, "eta")
     try:
-        return Element2(complex(math.exp(eta / 2.0)), 0j, 0j, complex(math.exp(-eta / 2.0)))
+        return Element2._checked(complex(math.exp(eta / 2.0)), 0j, 0j, complex(math.exp(-eta / 2.0)))
     except OverflowError:
         raise NonFiniteError(f"squeezer overflowed: e^({abs(eta):g}/2) is too large") from None
 

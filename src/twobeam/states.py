@@ -147,6 +147,14 @@ class _Record:
         cls.__init__ = namespace["__init__"]
         cls.__init__.__defaults__ = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
 
+    @classmethod
+    def _checked(cls, *values):
+        """A record of values without __post_init__, for values of their fields'
+        exact types that passed its checks already or hold them by construction."""
+        record = cls.__new__(cls)
+        vars(record).update(zip(cls.__match_args__, values))
+        return record
+
     def _key(self):
         return tuple(getattr(self, f) for f in self._compare)
 
@@ -220,12 +228,6 @@ class Element2(_Record):
         if not drift <= UNIMODULAR_TOL:  # NaN, from a det that overflows, fails this too
             drift = _in_range(drift, "element determinant")
             raise PhysicsError(f"element must be unimodular: |det - 1| = {drift:.3e}")
-
-    @classmethod
-    def _checked(cls, *entries):  # complex entries the caller has checked
-        g = cls.__new__(cls)
-        vars(g).update(zip(cls.__match_args__, entries))
-        return g
 
     @property
     def det(self):
@@ -436,9 +438,6 @@ def _defects(e, g=1.0):
 def _is_lorentz(e):
     """Transform4's metric check of the row-major entries e: m^T g m = g to
     LORENTZ_TOL max(1, max|e|)^2, taken on (1, e) rescaled by _scaled."""
-    big = max(1.0, *map(abs, e))
-    if big <= _SQUARE_MAX:  # _scaled's range, tested inline: (1, e) as it is
-        return max(_defects(e)) <= LORENTZ_TOL * big ** 2
     t = _scaled(1.0, *e)
     return max(_defects(t[1:], t[0] * t[0])) <= LORENTZ_TOL * max(map(abs, t)) ** 2
 

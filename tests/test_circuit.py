@@ -110,9 +110,9 @@ def test_split_normalization():
 
 
 def test_canonical_stages_skip_the_general_validator(monkeypatch):
-    # A stage whose arguments are its kind's parameters in canonical order,
-    # or split's ratio, is checked in place; any other order goes through
-    # _validate_stage and gives the same AST.
+    # Every valid stage, its arguments in any order or split's ratio, is
+    # checked in place by the scanner; only rejected text reaches
+    # _validate_stage.
     calls = []
     validate = circuit._validate_stage
     monkeypatch.setattr(circuit, "_validate_stage", lambda *a: calls.append(a) or validate(*a))
@@ -130,6 +130,10 @@ def test_canonical_stages_skip_the_general_validator(monkeypatch):
         (1, 1), (1, 23), (1, 42), (2, 1), (2, 17), (2, 44), (2, 63)
     ]
     assert repr(parse("atten(eta2=0.2, eta1=0.1)")) == repr(parse("atten(eta1=0.1, eta2=0.2)"))
+    assert parse("squeeze(eta=1);\n atten(eta2=0.2,eta1=0.1)").stages[1].col == 2
+    assert calls == []
+    with pytest.raises(CircuitSemanticError):
+        parse("atten(eta2=-0.2, eta1=0.1)")
     assert len(calls) == 1
 
 
@@ -310,6 +314,14 @@ def test_hand_built_ast_checks_lambda_at_evaluation():
                 evaluate(CircuitAst(stages), inp)
             assert (err.value.line, err.value.col) == (2, 5)
             assert err.value.message == f"stage decohere: lambda {reason}"
+
+
+def test_parse_and_report_reject_what_they_do_not_hold():
+    with pytest.raises(TypeError, match="^circuit text must be str$"):
+        parse(b"rotate(theta=1)")
+    report = evaluate(parse("rotate(theta=1)"), JonesVector(1, 0))
+    with pytest.raises(AttributeError, match="^'SimulationReport' object has no attribute 'stage'$"):
+        report.stage
 
 
 def test_ast_validation():

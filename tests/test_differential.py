@@ -2,8 +2,8 @@
 
 evaluate is checked against a closed-form fold of 4x4 Stokes matrices
 written here from the conventions in the README, sharing no code with
-the package. parse is checked against the token parser, which it falls
-back to for any text its stage scanner does not accept.
+the package. parse's stage scanner is checked against the token parser,
+the reference, which parse runs only on text the scanner rejects.
 """
 
 import dataclasses
@@ -293,7 +293,10 @@ def fuzz_corpus():
 
 def test_scanner_agrees_with_token_parser_on_fuzz_corpus():
     for text in fuzz_corpus():
-        assert outcome(parse, text) == outcome(token_parse, text), repr(text)
+        want = outcome(token_parse, text)
+        assert outcome(parse, text) == want, repr(text)
+        # The scanner takes exactly the valid text.
+        assert (_scan(text) is None) == isinstance(want[0], type), repr(text)
 
 
 def formatted_corpus():
@@ -306,15 +309,16 @@ def formatted_corpus():
 
 def test_scanner_agrees_with_token_parser_on_formatted_circuits():
     for text, mutations in formatted_corpus():
-        # The scanner takes the text exactly when no atten in it names eta2
-        # first; any other order is left whole to the token parser.
-        canonical = "eta2" not in re.findall(r"eta[12]", text)[0::2]
-        assert (_scan(text) is not None) == canonical, repr(text)
+        # Every valid text is scanned, atten's arguments in either order;
+        # the scanner takes a mutation exactly when it is still valid.
+        assert _scan(text) is not None, repr(text)
         want = outcome(token_parse, text)
         assert not isinstance(want[0], type), repr(text)
         assert outcome(parse, text) == want, repr(text)
         for bad in mutations:
-            assert outcome(parse, bad) == outcome(token_parse, bad), repr(bad)
+            want = outcome(token_parse, bad)
+            assert outcome(parse, bad) == want, repr(bad)
+            assert (_scan(bad) is None) == isinstance(want[0], type), repr(bad)
 
 
 # _GAP as it was before its quantifiers were made possessive, the
@@ -430,25 +434,36 @@ def test_evaluate_carries_one_state(monkeypatch):
 
 
 def test_evaluate_builds_records_on_first_read(monkeypatch):
-    # The loop carries plain entries: before .stages is read, the only
-    # matrices built are the input's and the final one. Reading .stages
-    # builds the records, and the matrices between stages, once.
+    # The loop carries plain entries and gates each stage's once: an
+    # evaluate runs the coherency checks once for the input and once per
+    # stage, and builds one checked matrix, the input's. Reading .stages
+    # builds the records, and the matrices between stages, once, from
+    # entries the loop gated, and checks none of them again.
     rng = random.Random(1111)
-    built = []
-    check = CoherencyMatrix.__post_init__
-    monkeypatch.setattr(CoherencyMatrix, "__post_init__", lambda c: built.append(c) or check(c))
+    built, checked = [], []
+    post_init, check = CoherencyMatrix.__post_init__, states._check_coherency
+    monkeypatch.setattr(CoherencyMatrix, "__post_init__", lambda c: built.append(c) or post_init(c))
+
+    def counted(*entries):
+        checked.append(entries)
+        return check(*entries)
+
+    monkeypatch.setattr(states, "_check_coherency", counted)
+    monkeypatch.setattr(circuit, "_check_coherency", counted)
     for _ in range(10):
         ast = parse(decohering_circuit(rng))
         for inp in random_inputs(rng):
-            del built[:]
+            del built[:], checked[:]
             report = evaluate(ast, inp)
-            assert len(built) == 2 and built[1] is report.final_coherency
+            assert len(checked) == len(ast.stages) + 1 and len(built) == 1
             stages = report.stages
-            assert len(built) == len(stages) + 1 == len(ast.stages) + 1
+            assert len(checked) == len(stages) + 1 == len(ast.stages) + 1 and len(built) == 1
             assert built[0] is stages[0].coherency_before
             assert stages[-1].coherency_after is report.final_coherency
             assert all(a.coherency_after is b.coherency_before for a, b in zip(stages, stages[1:]))
-            assert report.stages is stages and len(built) == len(stages) + 1
+            assert report.stages is stages and len(checked) == len(stages) + 1
+            matrices = [built[0], *(r.coherency_after for r in stages)]
+            assert [(c.s11, c.s22, c.s12) for c in matrices] == checked
     monkeypatch.undo()
     # A report whose stages were never read behaves as one built eagerly.
     ast, inp = parse(decohering_circuit(rng)), random_inputs(rng)[2]

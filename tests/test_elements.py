@@ -1,9 +1,13 @@
+import cmath
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
 
 from twobeam import (
+    UNIMODULAR_TOL,
     Element2,
     JonesVector,
     NonFiniteError,
@@ -29,6 +33,28 @@ def test_generators_are_unimodular():
         x = rng.uniform(-4, 4)
         for ctor in (rotator, phase_shifter, squeezer):
             assert abs(ctor(x).det - 1.0) < 1e-12
+
+
+def test_closed_forms_are_unimodular_by_construction():
+    # rotator, phase_shifter and squeezer skip Element2's check: their
+    # entries must be finite with |det - 1| <= UNIMODULAR_TOL at any finite
+    # angle and at every eta up to the edge where e^(|eta|/2) overflows.
+    rng = random.Random(18)
+    edge = 2.0 * math.log(sys.float_info.max)
+    angles = [0.0, math.pi, 1e308, -1e308, sys.float_info.max, -sys.float_info.max, 5e-324]
+    angles += [rng.choice((-1, 1)) * 10.0 ** rng.uniform(-320, 308) for _ in range(1000)]
+    etas = [0.0, edge, -edge, math.nextafter(edge, 0.0), 1419.5, -1419.5]
+    etas += [rng.uniform(-edge, edge) for _ in range(500)]
+    etas += [rng.choice((-1, 1)) * (edge - 10.0 ** rng.uniform(-12, 2)) for _ in range(500)]
+    for ctor, params in ((rotator, angles), (phase_shifter, angles), (squeezer, etas)):
+        for x in params:
+            g = ctor(x)
+            entries = (g.alpha, g.beta, g.gamma, g.delta)
+            assert all(type(e) is complex and cmath.isfinite(e) for e in entries), (ctor, x)
+            assert abs(g.det - 1.0) <= UNIMODULAR_TOL, (ctor, x)
+    for eta in (math.nextafter(edge, math.inf), -math.nextafter(edge, math.inf)):
+        with pytest.raises(NonFiniteError, match="squeezer overflowed"):
+            squeezer(eta)
 
 
 def test_rotator_matrix_entries():

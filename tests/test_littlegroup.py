@@ -360,3 +360,15 @@ def test_classify_is_scale_free_where_s0_squared_underflows():
             assert got.tag == want.tag, (v, scale)
             if want.eta_to_standard is not None:
                 assert got.eta_to_standard == pytest.approx(want.eta_to_standard, rel=1e-14)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: InterpolationParams(math.nan, 0.0), "alpha and u must be finite"),
+    (lambda: InterpolationParams(0.5, math.inf), "alpha and u must be finite"),
+    (lambda: InterpolationParams.from_angles(math.inf, 0.0), "theta and eta must be finite"),
+    (lambda: InterpolationParams.from_angles(0.0, math.nan), "theta and eta must be finite"),
+])
+def test_interpolation_params_reject_non_finite_arguments(make, message):
+    with pytest.raises(PhysicsError) as err:
+        make()
+    assert err.type is PhysicsError and str(err.value) == message

@@ -103,6 +103,21 @@ def test_stokes_vector_validation():
         StokesVector.from_array([1, 0, 0])
 
 
+@pytest.mark.parametrize("make, cls, message", [
+    (lambda: JonesVector(math.nan, 0), NonFiniteError, "Jones amplitudes must be finite"),
+    (lambda: Element2(1, 0, math.inf, 1), NonFiniteError, "element entries must be finite"),
+    (lambda: Transform4([0.0] * 15 + [math.nan]), PhysicsError, "transform entries must be finite"),
+    # from_matrix drops the lower-left entry, so the constructor never sees it
+    (lambda: CoherencyMatrix.from_matrix([[1.0, 0.0], [math.nan, 1.0]]), PhysicsError,
+     "coherency entries must be finite"),
+    (lambda: Transform4(np.eye(4)) @ 3, TypeError, "unsupported operand type(s) for @: 'Transform4' and 'int'"),
+])
+def test_rejections_raise_their_class_and_message(make, cls, message):
+    with pytest.raises(cls) as err:
+        make()
+    assert err.type is cls and str(err.value) == message
+
+
 def test_minkowski_norm_is_four_det():
     rng = np.random.default_rng(3)
     for _ in range(100):
