@@ -21,6 +21,11 @@ mid-chain, from Jones and Stokes inputs at intensities 1e-300 and 1e300.
 After them come 500-stage circuit files drawn like the others, so some
 atten stages name eta2 first; the last file has a malformed stage near
 its end. Each runs from a Jones and a Stokes input, in both formats.
+Three fixed vectors close the list, so the seeded ones above are drawn
+as before: two spacelike Stokes inputs that the light cone passes
+under their --tol (the default, and 0.05) and the coherency gate does
+not, and `decompose iwasawa` of the sigma = 20 recomposition
+r(0.3) diag(e^20, e^-20) r(0.4).
 Each circuit file is written once into one temporary
 directory, so the circuit_path a report echoes is the same on both
 sides. Each side runs every vector in-process through `cli.main`, in
@@ -244,6 +249,11 @@ def vectors(rng, circuit_dir):
         p = rng.random()
         for spec in (jones, "stokes:" + reals([1.0] + [p * x for x in direction(rng)])):
             out += [["simulate", str(path), "--in", spec, "--format", f] for f in ("json", "text")]
+    path = circuit_dir / "spacelike.circ"
+    path.write_text("rotate(theta=0.3)", encoding="utf-8")
+    out.append(["simulate", str(path), "--in", "stokes:1,1.00000000001,0,0"])
+    out.append(["simulate", str(path), "--in", "stokes:1,1.01,0,0", "--tol", "0.05"])
+    out.append(["decompose", "iwasawa", f"--matrix={reals(wigner(0.3, 20.0, 0.4))}", "--format", "json"])
     return out
 
 

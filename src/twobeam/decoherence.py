@@ -9,18 +9,18 @@ diag(1, 1, e^-2l, e^-2l), which keeps states physical and never
 increases purity.
 
 On the Stokes pair (s1, s2) the squeeze d_a and the rotation r_a act
-as 2x2 real unimodular matrices, and the module carries the two
-standard factorizations of that group: the Iwasawa form rotation *
-diagonal * upper shear, and the squeeze-rotation (Wigner) form
-rotation * diagonal * rotation whose angle sum is the Wigner rotation
-angle.
+as 2x2 real unimodular matrices. The module carries two factorizations
+of that group, Iwasawa (rotation * diagonal * upper shear) and Wigner
+(rotation * diagonal * rotation, whose angle sum is the Wigner angle).
+Both read a matrix as computed entries, as their recompositions are:
+det 1 to UNIMODULAR_TOL (|m00 m11| + |m01 m10|), the states module's rule.
 """
 
 import math
 from typing import NamedTuple
 
 from .states import CoherencyMatrix, NonFiniteError, PhysicsError, StokesVector, Transform4
-from .states import _entries2, _finite, _in_range, _mul2
+from .states import _check_unimodular, _entries2, _finite, _in_range, _mul2
 
 __all__ = [
     "decoherence4",
@@ -118,11 +118,8 @@ def _check_unimodular2(m):
     if any(x.imag for x in entries):
         raise PhysicsError("expected a 2x2 real matrix")
     a, b, c, d = (x.real for x in entries)
-    if not all(map(math.isfinite, (a, b, c, d))):
-        raise PhysicsError("matrix entries must be finite")
-    det = _in_range(a * d - b * c, "matrix determinant")  # NaN would pass the test below
-    if abs(det - 1.0) >= 1e-10:
-        raise PhysicsError(f"matrix must have unit determinant: |det - 1| = {abs(det - 1.0):.3e}")
+    _check_unimodular(a, b, c, d, "matrix", "matrix must have unit determinant", computed=True)
+    _in_range(a * d - b * c, "matrix determinant")  # entries whose det overflows pass the rescaled rule
     return a, b, c, d
 
 

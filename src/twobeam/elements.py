@@ -26,8 +26,8 @@ as an overall scalar decay times a squeezer.
 import cmath
 import math
 
-from .states import UNIMODULAR_TOL, Element2, NonFiniteError, PhysicsError, Transform4
-from .states import _entries2, _finite, _mul2, _scaled
+from .states import Element2, NonFiniteError, PhysicsError, Transform4
+from .states import _check_unimodular, _entries2, _finite, _mul2
 
 __all__ = [
     "rotator",
@@ -88,9 +88,8 @@ def attenuator(eta1, eta2):
 def compose(*elements) -> Element2:
     """Product of elements in application order: the first acts first.
 
-    compose(a, b, c) returns the element whose matrix is C B A, so that
-    applying the result equals applying a, then b, then c. Its det rounds
-    off 1 by about eps (|alpha delta| + |beta gamma|): that scales its check.
+    compose(a, b, c) returns the element whose matrix is C B A: applying it
+    applies a, then b, then c. Its det takes the rule for computed entries.
     """
     if not elements:
         raise PhysicsError("compose requires at least one element")
@@ -99,9 +98,7 @@ def compose(*elements) -> Element2:
         m = _mul2(_entries2(g if isinstance(g, Element2) else Element2.from_matrix(g)), m)
     if not all(map(cmath.isfinite, m)):
         raise NonFiniteError("compose overflowed: product entries are not finite")
-    one, a, b, c, d = _scaled(1.0, *m)
-    if abs(a * d - b * c - one * one) > UNIMODULAR_TOL * (abs(a * d) + abs(b * c)):
-        raise PhysicsError("product must be unimodular: |det - 1| > tol (|alpha delta| + |beta gamma|)")
+    _check_unimodular(*m, "product", "product must be unimodular", computed=True)
     return Element2._checked(*m)
 
 

@@ -222,12 +222,7 @@ class Element2(_Record):
         if not type(a) is type(b) is type(c) is type(d) is complex:
             a, b, c, d = complex(a), complex(b), complex(c), complex(d)
             vars(self).update(alpha=a, beta=b, gamma=c, delta=d)
-        if a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 != 0.0:
-            raise NonFiniteError("element entries must be finite")
-        drift = abs(a * d - b * c - 1.0)
-        if not drift <= UNIMODULAR_TOL:  # NaN, from a det that overflows, fails this too
-            drift = _in_range(drift, "element determinant")
-            raise PhysicsError(f"element must be unimodular: |det - 1| = {drift:.3e}")
+        _check_unimodular(a, b, c, d, "element", "element must be unimodular")
 
     @property
     def det(self):
@@ -283,12 +278,23 @@ class CoherencyMatrix(_Record):
         """Build from a 2x2 array, Hermitian to 1e-12 of its largest entry."""
         a, b, c, d = _entries2(m, "coherency matrix must be 2x2")
         if a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 != 0.0:
-            raise PhysicsError("coherency entries must be finite")
+            raise NonFiniteError("coherency entries must be finite")
         scale = max(abs(a), abs(b), abs(c), abs(d))
         herm = max(abs(b - c.conjugate()), abs(a.imag), abs(d.imag))
         if herm > 1e-12 * scale:
             raise PhysicsError(f"matrix is not Hermitian: residual {herm:.3e}")
         return cls(a.real, d.real, b)
+
+
+def _check_unimodular(a, b, c, d, noun, message, computed=False):
+    """Finite entries, |det - 1| <= UNIMODULAR_TOL; if computed, <= that times |ad| + |bc| (_scaled)."""
+    if a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 != 0.0:
+        raise NonFiniteError(f"{noun} entries must be finite")
+    one, p, q, r, s = _scaled(1.0, a, b, c, d) if computed else (1.0, a, b, c, d)
+    bound = UNIMODULAR_TOL * (abs(p * s) + abs(q * r) if computed else 1.0)
+    if not abs(p * s - q * r - one * one) <= bound:  # NaN, from a det that overflows, fails too
+        drift = _in_range(abs(a * d - b * c - 1.0), f"{noun} determinant")
+        raise PhysicsError(f"{message}: |det - 1| = {drift:.3e}")
 
 
 def _check_coherency(s11, s22, s12):
@@ -370,7 +376,7 @@ class Transform4(_Record):
     def __post_init__(self):
         e = _flat16(self.entries)
         if not all(map(math.isfinite, e)):
-            raise PhysicsError("transform entries must be finite")
+            raise NonFiniteError("transform entries must be finite")
         vars(self)["entries"] = e
 
     @property
@@ -489,13 +495,20 @@ def stokes_from_coherency(c: CoherencyMatrix) -> StokesVector:
 def coherency_from_stokes(s: StokesVector, tol=CLASSIFY_TOL) -> CoherencyMatrix:
     """Invert the Stokes map: c = 1/2 [[s0+s1, s2+i s3], [s2-i s3, s0-s1]].
 
-    Rejects spacelike input (the result would not be positive
-    semidefinite). Round-trips with stokes_from_coherency to 1e-14.
+    Rejects spacelike input with require_physical's message, also where
+    it passes tol and the CoherencyMatrix gate, of slack 1e-12, rejects
+    it. Round-trips with stokes_from_coherency to 1e-14.
     """
     s.require_physical(tol)
-    return CoherencyMatrix(
-        0.5 * (s.s0 + s.s1), 0.5 * (s.s0 - s.s1), 0.5 * (s.s2 + 1j * s.s3)
-    )
+    try:
+        return CoherencyMatrix(
+            0.5 * (s.s0 + s.s1), 0.5 * (s.s0 - s.s1), 0.5 * (s.s2 + 1j * s.s3)
+        )
+    except NonFiniteError:
+        raise
+    except PhysicsError:
+        s.require_physical(0.0)  # the gate rejects only spacelike input, so this raises
+        raise
 
 
 def _entries2(m, shape_error="expected a 2x2 element"):

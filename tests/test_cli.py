@@ -329,9 +329,10 @@ def test_decompose_wigner(capsys):
 
 
 def test_decompose_rejects_non_unimodular(capsys):
-    code, _, err = run(capsys, "decompose", "iwasawa", "--matrix", "2,0,0,1")
-    assert code == 3
-    assert "determinant" in err
+    for kind in ("iwasawa", "wigner"):
+        code, _, err = run(capsys, "decompose", kind, "--matrix", "2,0,0,1")
+        assert code == 3
+        assert err == "error: matrix must have unit determinant: |det - 1| = 1.000e+00\n"
 
 
 def test_decompose_overflowing_determinant_is_plain(capsys):
@@ -544,6 +545,18 @@ def test_argparse_level_errors(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_spacelike_stokes_within_a_loose_tol_gets_the_light_cone_message(tmp_path, capsys):
+    # the light cone passes these to the coherency gate, whose slack is 1e-12
+    path = write_circuit(tmp_path, "rotate(theta=0.3)")
+    for spec, tol, norm in (
+        ("stokes:1,1.00000000001,0,0", [], "-2.000e-11"),
+        ("stokes:1,1.01,0,0", ["--tol", "0.05"], "-2.010e-02"),
+    ):
+        code, out, err = run(capsys, "simulate", path, "--in", spec, *tol)
+        assert_plain_error(code, out, err, 3)
+        assert err == f"error: non-physical Stokes vector (spacelike): relative_norm = {norm}\n"
 
 
 def test_simulate_tiny_spacelike_reports_relative_norm(tmp_path, capsys):

@@ -18,6 +18,7 @@ from twobeam import (
     compose,
     conjugate,
     decoherence4,
+    iwasawa_decompose,
     lift,
     metric_defect,
     minkowski_norm,
@@ -106,10 +107,11 @@ def test_stokes_vector_validation():
 @pytest.mark.parametrize("make, cls, message", [
     (lambda: JonesVector(math.nan, 0), NonFiniteError, "Jones amplitudes must be finite"),
     (lambda: Element2(1, 0, math.inf, 1), NonFiniteError, "element entries must be finite"),
-    (lambda: Transform4([0.0] * 15 + [math.nan]), PhysicsError, "transform entries must be finite"),
+    (lambda: Transform4([0.0] * 15 + [math.nan]), NonFiniteError, "transform entries must be finite"),
     # from_matrix drops the lower-left entry, so the constructor never sees it
-    (lambda: CoherencyMatrix.from_matrix([[1.0, 0.0], [math.nan, 1.0]]), PhysicsError,
+    (lambda: CoherencyMatrix.from_matrix([[1.0, 0.0], [math.nan, 1.0]]), NonFiniteError,
      "coherency entries must be finite"),
+    (lambda: iwasawa_decompose([[math.inf, 0.0], [0.0, 1.0]]), NonFiniteError, "matrix entries must be finite"),
     (lambda: Transform4(np.eye(4)) @ 3, TypeError, "unsupported operand type(s) for @: 'Transform4' and 'int'"),
 ])
 def test_rejections_raise_their_class_and_message(make, cls, message):
