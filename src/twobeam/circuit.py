@@ -46,6 +46,7 @@ from .states import (
     _Record,
     _check_coherency,
     _conjugated,
+    _conjugation,
     _outer,
     coherency_from_jones,
     coherency_from_stokes,
@@ -146,9 +147,10 @@ class Stage(_Record, compare=("name", "params")):
 
     Locations take no part in equality, so structurally identical
     circuits compare equal regardless of layout. evaluate keeps a
-    coherent stage's (k, G), and decohere's e^-2 lambda, in the instance
-    __dict__, outside the compared fields, so each is computed once per
-    AST; a failure is not kept.
+    coherent stage's (k, G), and the constants each track of its loop
+    reads (decohere's: e^-2 lambda), in the instance __dict__, outside
+    the compared fields, so each is computed once per AST; a failure is
+    not kept.
     """
 
     name: str
@@ -447,8 +449,8 @@ class SimulationReport(_Record):
     final_jones is populated only when the input carried amplitudes
     and no decoherence stage ran; a mixed state has no amplitude
     representation, so the track is dropped at the first decohere.
-    A report evaluate returns holds the entries it carried; its stages
-    are built from them on the first read, and that tuple is kept.
+    A report evaluate returns holds the entries it carried; its stages,
+    and final_purity, are built from them on the first read and kept.
     """
 
     circuit_format: str
@@ -462,10 +464,12 @@ class SimulationReport(_Record):
     final_classification: object
 
     def __getattr__(self, name):  # only where normal lookup fails
-        trail = vars(self).get("_trail") if name == "stages" else None
+        trail = vars(self).get("_trail") if name in ("stages", "final_purity") else None
         if trail is None:
             raise AttributeError(f"'SimulationReport' object has no attribute {name!r}")
         stages, tol, first, entries, last = trail
+        if name == "final_purity":
+            return vars(self).setdefault(name, purity_report(last))
         matrices = [first, *(CoherencyMatrix._checked(*e) for e in entries), last]
         steps = zip(stages, matrices, matrices[1:])
         records = tuple(StageRecord(st.name, st.params, c0, c1, tol) for st, c0, c1 in steps)
@@ -490,18 +494,21 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     overflow and an intensity that underflows to zero say so.
 
     The StageRecords, and the matrices between stages, are built on the
-    first read of the report's stages; they, and the final matrix, hold
-    entries that passed the gate, unchecked again. Each stage's (k, G),
-    or decohere's e^-2 lambda, is kept on the Stage, and conjugate's
-    constants on G, so evaluating one AST on many states rebuilds nothing.
+    first read of the report's stages, and final_purity on its first
+    read; the matrices hold entries that passed the gate, unchecked
+    again. Each Stage keeps its (k, G) and, per track, the tuple the loop
+    reads: (k^2, *conjugate's constants) without amplitudes, (k, conj of
+    G's four entries) with them, e^-2 lambda for decohere. So a repeat
+    evaluate of one AST looks each stage's tuple up once and pays for its
+    arithmetic and its gate.
     """
     if isinstance(inp, JonesVector):
         p1, p2 = inp.psi1, inp.psi2
         first = coherency_from_jones(inp)
-        input_jones = inp
+        input_jones, track = inp, "_jones"
     elif isinstance(inp, StokesVector):
         p1 = p2 = input_jones = None
-        first = coherency_from_stokes(inp, tol)
+        first, track = coherency_from_stokes(inp, tol), "_coherency"
     else:
         raise TypeError("input must be a JonesVector or StokesVector")
     input_stokes = stokes_from_coherency(first)
@@ -511,31 +518,18 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     trail, stage = [], None
     for stage in ast.stages:
         try:
-            kept = stage.__dict__
-            element = kept.get("_element")
-            if element is None and "_decay" not in kept:
-                kind = STAGES.get(stage.name)
-                if kind is None:
-                    raise PhysicsError(_unknown_element(stage.name))
-                params = [value for _, value in stage.params]
-                if kind.action is None:  # decohere, the one channel
-                    kept["_decay"] = decoherence._decay(*params)
-                else:
-                    element = kept["_element"] = kind.action(*params)
-            if element is None:
-                decay = kept["_decay"]
-                s12 = complex(decay * s12.real, decay * s12.imag)
-                p1 = None
+            step = stage.__dict__.get(track)
+            if step is None:
+                step = _step(stage, track)
+            if step.__class__ is float:  # decohere's e^-2 lambda
+                s12 = complex(step * s12.real, step * s12.imag)
+                p1, track = None, "_coherency"
+            elif p1 is None:
+                s11, s22, s12 = _conjugated(s11, s22, s12, step)
             else:
-                scale, g = element
-                if p1 is None:
-                    s11, s22, s12 = _conjugated(s11, s22, s12, g, scale)
-                else:
-                    p1, p2 = (
-                        scale * (g.alpha.conjugate() * p1 + g.beta.conjugate() * p2),
-                        scale * (g.gamma.conjugate() * p1 + g.delta.conjugate() * p2),
-                    )
-                    s11, s22, s12 = _outer(p1, p2)
+                k, a, b, c, d = step
+                p1, p2 = k * (a * p1 + b * p2), k * (c * p1 + d * p2)
+                s11, s22, s12 = _outer(p1, p2)
             _check_coherency(s11, s22, s12)
             if s11 + s22 <= 0.0:
                 raise PhysicsError("beam attenuated to zero intensity (underflow)")
@@ -559,10 +553,33 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
         final_stokes=final_stokes,
         final_coherency=last,
         final_jones=None if p1 is None else JonesVector(p1, p2),
-        final_purity=purity_report(last),
         final_classification=_classify_at(stage, final_stokes, tol),
     )
     return report
+
+
+def _step(stage, track):
+    """The tuple evaluate's loop reads for stage on track ("_coherency" or
+    "_jones"), kept on it with its (k, G) as _element; decohere's float
+    e^-2 lambda serves both tracks. A failure keeps nothing."""
+    kept = stage.__dict__
+    element = kept.get("_element")
+    if element is None:
+        kind = STAGES.get(stage.name)
+        if kind is None:
+            raise PhysicsError(_unknown_element(stage.name))
+        params = [value for _, value in stage.params]
+        if kind.action is None:  # decohere, the one channel
+            kept["_coherency"] = kept["_jones"] = decay = decoherence._decay(*params)
+            return decay
+        element = kept["_element"] = kind.action(*params)
+    k, g = element
+    if track == "_coherency":
+        step = (k * k, *_conjugation(g))
+    else:
+        step = (k, g.alpha.conjugate(), g.beta.conjugate(), g.gamma.conjugate(), g.delta.conjugate())
+    kept[track] = step
+    return step
 
 
 def _classify_at(stage, stokes, tol):

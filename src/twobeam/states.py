@@ -129,8 +129,12 @@ class _Record:
 
     Its __init__ fills the instance __dict__, which stays open to memos,
     then calls self.__post_init__ if the class has one (looked up per
-    call, so it can be patched). ==, hash and repr go field by field; ==
-    and hash over ``compare`` (default: all) and within one class only.
+    call, so it can be patched). Its classmethod _checked makes the same
+    stores without the hook, for values of the fields' exact types that
+    passed its checks already or hold them by construction; it takes one
+    value per field, or raises TypeError. Both are generated per class.
+    ==, hash and repr go field by field; == and hash over ``compare``
+    (default: all) and within one class only.
     """
 
     def __init_subclass__(cls, compare=None):
@@ -140,20 +144,15 @@ class _Record:
             return  # a subclass without fields of its own keeps its parent's
         cls.__match_args__, cls._compare = fields, fields if compare is None else compare
         cls.__dataclass_fields__ = _DataclassFields(cls.__annotations__)
-        stores = "".join(f"\n    d[{f!r}] = {f}" for f in fields)
+        args, stores = ", ".join(fields), "".join(f"\n    d[{f!r}] = {f}" for f in fields)
         hook = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-        namespace = {}
-        exec(f"def __init__(self, {', '.join(fields)}):\n    d = self.__dict__{stores}{hook}", namespace)
-        cls.__init__ = namespace["__init__"]
+        namespace = {"new": object.__new__}
+        exec(f"def __init__(self, {args}):\n    d = self.__dict__{stores}{hook}\n"
+             f"def _checked(cls, {args}):\n    self = new(cls)\n    d = self.__dict__{stores}\n"
+             "    return self", namespace)
+        namespace["_checked"].__doc__ = "A record of one value per field, without __post_init__."
+        cls.__init__, cls._checked = namespace["__init__"], classmethod(namespace["_checked"])
         cls.__init__.__defaults__ = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
-
-    @classmethod
-    def _checked(cls, *values):
-        """A record of values without __post_init__, for values of their fields'
-        exact types that passed its checks already or hold them by construction."""
-        record = cls.__new__(cls)
-        vars(record).update(zip(cls.__match_args__, values))
-        return record
 
     def _key(self):
         return tuple(getattr(self, f) for f in self._compare)
@@ -298,14 +297,22 @@ def _check_unimodular(a, b, c, d, noun, message, computed=False):
 
 
 def _check_coherency(s11, s22, s12):
-    """CoherencyMatrix's checks of float s11, s22 and complex s12; evaluate runs them too."""
-    if s11 * 0.0 + s22 * 0.0 + s12 * 0.0 != 0.0:
-        raise NonFiniteError("coherency entries must be finite")
+    """CoherencyMatrix's checks of float s11, s22 and complex s12; evaluate runs them too.
+
+    A size |s11| + |s22| in _scaled's range leaves only s12's finiteness to
+    test; any other (0, inf and NaN too) takes the full finiteness, overflow
+    and rescaling steps. Each input gets the same class and message either way.
+    """
     size = abs(s11) + abs(s22)
-    if size == math.inf:
-        raise NonFiniteError("coherency intensities overflow: |s11| + |s22| is infinite")
     re, im = s12.real, s12.imag
-    if not _SQUARE_MIN <= size <= _SQUARE_MAX:  # _scaled's range, tested inline
+    if _SQUARE_MIN <= size <= _SQUARE_MAX:  # _scaled's range, tested inline
+        if re * 0.0 + im * 0.0 != 0.0:
+            raise NonFiniteError("coherency entries must be finite")
+    else:
+        if s11 * 0.0 + s22 * 0.0 + s12 * 0.0 != 0.0:
+            raise NonFiniteError("coherency entries must be finite")
+        if size == math.inf:
+            raise NonFiniteError("coherency intensities overflow: |s11| + |s22| is infinite")
         s11, s22, re, im = _scaled(s11, s22, re, im)
         size = abs(s11) + abs(s22)
     if s11 < -1e-12 * size or s22 < -1e-12 * size:
@@ -546,14 +553,15 @@ def conjugate(c: CoherencyMatrix, g, scale=1.0) -> CoherencyMatrix:
     psi and taking the outer product (coherency_from_jones) gives the
     same matrix, rank 1 to rounding.
     """
-    return CoherencyMatrix(*_conjugated(c.s11, c.s22, c.s12, g, scale))
-
-
-def _conjugated(p, q, s, g, scale):
-    """conjugate's entries: those of scale^2 G C G+ for C's s11 = p, s22 = q, s12 = s."""
     kept = g.__dict__.get("_conjugation") if isinstance(g, Element2) else None
-    aa, bb, ab, cc, dd, cd, ad, bc, a, cbar, b, dbar = kept or _conjugation(g)
-    k2 = scale * scale
+    step = (scale * scale, *(kept or _conjugation(g)))
+    return CoherencyMatrix(*_conjugated(c.s11, c.s22, c.s12, step))
+
+
+def _conjugated(p, q, s, step):
+    """conjugate's entries: those of k^2 G C G+ for C's s11 = p, s22 = q, s12 = s,
+    with step = (k^2, *G's conjugation constants); evaluate keeps step per stage."""
+    k2, aa, bb, ab, cc, dd, cd, ad, bc, a, cbar, b, dbar = step
     s11 = aa * p + bb * q + 2.0 * (ab * s).real
     s22 = cc * p + dd * q + 2.0 * (cd * s).real
     s12 = p * a * cbar + q * b * dbar + ad * s + bc * s.conjugate()

@@ -29,6 +29,7 @@ from twobeam import (
     parse,
     purity_report,
     stokes_from_coherency,
+    unparse,
 )
 from twobeam import circuit, decoherence, states
 from twobeam.circuit import _parse_tokens, _scan
@@ -481,3 +482,37 @@ def test_evaluate_builds_records_on_first_read(monkeypatch):
         case SimulationReport(_, _, _, stages):
             pass
     assert stages == eager.stages
+
+
+def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
+    # Each Stage keeps the tuple its track reads: after a Stokes-input
+    # evaluate, a Jones-input one of the same AST computes no conjugation
+    # constants, whether its stages run on amplitudes (before decohere) or
+    # on the coherency entries (after it); nor does any repeat.
+    computed = []
+    conjugation = states._conjugation
+
+    def counted(g):
+        computed.append(g)
+        return conjugation(g)
+
+    monkeypatch.setattr(states, "_conjugation", counted)
+    monkeypatch.setattr(circuit, "_conjugation", counted)
+    ast = parse("rotate(theta=0.3); atten(eta1=0.1, eta2=0.2); squeeze(eta=0.4); decohere(lambda=0.2); "
+                "phase(phi=0.5); split(ratio=0.3)")
+    stokes, jones = StokesVector(1.0, 0.2, 0.3, 0.1), JonesVector(1 + 1j, 0.5)
+    fresh = {inp: evaluate(parse(unparse(ast)), inp) for inp in (stokes, jones)}
+    del computed[:]
+    first = evaluate(ast, stokes)
+    assert len(computed) == 5
+    del computed[:]
+    for inp in (jones, stokes, jones):
+        assert evaluate(ast, inp) == fresh[inp]
+    assert computed == [] and first == fresh[stokes]
+    # final_purity is built on its first read, and kept.
+    for inp in (stokes, jones):
+        report = evaluate(ast, inp)
+        assert "final_purity" not in vars(report)
+        purity = report.final_purity
+        assert purity == purity_report(report.final_coherency)
+        assert report.final_purity is purity is vars(report)["final_purity"]

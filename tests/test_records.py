@@ -1,15 +1,19 @@
 """The value semantics of the frozen records: equality, hashing, repr, immutability."""
 
 import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 
+import twobeam
 from twobeam import (
     CircuitAst,
     CoherencyMatrix,
     Element2,
     InterpolationParams,
     JonesVector,
+    SimulationReport,
     StateClass,
     StokesVector,
     Transform4,
@@ -17,6 +21,7 @@ from twobeam import (
     parse,
 )
 from twobeam.circuit import Stage
+from twobeam.states import _Record
 
 IDENTITY16 = [1.0 if i % 5 == 0 else 0.0 for i in range(16)]
 
@@ -165,3 +170,56 @@ def test_dataclasses_functions_read_the_records():
     assert changed.final_classification.tag == "pure" and changed.stages == report.stages
     with pytest.raises(AttributeError):
         changed.final_stokes = s
+
+
+def record_classes():
+    """Every _Record subclass in the package, each module run first."""
+    for info in pkgutil.iter_modules(twobeam.__path__):
+        importlib.import_module(f"twobeam.{info.name}").__name__  # a lazy module runs on first read
+    pending, found = list(_Record.__subclasses__()), []
+    while pending:
+        cls = pending.pop()
+        found.append(cls)
+        pending.extend(cls.__subclasses__())
+    return found
+
+
+def checked_values():
+    """Valid values, one per field, of each record class."""
+    report = evaluate(parse("rotate(theta=0.3)"), StokesVector(1, 0.5, 0, 0))
+    stage = Stage("rotate", (("theta", 0.3),), 2, 5)
+    return {
+        JonesVector: (1 + 0j, 2j),
+        Element2: (1 + 0j, 0j, 0j, 1 + 0j),
+        CoherencyMatrix: (1.0, 1.0, 0.5j),
+        StokesVector: (1.0, 0.5, 0.0, 0.0),
+        Transform4: (tuple(IDENTITY16),),
+        StateClass: ("impure", 0.75, 0.5),
+        InterpolationParams: (0.5, 1.0, 0.8),
+        Stage: tuple(vars(stage).values()),
+        CircuitAst: ((stage,),),
+        SimulationReport: tuple(getattr(report, f) for f in SimulationReport.__match_args__),
+    }
+
+
+def test_checked_builds_the_record_without_its_hook(monkeypatch):
+    values = checked_values()
+    assert set(record_classes()) == set(values)
+    hooks = []
+    for cls in values:
+        if hasattr(cls, "__post_init__"):
+            hook = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, hook=hook: hooks.append(self) or hook(self))
+    for cls, args in values.items():
+        del hooks[:]
+        record = cls._checked(*args)
+        assert hooks == []
+        built = cls(*args)
+        assert len(hooks) == hasattr(cls, "__post_init__")
+        assert type(record) is cls and vars(record) == vars(built) and repr(record) == repr(built)
+        if cls is not Transform4:  # which compares by identity
+            assert record == built
+        with pytest.raises(TypeError):
+            cls._checked(*args[:-1])
+        with pytest.raises(TypeError):
+            cls._checked(*args, args[-1])

@@ -30,6 +30,7 @@ from twobeam import (
     squeezer,
     stokes_from_coherency,
 )
+from twobeam import states
 
 
 def random_element(rng, eta_max=1.0):
@@ -331,3 +332,52 @@ def test_spacelike_message_reports_relative_norm():
         StokesVector(1, 2, 0, 0).require_physical()
     with pytest.raises(PhysicsError, match="relative_norm = -inf"):
         StokesVector(0, 1, 0, 0).require_physical()
+
+
+FINITE = (NonFiniteError, "coherency entries must be finite")
+PSD = "coherency matrix must be positive semidefinite: det = "
+
+
+def gate_cases():
+    """(s11, s22, s12, outcome): outcome is None (accepted) or (class, message).
+
+    The gate tests s12's finiteness alone where |s11| + |s22| lies in
+    [_SQUARE_MIN, _SQUARE_MAX] and runs its full steps elsewhere; the
+    cases fall on both sides of that split and on its edges.
+    """
+    inf, nan = math.inf, math.nan
+    low, high = states._SQUARE_MIN, states._SQUARE_MAX
+    yield from [
+        (1.0, 1.0, complex(inf, 0.0), FINITE),
+        (1.0, 1.0, complex(nan, 0.0), FINITE),
+        (1.0, 1.0, complex(1.0, inf), FINITE),
+        (high, 0.0, complex(0.0, nan), FINITE),
+        (low, 0.0, complex(inf, 0.0), FINITE),
+        (nan, 1.0, 0j, FINITE),
+        (1.0, inf, 0j, FINITE),
+        (nan, nan, complex(nan, nan), FINITE),
+        (1e308, 1e308, 0j, (NonFiniteError, "coherency intensities overflow: |s11| + |s22| is infinite")),
+        (0.0, 0.0, 0j, None),
+        (0.0, 0.0, 1j, (PhysicsError, PSD + "-1.000e+00")),
+        (1.0, 1.0, 1e200 + 0j, (PhysicsError, PSD + "-inf")),
+        (high, 0.0, 0j, None),
+        (math.nextafter(high, inf), 0.0, 0j, None),
+        (low, 0.0, 0j, None),
+        (math.nextafter(low, 0.0), 0.0, 0j, None),
+    ]
+    dets = {1e-300: "-3.588e-06", 1.0: "-2.000e-06", 1e300: "-4.459e-06"}
+    for scale, det in dets.items():
+        yield scale, scale, 0.5 * scale * (1 + 1j), None
+        yield -1e-9 * scale, scale, 0j, (PhysicsError, "diagonal coherency entries must be nonnegative")
+        yield scale, scale, complex(scale * (1 + 1e-6), 0.0), (PhysicsError, PSD + det)
+
+
+@pytest.mark.parametrize("s11, s22, s12, outcome", gate_cases())
+def test_coherency_gate_outcomes_on_both_sides_of_its_fast_path(s11, s22, s12, outcome):
+    for check in (states._check_coherency, CoherencyMatrix):
+        try:
+            check(s11, s22, s12)
+            got = None
+        except PhysicsError as err:
+            got = type(err), str(err)
+        assert got == outcome, check
