@@ -173,13 +173,19 @@ def test_dataclasses_functions_read_the_records():
 
 
 def record_classes():
-    """Every _Record subclass in the package, each module run first."""
+    """Every _Record subclass in the package, each module run first.
+
+    Subclasses defined elsewhere (the Twin classes above) stay listed in
+    __subclasses__ until the cyclic collector frees them, so only classes
+    of twobeam modules count.
+    """
     for info in pkgutil.iter_modules(twobeam.__path__):
         importlib.import_module(f"twobeam.{info.name}").__name__  # a lazy module runs on first read
     pending, found = list(_Record.__subclasses__()), []
     while pending:
         cls = pending.pop()
-        found.append(cls)
+        if cls.__module__.startswith("twobeam."):
+            found.append(cls)
         pending.extend(cls.__subclasses__())
     return found
 
