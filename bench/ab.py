@@ -10,22 +10,17 @@ Both packages load into one process, as `twobeam_parent` and
 `twobeam_change`: the package's imports are relative, and its __init__
 registers its submodules under its own __name__.
 
-Inputs are drawn, seeded, with perfbench.workloads' generators, as its
-workloads draw them, and each side builds its own objects from the same
-numbers. The operations are those of the perfbench workloads, without
-their oracle checks:
-
-* state-sweep: evaluate one Stokes input on one parsed 16-stage circuit
-  with a decohere every fourth stage, then classify and standardize the
-  final Stokes vector; inputs alternate pure and impure;
-* long-chain: parse a fresh coherent circuit and evaluate it from a
-  Jones input.
+Each side runs perfbench's own StateSweep and LongChain workloads:
+perfbench/workloads.py is loaded once per side, with its `twobeam`
+import bound to that side's package, so the A/B runs exactly perfbench's
+setup, seeded inputs and operation. Both sides take the same seed, so
+they draw the same inputs. Every warm-up operation is checked against
+the workload's oracle, and a failure stops the script.
 
 Each round times one block of each workload's operations per side with
 time.process_time, so another process on the host costs neither side,
 after a gc.collect(); the side that runs first alternates from round to
-round. Per workload the
-script prints the median and quartiles over rounds of the ratio parent
+round. Per workload the script prints the median and quartiles over rounds of the ratio parent
 CPU time / change CPU time (above 1: the change is faster), the rounds
 the change won, and the median time per operation of each side. It
 sets no pass/fail gate. bench/record.py stays the record for a BENCH
@@ -37,7 +32,6 @@ runs on a drifting host do not.
 import argparse
 import gc
 import importlib.util
-import random
 import statistics
 import sys
 import tempfile
@@ -46,52 +40,52 @@ from pathlib import Path
 
 from record import ROOT, SIDES, export, quartiles  # bench/ is the script's directory, so on sys.path
 
-sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
-import workloads  # noqa: E402  perfbench's generators
+WORKLOADS = ("state-sweep", "long-chain")
 
 
-def load(checkout, name):
-    """The package under checkout/src/twobeam, imported as name."""
-    package = Path(checkout) / "src" / "twobeam"
+def load(path, name):
+    """The module or package (a directory's __init__.py) at path, imported as name."""
+    package = path.is_dir()
     spec = importlib.util.spec_from_file_location(
-        name, package / "__init__.py", submodule_search_locations=[str(package)])
+        name, path / "__init__.py" if package else path,
+        submodule_search_locations=[str(path)] if package else None)
     module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def draws(seed, states, chains, stages):
-    """The drawn numbers: one sweep circuit's text and Stokes inputs, and
-    (text, Jones amplitudes) per long chain, as perfbench draws them."""
-    rng = random.Random(seed)
-    kinds = ["decohere" if k % 4 == 3 else rng.choice(workloads.COHERENT) for k in range(16)]
-    sweep_text = workloads.circuit_text([workloads.draw_stage(rng, k) for k in kinds])
-    stokes = [workloads.draw_stokes(rng, pure=i % 2 == 0) for i in range(states)]
-    long_chains = []
-    for _ in range(chains):
-        chain = [workloads.draw_stage(rng, rng.choice(workloads.COHERENT)) for _ in range(stages)]
-        long_chains.append((workloads.circuit_text(chain), workloads.draw_jones(rng)))
-    return sweep_text, stokes, long_chains
+def workloads_of(checkout, side):
+    """perfbench.workloads with its `twobeam` import bound to checkout's package."""
+    package = load(Path(checkout) / "src" / "twobeam", f"twobeam_{side}")
+    saved = sys.modules.get("twobeam")
+    sys.modules["twobeam"] = package
+    try:
+        return load(ROOT / "perfbench" / "workloads.py", f"workloads_{side}")
+    finally:
+        if saved is None:
+            del sys.modules["twobeam"]
+        else:
+            sys.modules["twobeam"] = saved
 
 
-def operations(pkg, sweep_text, stokes, long_chains):
-    """{workload: a function running its block of operations on pkg}."""
-    circuit, littlegroup = pkg.circuit, pkg.littlegroup
-    ast = circuit.parse(sweep_text)
-    inputs = [pkg.states.StokesVector(*s) for s in stokes]
-    chains = [(text, pkg.states.JonesVector(*psi)) for text, psi in long_chains]
+def operations(module, seed, workdir, sizes):
+    """{workload: (a function running its block of operations, their count)}."""
+    ops = {}
+    for name in WORKLOADS:
+        workload = module.WORKLOADS[name](seed, workdir, **sizes[name][1])
+        workload.setup()
+        cases = [workload.make_input(i) for i in range(sizes[name][0])]
+        for case in cases:  # warm-up, untimed and checked
+            error = workload.check(case, workload.op(case))
+            if error:
+                raise SystemExit(f"{module.__name__} {name}: {error}")
 
-    def sweep():
-        for s in inputs:
-            final = circuit.evaluate(ast, s).final_stokes
-            littlegroup.classify(final)
-            littlegroup.standardize(final)
+        def block(op=workload.op, cases=cases):
+            for case in cases:
+                op(case)
 
-    def chain():
-        for text, jones in chains:
-            circuit.evaluate(circuit.parse(text), jones)
-
-    return {"state-sweep": (sweep, len(inputs)), "long-chain": (chain, len(chains))}
+        ops[name] = block, len(cases)
+    return ops
 
 
 def cpu_time(block):
@@ -112,16 +106,13 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=701)
     args = parser.parse_args(argv)
 
-    drawn = draws(args.seed, args.states, args.chains, args.stages)
+    sizes = {"state-sweep": (args.states, {}), "long-chain": (args.chains, {"stages": args.stages})}
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(args.parent)
         if not (parent / "src" / "twobeam").is_dir():
             parent = export(args.parent, Path(tmp) / "parent")
-        ops = {side: operations(load(checkout, f"twobeam_{side}"), *drawn)
+        ops = {side: operations(workloads_of(checkout, side), args.seed, tmp, sizes)
                for side, checkout in zip(SIDES, (parent, ROOT))}
-        for side in SIDES:  # warm-up, untimed: each side fills its caches and runs its modules
-            for block, _ in ops[side].values():
-                block()
     times = {(w, side): [] for w in ops["change"] for side in SIDES}
     for k in range(args.rounds):
         for workload in ops["change"]:

@@ -147,10 +147,10 @@ class Stage(_Record, compare=("name", "params")):
 
     Locations take no part in equality, so structurally identical
     circuits compare equal regardless of layout. evaluate keeps a
-    coherent stage's (k, G), and the constants each track of its loop
-    reads (decohere's: e^-2 lambda), in the instance __dict__, outside
-    the compared fields, so each is computed once per AST; a failure is
-    not kept.
+    coherent stage's (k, G), the coherency-track constants of its loop
+    and decohere's e^-2 lambda in the instance __dict__, outside the
+    compared fields, so each is computed once per AST; a failure is not
+    kept.
     """
 
     name: str
@@ -496,16 +496,15 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     The StageRecords, and the matrices between stages, are built on the
     first read of the report's stages, and final_purity on its first
     read; the matrices hold entries that passed the gate, unchecked
-    again. Each Stage keeps its (k, G) and, per track, the tuple the loop
-    reads: (k^2, *conjugate's constants) without amplitudes, (k, conj of
-    G's four entries) with them, e^-2 lambda for decohere. So a repeat
-    evaluate of one AST looks each stage's tuple up once and pays for its
-    arithmetic and its gate.
+    again. Each Stage keeps what the loop reads of it: its (k, G) for the
+    amplitudes, (k^2, *conjugate's constants) for the entries without
+    them, e^-2 lambda for decohere. So a repeat evaluate of one AST looks
+    each stage's up once and pays for its arithmetic and its gate.
     """
     if isinstance(inp, JonesVector):
         p1, p2 = inp.psi1, inp.psi2
         first = coherency_from_jones(inp)
-        input_jones, track = inp, "_jones"
+        input_jones, track = inp, "_element"
     elif isinstance(inp, StokesVector):
         p1 = p2 = input_jones = None
         first, track = coherency_from_stokes(inp, tol), "_coherency"
@@ -527,8 +526,11 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
             elif p1 is None:
                 s11, s22, s12 = _conjugated(s11, s22, s12, step)
             else:
-                k, a, b, c, d = step
-                p1, p2 = k * (a * p1 + b * p2), k * (c * p1 + d * p2)
+                k, g = step
+                p1, p2 = (
+                    k * (g.alpha.conjugate() * p1 + g.beta.conjugate() * p2),
+                    k * (g.gamma.conjugate() * p1 + g.delta.conjugate() * p2),
+                )
                 s11, s22, s12 = _outer(p1, p2)
             _check_coherency(s11, s22, s12)
             if s11 + s22 <= 0.0:
@@ -559,10 +561,13 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
 
 
 def _step(stage, track):
-    """The tuple evaluate's loop reads for stage on track ("_coherency" or
-    "_jones"), kept on it with its (k, G) as _element; decohere's float
-    e^-2 lambda serves both tracks. A failure keeps nothing."""
+    """What evaluate's loop reads for stage on track, kept on it: (k, G) as
+    _element for the amplitudes, (k^2, *G's conjugation constants) as
+    _coherency for the entries, and decohere's float e^-2 lambda as
+    _coherency for both. A failure keeps nothing."""
     kept = stage.__dict__
+    if "_coherency" in kept:  # decohere's, asked for as _element
+        return kept["_coherency"]
     element = kept.get("_element")
     if element is None:
         kind = STAGES.get(stage.name)
@@ -570,15 +575,13 @@ def _step(stage, track):
             raise PhysicsError(_unknown_element(stage.name))
         params = [value for _, value in stage.params]
         if kind.action is None:  # decohere, the one channel
-            kept["_coherency"] = kept["_jones"] = decay = decoherence._decay(*params)
+            kept["_coherency"] = decay = decoherence._decay(*params)
             return decay
         element = kept["_element"] = kind.action(*params)
+    if track == "_element":
+        return element
     k, g = element
-    if track == "_coherency":
-        step = (k * k, *_conjugation(g))
-    else:
-        step = (k, g.alpha.conjugate(), g.beta.conjugate(), g.gamma.conjugate(), g.delta.conjugate())
-    kept[track] = step
+    kept[track] = step = (k * k, *_conjugation(g))
     return step
 
 

@@ -553,9 +553,13 @@ def conjugate(c: CoherencyMatrix, g, scale=1.0) -> CoherencyMatrix:
     psi and taking the outer product (coherency_from_jones) gives the
     same matrix, rank 1 to rounding.
     """
-    kept = g.__dict__.get("_conjugation") if isinstance(g, Element2) else None
-    step = (scale * scale, *(kept or _conjugation(g)))
-    return CoherencyMatrix(*_conjugated(c.s11, c.s22, c.s12, step))
+    if isinstance(g, Element2):
+        kept = vars(g).get("_conjugation")
+        if kept is None:  # two threads may both store it, which stores equal values
+            kept = vars(g)["_conjugation"] = _conjugation(g)
+    else:
+        kept = _conjugation(g)
+    return CoherencyMatrix(*_conjugated(c.s11, c.s22, c.s12, (scale * scale, *kept)))
 
 
 def _conjugated(p, q, s, step):
@@ -571,15 +575,11 @@ def _conjugated(p, q, s, step):
 def _conjugation(g):
     """g's conjugation constants: the products of its entries that do not
     involve C, then the entries that conjugate still multiplies by C's
-    entries one at a time. Kept on g if it is an Element2; two threads
-    may both compute and store them, which stores equal values."""
+    entries one at a time."""
     a, b, c, d = _entries2(g)
     abar, bbar, cbar, dbar = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    k = ((a * abar).real, (b * bbar).real, a * bbar, (c * cbar).real, (d * dbar).real, c * dbar,
-         a * dbar, b * cbar, a, cbar, b, dbar)
-    if isinstance(g, Element2):
-        vars(g)["_conjugation"] = k
-    return k
+    return ((a * abar).real, (b * bbar).real, a * bbar, (c * cbar).real, (d * dbar).real, c * dbar,
+            a * dbar, b * cbar, a, cbar, b, dbar)
 
 
 def lift(g) -> Transform4:

@@ -485,10 +485,12 @@ def test_evaluate_builds_records_on_first_read(monkeypatch):
 
 
 def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
-    # Each Stage keeps the tuple its track reads: after a Stokes-input
+    # Each Stage keeps what its track reads: after a Stokes-input
     # evaluate, a Jones-input one of the same AST computes no conjugation
     # constants, whether its stages run on amplitudes (before decohere) or
-    # on the coherency entries (after it); nor does any repeat.
+    # on the coherency entries (after it); nor does any repeat. The
+    # amplitudes read (k, G) alone, so a Jones-input evaluate of a fresh
+    # AST keeps no constants on the stages before its first decohere.
     computed = []
     conjugation = states._conjugation
 
@@ -502,6 +504,10 @@ def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
                 "phase(phi=0.5); split(ratio=0.3)")
     stokes, jones = StokesVector(1.0, 0.2, 0.3, 0.1), JonesVector(1 + 1j, 0.5)
     fresh = {inp: evaluate(parse(unparse(ast)), inp) for inp in (stokes, jones)}
+    jones_ast = parse(unparse(ast))
+    evaluate(jones_ast, jones)
+    assert [sorted(k for k in vars(st) if k.startswith("_")) for st in jones_ast.stages] == [
+        ["_element"]] * 3 + [["_coherency"]] + [["_coherency", "_element"]] * 2
     del computed[:]
     first = evaluate(ast, stokes)
     assert len(computed) == 5
