@@ -1,16 +1,18 @@
-"""Interleaved in-process A/B of the long-chain and state-sweep operations.
+"""Interleaved A/B of perfbench's workloads: in process, or per CLI call.
 
     python3 bench/ab.py --parent HEAD
     python3 bench/ab.py --parent ../other-checkout --rounds 60
+    python3 bench/ab.py --parent HEAD --mode cli-mix
 
 The parent side is a git revision, exported with `git archive` into a
 temporary directory as bench/record.py exports it, or a directory that
 holds `src/twobeam`. The change side is this working tree's `src/twobeam`.
-Both packages load into one process, as `twobeam_parent` and
-`twobeam_change`: the package's imports are relative, and its __init__
-registers its submodules under its own __name__.
 
-Each side runs perfbench's own StateSweep and LongChain workloads:
+The default mode, in-process, runs the long-chain and state-sweep
+operations. Both packages load into one process, as `twobeam_parent` and
+`twobeam_change`: the package's imports are relative, and its __init__
+registers its submodules under its own __name__. Each side runs
+perfbench's own StateSweep and LongChain workloads:
 perfbench/workloads.py is loaded once per side, with its `twobeam`
 import bound to that side's package, so the A/B runs exactly perfbench's
 setup, seeded inputs and operation. Both sides take the same seed, so
@@ -24,15 +26,27 @@ round. Per workload the script prints the median and quartiles over rounds of th
 CPU time / change CPU time (above 1: the change is faster), the rounds
 the change won, and the median time per operation of each side. It
 sets no pass/fail gate. bench/record.py stays the record for a BENCH
-file and for cli-mix, which runs child processes; this script resolves
-a few percent on the in-process workloads, which sequential perfbench
+file; this script resolves a few percent, which sequential perfbench
 runs on a drifting host do not.
+
+The cli-mix mode runs CliMix's eight argument vectors, from perfbench's
+own setup with the given seed, as `python -m twobeam.cli` children, one
+side's `src` on PYTHONPATH, each side from a copy of its `src` without a
+`__pycache__`. A round runs each vector on both sides in turn, the
+first side alternating from round to round, and times each side's eight
+children in child CPU time (resource.getrusage); every output is checked
+with CliMix's own check, so both sides must print the bytes of
+perfbench's reference run. It prints the same summary line for cli-mix.
 """
 
 import argparse
 import gc
 import importlib.util
+import os
+import resource
+import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -95,10 +109,59 @@ def cpu_time(block):
     return time.process_time() - start
 
 
+def in_process(parent, args, tmp):
+    """{workload: ({side: CPU time per round}, operations per block)} of the in-process workloads."""
+    sizes = {"state-sweep": (args.states, {}), "long-chain": (args.chains, {"stages": args.stages})}
+    ops = {side: operations(workloads_of(checkout, side), args.seed, tmp, sizes)
+           for side, checkout in zip(SIDES, (parent, ROOT))}
+    times = {w: {side: [] for side in SIDES} for w in ops["change"]}
+    for k in range(args.rounds):
+        for workload in ops["change"]:
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                times[workload][side].append(cpu_time(ops[side][workload][0]))
+    return {w: (times[w], n) for w, (_, n) in ops["change"].items()}
+
+
+def child_cpu(argv, path):
+    """The user and system CPU time of `python -m twobeam.cli argv` with path on PYTHONPATH,
+    and its (exit code, stdout)."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run([sys.executable, "-m", "twobeam.cli", *argv], cwd=ROOT, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(path)), timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime, (done.returncode, done.stdout)
+
+
+def cli_mix(parent, args, tmp):
+    """{"cli-mix": ({side: child CPU time per round}, commands per round)}."""
+    workload = workloads_of(ROOT, "change").WORKLOADS["cli-mix"](args.seed, tmp)
+    workload.setup()  # the argument vectors, their circuit file and the reference outputs
+    cases = [workload.make_input(i) for i in range(len(workload.argvs))]
+    paths = {}
+    for side, checkout in zip(SIDES, (parent, ROOT)):
+        paths[side] = Path(tmp) / f"src-{side}"
+        shutil.copytree(Path(checkout) / "src" / "twobeam", paths[side] / "twobeam",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    times = {side: [] for side in SIDES}
+    for k in range(args.rounds):
+        spent = dict.fromkeys(SIDES, 0.0)
+        for case in cases:
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                cpu, out = child_cpu(case.argv, paths[side])
+                error = workload.check(case, out)
+                if error:
+                    raise SystemExit(f"{side} cli-mix: {error}")
+                spent[side] += cpu
+        for side in SIDES:
+            times[side].append(spent[side])
+    return {"cli-mix": (times, len(cases))}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True,
                         help="git revision, or a directory holding src/twobeam")
+    parser.add_argument("--mode", choices=("in-process", "cli-mix"), default="in-process")
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--states", type=int, default=400, help="state-sweep operations per block")
     parser.add_argument("--chains", type=int, default=4, help="long-chain operations per block")
@@ -106,27 +169,20 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=701)
     args = parser.parse_args(argv)
 
-    sizes = {"state-sweep": (args.states, {}), "long-chain": (args.chains, {"stages": args.stages})}
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(args.parent)
         if not (parent / "src" / "twobeam").is_dir():
             parent = export(args.parent, Path(tmp) / "parent")
-        ops = {side: operations(workloads_of(checkout, side), args.seed, tmp, sizes)
-               for side, checkout in zip(SIDES, (parent, ROOT))}
-    times = {(w, side): [] for w in ops["change"] for side in SIDES}
-    for k in range(args.rounds):
-        for workload in ops["change"]:
-            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                times[workload, side].append(cpu_time(ops[side][workload][0]))
-    for workload, (_, n) in ops["change"].items():
-        parent_t, change_t = times[workload, "parent"], times[workload, "change"]
-        ratios = [p / c for p, c in zip(parent_t, change_t)]
+        results = (cli_mix if args.mode == "cli-mix" else in_process)(parent, args, tmp)
+    what, unit, scale = ("child CPU time", "ms", 1e3) if args.mode == "cli-mix" else ("CPU time", "us", 1e6)
+    for workload, (times, n) in results.items():
+        ratios = [p / c for p, c in zip(times["parent"], times["change"])]
         q1, median, q3 = quartiles(ratios)
         won = sum(r > 1.0 for r in ratios)
-        per_op = {side: 1e6 * statistics.median(times[workload, side]) / n for side in SIDES}
-        print(f"{workload}: parent/change CPU time median {median:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
-              f"change faster in {won} of {len(ratios)} rounds; per op {per_op['parent']:.1f} us "
-              f"parent, {per_op['change']:.1f} us change ({n} ops per block)")
+        per_op = {side: scale * statistics.median(times[side]) / n for side in SIDES}
+        print(f"{workload}: parent/change {what} median {median:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
+              f"change faster in {won} of {len(ratios)} rounds; per op {per_op['parent']:.1f} {unit} "
+              f"parent, {per_op['change']:.1f} {unit} change ({n} ops per block)")
     return 0
 
 

@@ -146,11 +146,11 @@ class Stage(_Record, compare=("name", "params")):
     """One element of a circuit, with canonical radian parameters.
 
     Locations take no part in equality, so structurally identical
-    circuits compare equal regardless of layout. evaluate keeps a
-    coherent stage's (k, G), the coherency-track constants of its loop
-    and decohere's e^-2 lambda in the instance __dict__, outside the
-    compared fields, so each is computed once per AST; a failure is not
-    kept.
+    circuits compare equal regardless of layout. evaluate keeps the
+    numbers a coherent stage's amplitude update multiplies by, the
+    coherency-track constants of its loop and decohere's e^-2 lambda in
+    the instance __dict__, outside the compared fields, so each is
+    computed once per AST; a failure is not kept.
     """
 
     name: str
@@ -496,10 +496,11 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     The StageRecords, and the matrices between stages, are built on the
     first read of the report's stages, and final_purity on its first
     read; the matrices hold entries that passed the gate, unchecked
-    again. Each Stage keeps what the loop reads of it: its (k, G) for the
-    amplitudes, (k^2, *conjugate's constants) for the entries without
-    them, e^-2 lambda for decohere. So a repeat evaluate of one AST looks
-    each stage's up once and pays for its arithmetic and its gate.
+    again. Each Stage keeps what the loop reads of it: k and the entries
+    of conj(G) for the amplitudes, (k^2, *conjugate's constants) for the
+    entries without them, e^-2 lambda for decohere. So a repeat evaluate
+    of one AST looks each stage's up once and pays for its arithmetic and
+    its gate.
     """
     if isinstance(inp, JonesVector):
         p1, p2 = inp.psi1, inp.psi2
@@ -525,12 +526,9 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
                 p1, track = None, "_coherency"
             elif p1 is None:
                 s11, s22, s12 = _conjugated(s11, s22, s12, step)
-            else:
-                k, g = step
-                p1, p2 = (
-                    k * (g.alpha.conjugate() * p1 + g.beta.conjugate() * p2),
-                    k * (g.gamma.conjugate() * p1 + g.delta.conjugate() * p2),
-                )
+            else:  # psi -> k conj(G) psi
+                k, a, b, c, d = step
+                p1, p2 = k * (a * p1 + b * p2), k * (c * p1 + d * p2)
                 s11, s22, s12 = _outer(p1, p2)
             _check_coherency(s11, s22, s12)
             if s11 + s22 <= 0.0:
@@ -561,10 +559,11 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
 
 
 def _step(stage, track):
-    """What evaluate's loop reads for stage on track, kept on it: (k, G) as
-    _element for the amplitudes, (k^2, *G's conjugation constants) as
-    _coherency for the entries, and decohere's float e^-2 lambda as
-    _coherency for both. A failure keeps nothing."""
+    """What evaluate's loop reads for stage on track, kept on it: as _element
+    for the amplitudes, (k, conj(alpha), conj(beta), conj(gamma), conj(delta))
+    of its action (k, G); as _coherency for the entries, (k^2, *G's
+    conjugation constants), derived from those numbers; for both, decohere's
+    float e^-2 lambda as _coherency. A failure keeps nothing."""
     kept = stage.__dict__
     if "_coherency" in kept:  # decohere's, asked for as _element
         return kept["_coherency"]
@@ -577,11 +576,13 @@ def _step(stage, track):
         if kind.action is None:  # decohere, the one channel
             kept["_coherency"] = decay = decoherence._decay(*params)
             return decay
-        element = kept["_element"] = kind.action(*params)
+        k, g = kind.action(*params)
+        element = kept["_element"] = (
+            k, g.alpha.conjugate(), g.beta.conjugate(), g.gamma.conjugate(), g.delta.conjugate())
     if track == "_element":
         return element
-    k, g = element
-    kept[track] = step = (k * k, *_conjugation(g))
+    k, *bars = element
+    kept[track] = step = (k * k, *_conjugation([x.conjugate() for x in bars]))
     return step
 
 

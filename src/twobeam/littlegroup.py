@@ -189,23 +189,18 @@ class InterpolationParams(_Record):
 
     alpha: float
     u: float
-    w: float = None
+    w: float | None = None
 
     def __post_init__(self):
-        alpha = float(self.alpha)
-        u = float(self.u)
+        alpha, u, w = self.alpha, self.u, self.w
         if not (math.isfinite(alpha) and math.isfinite(u)):
             raise PhysicsError("alpha and u must be finite")
         if not 0.0 <= alpha <= 1.0:
             raise PhysicsError("alpha must lie in [0, 1]")
-        w = self.w
-        if w is None:
-            w = 1.0 / (1.0 + (1.0 - alpha * alpha) * (u * u / 4.0))
-        else:
-            w = float(w)
+        w = 1.0 / (1.0 + (1.0 - alpha * alpha) * (u * u / 4.0)) if w is None else float(w)
         if not math.isfinite(w) or w <= 0.0:
             raise PhysicsError("w must be finite and positive")
-        vars(self).update(alpha=alpha, u=u, w=w)
+        vars(self)["w"] = w
 
     @classmethod
     def from_angles(cls, theta, eta):

@@ -127,12 +127,14 @@ class _DataclassFields:
 class _Record:
     """Frozen record: a subclass's annotations are its fields, in order.
 
-    Its __init__ fills the instance __dict__, which stays open to memos,
-    then calls self.__post_init__ if the class has one (looked up per
-    call, so it can be patched). Its classmethod _checked makes the same
-    stores without the hook, for values of the fields' exact types that
-    passed its checks already or hold them by construction; it takes one
-    value per field, or raises TypeError. Both are generated per class.
+    Its __init__ converts each value of a field annotated float or complex
+    that is not exactly of that class, fills the instance __dict__, which
+    stays open to memos, then calls self.__post_init__ if the class has
+    one (looked up per call, so it can be patched). Its classmethod
+    _checked makes the same stores without either, for values of the
+    fields' exact types that passed its checks already or hold them by
+    construction; it takes one value per field, or raises TypeError. Both
+    are generated per class, _checked on its first call.
     ==, hash and repr go field by field; == and hash over ``compare``
     (default: all) and within one class only.
     """
@@ -145,14 +147,24 @@ class _Record:
         cls.__match_args__, cls._compare = fields, fields if compare is None else compare
         cls.__dataclass_fields__ = _DataclassFields(cls.__annotations__)
         args, stores = ", ".join(fields), "".join(f"\n    d[{f!r}] = {f}" for f in fields)
+        converts = "".join(f"\n    if {f}.__class__ is not {t.__name__}: {f} = {t.__name__}({f})"
+                           for f, t in cls.__annotations__.items() if t is float or t is complex)
         hook = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-        namespace = {"new": object.__new__}
-        exec(f"def __init__(self, {args}):\n    d = self.__dict__{stores}{hook}\n"
-             f"def _checked(cls, {args}):\n    self = new(cls)\n    d = self.__dict__{stores}\n"
-             "    return self", namespace)
-        namespace["_checked"].__doc__ = "A record of one value per field, without __post_init__."
-        cls.__init__, cls._checked = namespace["__init__"], classmethod(namespace["_checked"])
+        namespace = {}
+        exec(f"def __init__(self, {args}):{converts}\n    d = self.__dict__{stores}{hook}", namespace)
+        cls.__init__ = namespace["__init__"]
         cls.__init__.__defaults__ = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
+
+        def _checked(owner, *values):
+            """A record of one value per field, without __init__'s conversions or __post_init__."""
+            namespace = {"new": object.__new__}  # compiled on the first call, which replaces this stub
+            exec(f"def _checked(cls, {args}):\n    self = new(cls)\n    d = self.__dict__{stores}\n"
+                 "    return self", namespace)
+            namespace["_checked"].__doc__ = _checked.__doc__
+            cls._checked = classmethod(namespace["_checked"])
+            return namespace["_checked"](owner, *values)
+
+        cls._checked = classmethod(_checked)
 
     def _key(self):
         return tuple(getattr(self, f) for f in self._compare)
@@ -182,12 +194,8 @@ class JonesVector(_Record):
     psi2: complex
 
     def __post_init__(self):
-        p1, p2 = self.psi1, self.psi2
-        if not type(p1) is type(p2) is complex:
-            p1, p2 = complex(p1), complex(p2)
-            vars(self).update(psi1=p1, psi2=p2)
         # x * 0.0 is 0 for finite x and NaN for infinite or NaN x.
-        if p1 * 0.0 + p2 * 0.0 != 0.0:
+        if self.psi1 * 0.0 + self.psi2 * 0.0 != 0.0:
             raise NonFiniteError("Jones amplitudes must be finite")
 
     @property
@@ -217,11 +225,8 @@ class Element2(_Record):
     delta: complex
 
     def __post_init__(self):
-        a, b, c, d = self.alpha, self.beta, self.gamma, self.delta
-        if not type(a) is type(b) is type(c) is type(d) is complex:
-            a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-            vars(self).update(alpha=a, beta=b, gamma=c, delta=d)
-        _check_unimodular(a, b, c, d, "element", "element must be unimodular")
+        _check_unimodular(self.alpha, self.beta, self.gamma, self.delta, "element",
+                          "element must be unimodular")
 
     @property
     def det(self):
@@ -253,11 +258,7 @@ class CoherencyMatrix(_Record):
     s12: complex
 
     def __post_init__(self):
-        s11, s22, s12 = self.s11, self.s22, self.s12
-        if not (type(s11) is type(s22) is float and type(s12) is complex):
-            s11, s22, s12 = float(s11), float(s22), complex(s12)
-            vars(self).update(s11=s11, s22=s22, s12=s12)
-        _check_coherency(s11, s22, s12)
+        _check_coherency(self.s11, self.s22, self.s12)
 
     @property
     def trace(self):
@@ -339,9 +340,6 @@ class StokesVector(_Record):
 
     def __post_init__(self):
         s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
-        if not type(s0) is type(s1) is type(s2) is type(s3) is float:
-            s0, s1, s2, s3 = float(s0), float(s1), float(s2), float(s3)
-            vars(self).update(s0=s0, s1=s1, s2=s2, s3=s3)
         if s0 * 0.0 + s1 * 0.0 + s2 * 0.0 + s3 * 0.0 != 0.0:
             raise NonFiniteError("Stokes components must be finite")
         if s0 < 0.0:
@@ -556,9 +554,9 @@ def conjugate(c: CoherencyMatrix, g, scale=1.0) -> CoherencyMatrix:
     if isinstance(g, Element2):
         kept = vars(g).get("_conjugation")
         if kept is None:  # two threads may both store it, which stores equal values
-            kept = vars(g)["_conjugation"] = _conjugation(g)
+            kept = vars(g)["_conjugation"] = _conjugation(_entries2(g))
     else:
-        kept = _conjugation(g)
+        kept = _conjugation(_entries2(g))
     return CoherencyMatrix(*_conjugated(c.s11, c.s22, c.s12, (scale * scale, *kept)))
 
 
@@ -572,11 +570,11 @@ def _conjugated(p, q, s, step):
     return k2 * s11, k2 * s22, k2 * s12
 
 
-def _conjugation(g):
-    """g's conjugation constants: the products of its entries that do not
-    involve C, then the entries that conjugate still multiplies by C's
-    entries one at a time."""
-    a, b, c, d = _entries2(g)
+def _conjugation(entries):
+    """The conjugation constants of G's row-major complex entries: the
+    products that do not involve C, then the entries that conjugate still
+    multiplies by C's entries one at a time."""
+    a, b, c, d = entries
     abar, bbar, cbar, dbar = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
     return ((a * abar).real, (b * bbar).real, a * bbar, (c * cbar).real, (d * dbar).real, c * dbar,
             a * dbar, b * cbar, a, cbar, b, dbar)

@@ -489,8 +489,9 @@ def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
     # evaluate, a Jones-input one of the same AST computes no conjugation
     # constants, whether its stages run on amplitudes (before decohere) or
     # on the coherency entries (after it); nor does any repeat. The
-    # amplitudes read (k, G) alone, so a Jones-input evaluate of a fresh
-    # AST keeps no constants on the stages before its first decohere.
+    # amplitudes read k and conj(G)'s entries alone, so a Jones-input
+    # evaluate of a fresh AST keeps no constants on the stages before its
+    # first decohere.
     computed = []
     conjugation = states._conjugation
 

@@ -2,8 +2,15 @@
 
 import dataclasses
 import importlib
+import math
+import os
 import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twobeam
@@ -13,6 +20,8 @@ from twobeam import (
     Element2,
     InterpolationParams,
     JonesVector,
+    NonFiniteError,
+    PhysicsError,
     SimulationReport,
     StateClass,
     StokesVector,
@@ -151,8 +160,12 @@ def test_evaluate_keeps_each_element_on_its_stage():
     assert "_element" not in vars(decohere)
     kept = vars(rotate)["_element"]
     evaluate(ast, StokesVector(1, 0, 0.5, 0))
+    evaluate(ast, JonesVector(1, 0.5j))
     assert vars(rotate)["_element"] is kept
     assert rotate == Stage("rotate", (("theta", 0.3),))
+    # Each keeps the numbers its amplitude update multiplies by, no record.
+    for stage in (rotate, squeeze):
+        assert [type(x) for x in vars(stage)["_element"]] == [float] + [complex] * 4
 
 
 def test_dataclasses_functions_read_the_records():
@@ -229,3 +242,77 @@ def test_checked_builds_the_record_without_its_hook(monkeypatch):
             cls._checked(*args[:-1])
         with pytest.raises(TypeError):
             cls._checked(*args, args[-1])
+
+
+# Per class, valid values of 0 or 1 for its fields annotated float or
+# complex, and the class and message its checks give a non-finite one.
+CONVERTED = {
+    JonesVector: ((1, 0), NonFiniteError, "Jones amplitudes must be finite"),
+    Element2: ((1, 0, 0, 1), NonFiniteError, "element entries must be finite"),
+    CoherencyMatrix: ((1, 1, 0), NonFiniteError, "coherency entries must be finite"),
+    StokesVector: ((1, 1, 0, 0), NonFiniteError, "Stokes components must be finite"),
+    InterpolationParams: ((1, 0), PhysicsError, "alpha and u must be finite"),
+    StateClass: (("pure", 0), None, None),  # no check: its number is stored as given
+}
+
+
+def converted_fields(cls):
+    return [(i, t) for i, t in enumerate(cls.__annotations__.values()) if t is float or t is complex]
+
+
+def test_constructors_convert_fields_annotated_float_or_complex():
+    assert {cls for cls in record_classes() if converted_fields(cls)} == set(CONVERTED)
+    for cls, (values, error, message) in CONVERTED.items():
+        for i, t in converted_fields(cls):
+            v = values[i]
+            forms = [v, float(v), bool(v), str(v), f"{v}e0", np.int64(v), np.float64(v), np.float32(v),
+                     np.bool_(v)] + [np.complex128(v)] * (t is complex)
+            for form in forms:
+                stored = getattr(cls(*values[:i], form, *values[i + 1:]), cls.__match_args__[i])
+                assert type(stored) is t and stored == v, (cls, i, form)
+            for bad in ("one", None, [v]):
+                with pytest.raises(Exception) as caught:
+                    t(bad)
+                with pytest.raises(type(caught.value), match=f"^{re.escape(str(caught.value))}$"):
+                    cls(*values[:i], bad, *values[i + 1:])
+            for nonfinite in (math.inf, -math.inf, math.nan, "nan", "-inf"):
+                args = (*values[:i], nonfinite, *values[i + 1:])
+                if error is None:
+                    assert type(getattr(cls(*args), cls.__match_args__[i])) is t
+                    continue
+                with pytest.raises(error) as caught:
+                    cls(*args)
+                assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_checked_is_compiled_on_its_first_call():
+    class Pair(_Record):
+        x: float
+        y: complex
+
+    class Twin(Pair):
+        pass
+
+    stub = Pair.__dict__["_checked"]
+    assert "_checked" not in Twin.__dict__
+    with pytest.raises(TypeError):
+        Twin._checked(1.0)
+    compiled = Pair.__dict__["_checked"]
+    assert compiled is not stub and "_checked" not in Twin.__dict__
+    twin = Twin._checked(1, 2)
+    assert type(twin) is Twin and vars(twin) == {"x": 1, "y": 2} and type(twin.x) is int
+    assert Pair.__dict__["_checked"] is compiled and Twin._checked.__func__ is compiled.__func__
+    with pytest.raises(TypeError):
+        Pair._checked(1.0, 2j, 3j)
+    assert vars(Pair(1, 2)) == {"x": 1.0, "y": 2 + 0j}
+    # Importing the package compiles no record's _checked.
+    code = ("import twobeam, twobeam.circuit, twobeam.cli, twobeam.decoherence, twobeam.littlegroup\n"
+            "from inspect import CO_VARARGS\nfrom twobeam.states import _Record\n"
+            "pending, found = _Record.__subclasses__(), []\n"
+            "while pending:\n"
+            "    cls = pending.pop(); pending.extend(cls.__subclasses__())\n"
+            "    found += [cls.__name__] if not cls._checked.__func__.__code__.co_flags & CO_VARARGS else []\n"
+            "print(found)")
+    env = dict(os.environ, PYTHONPATH=str(Path(twobeam.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stdout == "[]\n", done.stderr
