@@ -23,7 +23,10 @@ with the number of pairs in which the change was better. It also
 records sys.version and PYTHONDONTWRITEBYTECODE, which both sides
 inherit: with bytecode writing off, every cli-mix child compiles the
 package from source, which moves cli-mix by about 20%. It uses the
-standard library only and sets no pass/fail gate.
+standard library only and sets no pass/fail gate. A revision git cannot
+read ends this script, and bench/ab.py, bench/differential.py and
+bench/traffic.py, which export through it, with git's own message and
+exit status 2.
 """
 
 import argparse
@@ -42,17 +45,24 @@ SIDES = ("parent", "change")
 SEEDS = tuple(701 + k for k in range(10))
 
 
+def run_git(*args):
+    """The stdout bytes of git args, run in ROOT. If git fails, its own
+    message goes to stderr and the script exits with status 2."""
+    done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr.decode(errors="replace"))
+        raise SystemExit(2)
+    return done.stdout
+
+
 def git(*args):
-    return subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
-    ).stdout.strip()
+    return run_git(*args).decode().strip()
 
 
 def export(rev, into):
     """Write the committed files of rev under into, as git archive gives them."""
     into.mkdir()
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+    subprocess.run(["tar", "-x", "-C", str(into)], input=run_git("archive", rev), check=True)
     return into
 
 

@@ -118,7 +118,8 @@ class StageKind(NamedTuple):
 
 # The actions look rotator and friends up in this module's globals at
 # call time, so rebinding those names (as a tracer does) reaches every
-# element built after it; evaluate builds a stage's element once.
+# element built after it; evaluate builds a stage's element once per AST
+# without amplitudes, and on each evaluation that carries amplitudes.
 STAGES = {
     "rotate": StageKind(("theta",), angles=("theta",), action=lambda theta: (1.0, rotator(theta))),
     "split": StageKind(
@@ -146,11 +147,10 @@ class Stage(_Record, compare=("name", "params")):
     """One element of a circuit, with canonical radian parameters.
 
     Locations take no part in equality, so structurally identical
-    circuits compare equal regardless of layout. evaluate keeps the
-    numbers a coherent stage's amplitude update multiplies by, the
-    coherency-track constants of its loop and decohere's e^-2 lambda in
-    the instance __dict__, outside the compared fields, so each is
-    computed once per AST; a failure is not kept.
+    circuits compare equal regardless of layout. evaluate keeps one
+    entry in the instance __dict__, outside the compared fields: the
+    numbers its loop reads without amplitudes, so they are computed once
+    per AST; a failure is not kept.
     """
 
     name: str
@@ -496,19 +496,20 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     The StageRecords, and the matrices between stages, are built on the
     first read of the report's stages, and final_purity on its first
     read; the matrices hold entries that passed the gate, unchecked
-    again. Each Stage keeps what the loop reads of it: k and the entries
-    of conj(G) for the amplitudes, (k^2, *conjugate's constants) for the
-    entries without them, e^-2 lambda for decohere. So a repeat evaluate
-    of one AST looks each stage's up once and pays for its arithmetic and
-    its gate.
+    again. Each Stage keeps one entry, what the loop reads of it without
+    amplitudes: (k^2, *conjugate's constants) for a coherent stage,
+    e^-2 lambda for decohere. So a repeat evaluate from a Stokes input
+    looks each stage's up once and pays for its arithmetic and its gate;
+    one from a Jones input builds the elements it meets before its first
+    decohere again.
     """
     if isinstance(inp, JonesVector):
         p1, p2 = inp.psi1, inp.psi2
         first = coherency_from_jones(inp)
-        input_jones, track = inp, "_element"
+        input_jones = inp
     elif isinstance(inp, StokesVector):
         p1 = p2 = input_jones = None
-        first, track = coherency_from_stokes(inp, tol), "_coherency"
+        first = coherency_from_stokes(inp, tol)
     else:
         raise TypeError("input must be a JonesVector or StokesVector")
     input_stokes = stokes_from_coherency(first)
@@ -518,12 +519,12 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     trail, stage = [], None
     for stage in ast.stages:
         try:
-            step = stage.__dict__.get(track)
+            step = None if p1 is not None else stage.__dict__.get("_coherency")
             if step is None:
-                step = _step(stage, track)
+                step = _step(stage, p1 is not None)
             if step.__class__ is float:  # decohere's e^-2 lambda
                 s12 = complex(step * s12.real, step * s12.imag)
-                p1, track = None, "_coherency"
+                p1 = None
             elif p1 is None:
                 s11, s22, s12 = _conjugated(s11, s22, s12, step)
             else:  # psi -> k conj(G) psi
@@ -558,31 +559,24 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     return report
 
 
-def _step(stage, track):
-    """What evaluate's loop reads for stage on track, kept on it: as _element
-    for the amplitudes, (k, conj(alpha), conj(beta), conj(gamma), conj(delta))
-    of its action (k, G); as _coherency for the entries, (k^2, *G's
-    conjugation constants), derived from those numbers; for both, decohere's
-    float e^-2 lambda as _coherency. A failure keeps nothing."""
-    kept = stage.__dict__
-    if "_coherency" in kept:  # decohere's, asked for as _element
-        return kept["_coherency"]
-    element = kept.get("_element")
-    if element is None:
-        kind = STAGES.get(stage.name)
-        if kind is None:
-            raise PhysicsError(_unknown_element(stage.name))
-        params = [value for _, value in stage.params]
-        if kind.action is None:  # decohere, the one channel
-            kept["_coherency"] = decay = decoherence._decay(*params)
-            return decay
+def _step(stage, amplitudes):
+    """What evaluate's loop reads for stage. A coherent stage's is, with
+    amplitudes, (k, conj(alpha), conj(beta), conj(gamma), conj(delta)) of its
+    action (k, G), which is not kept; without them, (k^2, *G's conjugation
+    constants), kept on stage as _coherency. decohere's is its float
+    e^-2 lambda, kept as _coherency for both. A failure keeps nothing."""
+    kind = STAGES.get(stage.name)
+    if kind is None:
+        raise PhysicsError(_unknown_element(stage.name))
+    params = [value for _, value in stage.params]
+    if kind.action is None:  # decohere, the one channel
+        step = decoherence._decay(*params)
+    else:
         k, g = kind.action(*params)
-        element = kept["_element"] = (
-            k, g.alpha.conjugate(), g.beta.conjugate(), g.gamma.conjugate(), g.delta.conjugate())
-    if track == "_element":
-        return element
-    k, *bars = element
-    kept[track] = step = (k * k, *_conjugation([x.conjugate() for x in bars]))
+        if amplitudes:
+            return k, g.alpha.conjugate(), g.beta.conjugate(), g.gamma.conjugate(), g.delta.conjugate()
+        step = (k * k, *_conjugation((g.alpha, g.beta, g.gamma, g.delta)))
+    stage.__dict__["_coherency"] = step
     return step
 
 

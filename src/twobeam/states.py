@@ -215,8 +215,6 @@ class Element2(_Record):
     must be 1 within ``UNIMODULAR_TOL``; everything an ideal lossless
     element does to the pair of amplitudes lives in this group, and
     lossy attenuators factor into a scalar times one of these.
-    conjugate keeps the element's conjugation constants in its instance
-    __dict__, which ==, hash and repr do not read.
     """
 
     alpha: complex
@@ -543,21 +541,17 @@ def conjugate(c: CoherencyMatrix, g, scale=1.0) -> CoherencyMatrix:
     ``scale`` times a unimodular G. The product is written out
     entrywise, so the result is Hermitian by construction: real
     diagonal, one off-diagonal entry. The products of G's entries that
-    do not involve C are an Element2's conjugation constants, kept in
-    its instance __dict__ on first use.
+    do not involve C are its conjugation constants, which evaluate keeps
+    per stage; conjugate computes them on each call and stores nothing
+    on G.
 
     This is the transform for states without amplitudes. While a beam
     still has its Jones vector psi, transforming psi -> scale conj(G)
     psi and taking the outer product (coherency_from_jones) gives the
     same matrix, rank 1 to rounding.
     """
-    if isinstance(g, Element2):
-        kept = vars(g).get("_conjugation")
-        if kept is None:  # two threads may both store it, which stores equal values
-            kept = vars(g)["_conjugation"] = _conjugation(_entries2(g))
-    else:
-        kept = _conjugation(_entries2(g))
-    return CoherencyMatrix(*_conjugated(c.s11, c.s22, c.s12, (scale * scale, *kept)))
+    step = (scale * scale, *_conjugation(_entries2(g)))
+    return CoherencyMatrix(*_conjugated(c.s11, c.s22, c.s12, step))
 
 
 def _conjugated(p, q, s, step):

@@ -1,8 +1,11 @@
-"""bench/ab.py run A/A on this working tree: in process with tiny sizes, and one cli-mix round."""
+"""bench/ab.py run A/A on this working tree: in process with tiny sizes, and one cli-mix round;
+bench/traffic.py on this tree with tiny sizes; and a revision git cannot read."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,3 +30,22 @@ def test_ab_cli_mix_mode_runs_one_round():
     [line] = done.stdout.splitlines()
     assert line.startswith("cli-mix: parent/change child CPU time median ")
     assert "of 1 rounds" in line and "(8 ops per block)" in line
+
+
+def test_traffic_counts_entries_of_every_workload():
+    cmd = [sys.executable, str(ROOT / "bench" / "traffic.py"), "--ops", "2", "--stages", "10"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split()[:4] == ["function", "long-chain", "state-sweep", "cli-mix"]
+    [evaluate] = [row.split() for row in rows if row.split()[0] == "circuit.evaluate"]
+    assert all(int(count) > 0 for count in evaluate[1:4])
+
+
+@pytest.mark.parametrize("script", ["ab.py", "differential.py"])
+def test_a_revision_git_cannot_read_ends_with_gits_message(script):
+    want = subprocess.run(["git", "archive", "nosuchrev"], cwd=ROOT, capture_output=True, text=True)
+    assert want.returncode != 0 and want.stderr
+    cmd = [sys.executable, str(ROOT / "bench" / script), "--parent", "nosuchrev"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", want.stderr)

@@ -374,7 +374,7 @@ def test_stage_diagnostics_are_those_of_the_recorded_state():
     assert moved > 0
 
 
-def test_repeated_evaluation_builds_each_element_once(monkeypatch):
+def test_repeated_evaluation_rebuilds_only_amplitude_elements(monkeypatch):
     rng = random.Random(909)
     for _ in range(40):
         text = decohering_circuit(rng)
@@ -389,28 +389,36 @@ def test_repeated_evaluation_builds_each_element_once(monkeypatch):
     jones, _, mixed = random_inputs(rng)
     first = evaluate(ast, jones)
     assert len(built) == 4
+    # The amplitude track keeps nothing, so a repeat builds its elements again.
     assert evaluate(ast, jones) == first
+    assert len(built) == 8
     second = evaluate(ast, mixed)
-    assert len(built) == 4
-    # The first Stokes-input evaluation keeps each element's conjugation
-    # constants on it; later ones read no element entries at all.
+    assert len(built) == 12
+    # The first Stokes-input evaluation keeps each stage's conjugation
+    # constants on it; later ones build no element and read no element
+    # entries at all.
     read = []
     entries2 = states._entries2
     monkeypatch.setattr(states, "_entries2", lambda *a: read.append(a) or entries2(*a))
     assert evaluate(ast, mixed) == second
-    assert read == []
-    # decohere keeps its e^-2 lambda on the Stage: a second evaluation
-    # computes no per-stage constant, and no stage calls decohere_channel.
+    assert len(built) == 12 and read == []
+    # decohere keeps its e^-2 lambda on the Stage: a second Stokes-input
+    # evaluation computes no per-stage constant, and no stage calls
+    # decohere_channel. Its first one builds rotate, which the amplitude
+    # track kept nothing of; a Jones-input one builds again what it meets
+    # before its first decohere, that decohere's e^-2 lambda too.
     decays, channel = [], []
     decay = decoherence._decay
     monkeypatch.setattr(decoherence, "_decay", lambda *a: decays.append(a) or decay(*a))
     monkeypatch.setattr(decoherence, "decohere_channel", lambda *a: channel.append(a))
     ast = parse("rotate(theta=0.4); decohere(lambda=0.5); squeeze(eta=0.2); decohere(lambda=30)")
     first = [evaluate(ast, inp) for inp in (jones, mixed)]
-    assert len(built) == 6 and decays == [(0.5,), (30.0,)]
+    assert len(built) == 15 and decays == [(0.5,), (30.0,)]
     del read[:]
-    assert [evaluate(ast, inp) for inp in (jones, mixed)] == first
-    assert len(built) == 6 and len(decays) == 2 and read == [] and channel == []
+    assert evaluate(ast, mixed) == first[1]
+    assert len(built) == 15 and len(decays) == 2 and read == [] and channel == []
+    assert evaluate(ast, jones) == first[0]
+    assert len(built) == 16 and decays[2:] == [(0.5,)] and channel == []
 
 
 def test_evaluate_carries_one_state(monkeypatch):
@@ -485,13 +493,13 @@ def test_evaluate_builds_records_on_first_read(monkeypatch):
 
 
 def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
-    # Each Stage keeps what its track reads: after a Stokes-input
-    # evaluate, a Jones-input one of the same AST computes no conjugation
-    # constants, whether its stages run on amplitudes (before decohere) or
-    # on the coherency entries (after it); nor does any repeat. The
-    # amplitudes read k and conj(G)'s entries alone, so a Jones-input
-    # evaluate of a fresh AST keeps no constants on the stages before its
-    # first decohere.
+    # Each Stage keeps what the coherency track reads: after a
+    # Stokes-input evaluate, a Jones-input one of the same AST computes no
+    # conjugation constants, whether its stages run on amplitudes (before
+    # decohere) or on the coherency entries (after it); nor does any
+    # repeat. The amplitudes read k and conj(G)'s entries alone, so a
+    # Jones-input evaluate of a fresh AST keeps nothing on the stages
+    # before its first decohere.
     computed = []
     conjugation = states._conjugation
 
@@ -507,8 +515,7 @@ def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
     fresh = {inp: evaluate(parse(unparse(ast)), inp) for inp in (stokes, jones)}
     jones_ast = parse(unparse(ast))
     evaluate(jones_ast, jones)
-    assert [sorted(k for k in vars(st) if k.startswith("_")) for st in jones_ast.stages] == [
-        ["_element"]] * 3 + [["_coherency"]] + [["_coherency", "_element"]] * 2
+    assert [list(vars(st))[4:] for st in jones_ast.stages] == [[]] * 3 + [["_coherency"]] * 3
     del computed[:]
     first = evaluate(ast, stokes)
     assert len(computed) == 5

@@ -152,20 +152,28 @@ def test_defaults_keywords_and_match_args():
         StokesVector(1, 0, 0, 0, s4=0)
 
 
-def test_evaluate_keeps_each_element_on_its_stage():
+def test_evaluate_keeps_one_entry_per_stage():
+    # A Stage keeps its four fields and, once it has run without
+    # amplitudes, the one entry the loop reads there; the amplitude track
+    # keeps nothing.
     ast = parse("rotate(theta=0.3); decohere(lambda=0.1); squeeze(eta=0.2)")
-    evaluate(ast, StokesVector(1, 0.5, 0, 0))
     rotate, decohere, squeeze = ast.stages
-    assert "_element" in vars(rotate) and "_element" in vars(squeeze)
-    assert "_element" not in vars(decohere)
-    kept = vars(rotate)["_element"]
+    fields = ["name", "params", "line", "col"]
+    evaluate(ast, JonesVector(1, 0.5j))
+    assert [list(vars(st)) for st in ast.stages] == [fields] + [fields + ["_coherency"]] * 2
+    evaluate(ast, StokesVector(1, 0.5, 0, 0))
+    kept = vars(rotate)["_coherency"]
     evaluate(ast, StokesVector(1, 0, 0.5, 0))
     evaluate(ast, JonesVector(1, 0.5j))
-    assert vars(rotate)["_element"] is kept
+    assert [list(vars(st)) for st in ast.stages] == [fields + ["_coherency"]] * 3
+    assert vars(rotate)["_coherency"] is kept
     assert rotate == Stage("rotate", (("theta", 0.3),))
-    # Each keeps the numbers its amplitude update multiplies by, no record.
+    # Each keeps numbers, no record: (k^2, *conjugation constants), and
+    # decohere its e^-2 lambda.
     for stage in (rotate, squeeze):
-        assert [type(x) for x in vars(stage)["_element"]] == [float] + [complex] * 4
+        assert [type(x) for x in vars(stage)["_coherency"]] == (
+            [float] * 3 + [complex] + [float] * 2 + [complex] * 7)
+    assert type(vars(decohere)["_coherency"]) is float
 
 
 def test_dataclasses_functions_read_the_records():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twobeam import (
+    CircuitAst,
     CircuitSemanticError,
     CoherencyMatrix,
     Element2,
@@ -197,10 +198,17 @@ def test_huge_intermediate_state_round_trips():
 
 
 def test_final_state_too_large_to_classify_is_located():
-    # every stage passes its gate, but s0^2 of the final state overflows
-    text = "rotate(theta=0.1);\nsqueeze(eta=400)"
-    with pytest.raises(CircuitSemanticError, match=r"^2:1: stage squeeze: .*too large to square"):
-        evaluate(parse(text), JonesVector(1.0, 0.0))
+    # every stage passes its gate, but s0^2 of the final state overflows;
+    # with no stage the input is the final state, and the error is plain
+    for ast, inp, error, message in (
+        (parse("rotate(theta=0.1);\nsqueeze(eta=400)"), JonesVector(1.0, 0.0), CircuitSemanticError,
+         "2:1: stage squeeze: Minkowski norm overflowed"),
+        (CircuitAst(()), StokesVector(1e200, 0, 0, 0), NonFiniteError, "Minkowski norm overflowed"),
+    ):
+        with pytest.raises(error) as info:
+            evaluate(ast, inp)
+        assert type(info.value) is error
+        assert str(info.value) == f"{message}: a Stokes component is too large to square"
 
 
 def test_simulate_locates_a_stage_too_large_to_classify(tmp_path, capsys):
