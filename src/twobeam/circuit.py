@@ -32,6 +32,7 @@ gives the same AST for valid text, and tests use it as the reference.
 import functools
 import itertools
 import math
+import operator
 import re
 from typing import NamedTuple
 
@@ -44,6 +45,8 @@ from .states import (
     StokesVector,
     CLASSIFY_TOL,
     _Record,
+    _SQUARE_MAX,
+    _SQUARE_MIN,
     _check_coherency,
     _conjugated,
     _conjugation,
@@ -54,7 +57,7 @@ from .states import (
     purity_report,
     stokes_from_coherency,
 )
-from .elements import attenuator, phase_shifter, rotator, split_angle, squeezer
+from .elements import _attenuator, _phase_shifter, _rotator, _squeezer, split_angle
 
 __all__ = [
     "CIRCUIT_FORMAT",
@@ -105,8 +108,11 @@ class StageKind(NamedTuple):
     optional "deg"; nonnegative must not be negative. alias is an
     optional (name, convert) pair: the stage also accepts that
     parameter in place of params[0] and converts its value to it.
-    action maps the canonical values to (amplitude factor k, unimodular
-    G); a channel, which has no such form, has action None.
+    action maps the canonical values to the stage as plain numbers,
+    (k, alpha, beta, gamma, delta): the amplitude factor k and the
+    row-major entries of the unimodular G, those the elements module's
+    constructor of the kind wraps in an Element2; a channel, which has no
+    such form, has action None.
     """
 
     params: tuple
@@ -116,27 +122,22 @@ class StageKind(NamedTuple):
     action: object = None
 
 
-# The actions look rotator and friends up in this module's globals at
-# call time, so rebinding those names (as a tracer does) reaches every
-# element built after it; evaluate builds a stage's element once per AST
-# without amplitudes, and on each evaluation that carries amplitudes.
+# Each action is the elements module's entries function of its kind, the
+# one its public constructor wraps; evaluate and the command line's lift
+# call it and build no Element2 from it in the loop. So a tracer that
+# wraps rotator and friends counts no calls from evaluate: the records
+# are not built, and the entries' arithmetic counts in evaluate's time.
 STAGES = {
-    "rotate": StageKind(("theta",), angles=("theta",), action=lambda theta: (1.0, rotator(theta))),
-    "split": StageKind(
-        ("theta",),
-        angles=("theta",),
-        alias=("ratio", split_angle),
-        action=lambda theta: (1.0, rotator(theta)),
-    ),
-    "phase": StageKind(("phi",), angles=("phi",), action=lambda phi: (1.0, phase_shifter(phi))),
-    "atten": StageKind(
-        ("eta1", "eta2"),
-        nonnegative=("eta1", "eta2"),
-        action=lambda eta1, eta2: attenuator(eta1, eta2),
-    ),
-    "squeeze": StageKind(("eta",), action=lambda eta: (1.0, squeezer(eta))),
+    "rotate": StageKind(("theta",), angles=("theta",), action=_rotator),
+    "split": StageKind(("theta",), angles=("theta",), alias=("ratio", split_angle), action=_rotator),
+    "phase": StageKind(("phi",), angles=("phi",), action=_phase_shifter),
+    "atten": StageKind(("eta1", "eta2"), nonnegative=("eta1", "eta2"), action=_attenuator),
+    "squeeze": StageKind(("eta",), action=_squeezer),
     "decohere": StageKind(("lambda",), nonnegative=("lambda",)),
 }
+
+# A stage parameter's value, read from its (name, value) pair.
+_value = operator.itemgetter(1)
 
 
 def _unknown_element(name):
@@ -287,15 +288,18 @@ def _scan(text):
     kind's parameters, or its alias for the first, in either order); the
     stage is checked in place and each value goes to its canonical
     position. Arguments carry no location, so rejected text returns None
-    and the token parser locates its error.
+    and the token parser locates its error. After a ";" the text may end
+    in a gap, which is tested for only where no stage matches. The
+    records are built through _checked: their fields have exact types by
+    construction.
     """
     stages = []
     pos = mark = 0
     line, line_start = 1, -1
     while True:
         m = _STAGE_RE.match(text, pos)
-        if m is None:
-            return None
+        if m is None:  # after at least one stage, and so after a ";"
+            return CircuitAst._checked(tuple(stages)) if stages and _END_RE.match(text, pos) else None
         name, n1, v1, d1, n2, v2, d2, sep = m.groups()
         start = m.start(1)
         line += text.count("\n", mark, start)
@@ -322,10 +326,10 @@ def _scan(text):
                 return None
             params[i] = (key, math.radians(value) if deg else value)
             number, deg = v2, d2  # the next check is the second argument's
-        stages.append(Stage(name, tuple(params), line, col))
+        stages.append(Stage._checked(name, tuple(params), line, col))
+        if not sep:
+            return CircuitAst._checked(tuple(stages))
         pos = m.end()
-        if not sep or _END_RE.match(text, pos):
-            return CircuitAst(tuple(stages))
 
 
 def _parse_tokens(text):
@@ -482,12 +486,15 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     The state is the coherency matrix, carried as its entries; each
     stage's new entries pass the CoherencyMatrix checks, its gate. A
     coherent stage is its STAGES action: an overall factor k (1 except
-    for atten) times a unimodular G. While the amplitude track is live
-    (Jones input, no decohere yet) it is the single source of truth: the
-    two amplitudes are carried as plain complex numbers, psi -> k conj(G)
-    psi, and the entries are their outer product, so a pure state stays
-    pure to rounding however long the chain. One JonesVector is built
-    from them at the end, for the report. Without amplitudes the entries
+    for atten) times a unimodular G, as plain entries. While the amplitude
+    track is live (Jones input, no decohere yet) it is the single source
+    of truth: the two amplitudes are carried as plain complex numbers,
+    psi -> k conj(G) psi, and the entries are their outer product, so a
+    pure state stays pure to rounding however long the chain. An outer
+    product whose size s11 + s22 lies in [_SQUARE_MIN, _SQUARE_MAX] always
+    passes the gate, which is not run there; any other size takes the gate
+    and the underflow test. One JonesVector is built from the amplitudes
+    at the end, for the report. Without amplitudes the entries
     go through conjugate's formula, C -> k^2 G C G+. decohere scales s12
     by e^-2 lambda and ends the amplitude track. Stage failures re-raise
     as located CircuitSemanticError, as is a final class that overflows;
@@ -495,13 +502,14 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
 
     The StageRecords, and the matrices between stages, are built on the
     first read of the report's stages, and final_purity on its first
-    read; the matrices hold entries that passed the gate, unchecked
-    again. Each Stage keeps one entry, what the loop reads of it without
-    amplitudes: (k^2, *conjugate's constants) for a coherent stage,
-    e^-2 lambda for decohere. So a repeat evaluate from a Stokes input
-    looks each stage's up once and pays for its arithmetic and its gate;
-    one from a Jones input builds the elements it meets before its first
-    decohere again.
+    read; the matrices hold entries that passed the gate, or that it
+    always passes, unchecked again. Each Stage keeps one entry, what the
+    loop reads of it without amplitudes: (k^2, *conjugate's constants)
+    for a coherent stage, e^-2 lambda for decohere. So a repeat evaluate
+    from a Stokes input looks each stage's up once and pays for its
+    arithmetic and its gate; one from a Jones input computes again the
+    entries of the stages it meets before its first decohere, and builds
+    no Element2.
     """
     if isinstance(inp, JonesVector):
         p1, p2 = inp.psi1, inp.psi2
@@ -531,6 +539,9 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
                 k, a, b, c, d = step
                 p1, p2 = k * (a * p1 + b * p2), k * (c * p1 + d * p2)
                 s11, s22, s12 = _outer(p1, p2)
+                if _SQUARE_MIN <= s11 + s22 <= _SQUARE_MAX:  # an outer product there passes the gate
+                    trail.append((s11, s22, s12))
+                    continue
             _check_coherency(s11, s22, s12)
             if s11 + s22 <= 0.0:
                 raise PhysicsError("beam attenuated to zero intensity (underflow)")
@@ -562,20 +573,19 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
 def _step(stage, amplitudes):
     """What evaluate's loop reads for stage. A coherent stage's is, with
     amplitudes, (k, conj(alpha), conj(beta), conj(gamma), conj(delta)) of its
-    action (k, G), which is not kept; without them, (k^2, *G's conjugation
-    constants), kept on stage as _coherency. decohere's is its float
-    e^-2 lambda, kept as _coherency for both. A failure keeps nothing."""
+    action's entries, which is not kept; without them, (k^2, *G's
+    conjugation constants), kept on stage as _coherency. decohere's is its
+    float e^-2 lambda, kept as _coherency for both. A failure keeps nothing."""
     kind = STAGES.get(stage.name)
     if kind is None:
         raise PhysicsError(_unknown_element(stage.name))
-    params = [value for _, value in stage.params]
     if kind.action is None:  # decohere, the one channel
-        step = decoherence._decay(*params)
+        step = decoherence._decay(*map(_value, stage.params))
     else:
-        k, g = kind.action(*params)
+        k, a, b, c, d = kind.action(*map(_value, stage.params))
         if amplitudes:
-            return k, g.alpha.conjugate(), g.beta.conjugate(), g.gamma.conjugate(), g.delta.conjugate()
-        step = (k * k, *_conjugation((g.alpha, g.beta, g.gamma, g.delta)))
+            return k, a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+        step = (k * k, *_conjugation((a, b, c, d)))
     stage.__dict__["_coherency"] = step
     return step
 

@@ -22,6 +22,7 @@ import sys
 from . import circuit, decoherence, elements, littlegroup
 from .states import (
     CLASSIFY_TOL,
+    Element2,
     JonesVector,
     PhysicsError,
     StokesVector,
@@ -145,8 +146,8 @@ def _lift_stage(spec):
     if action is None:
         raise ValueError(f"{stage.name} is a channel, not an element; lift takes {coherent}")
     try:
-        k, g = action(*[value for _, value in stage.params])
-        m = tuple(k * k * x for x in lift(g).entries)
+        k, *g = action(*map(circuit._value, stage.params))
+        m = tuple(k * k * x for x in lift(Element2._checked(*g)).entries)
         return stage, m, metric_defect(m)
     except PhysicsError as err:
         raise ValueError(f"{stage.name}: {err}") from None

@@ -2,7 +2,8 @@
 
 Each constructor returns a unimodular ``Element2``, unchecked where its
 finite entries have determinant 1 by construction (rotator, phase_shifter,
-squeezer). ``lift`` from the states module maps any of them to the 4x4
+squeezer); the entries come from one function per kind, which is also
+that kind's action in circuit.STAGES. ``lift`` from the states module maps any of them to the 4x4
 Stokes picture. For the three one-parameter families this module also
 provides closed-form 4x4 matrices (rotator4, phase4, squeeze4) whose
 fixed entries are exact, not rounded through the quadratic forms of
@@ -48,25 +49,17 @@ def rotator(theta) -> Element2:
     The half angle in the 2x2 entries reflects the two-to-one cover:
     theta is the rotation angle seen by the Stokes vector.
     """
-    theta = _finite(theta, "theta")
-    # Complex entries, as Element2 would store them: _checked converts nothing.
-    c, s = complex(math.cos(theta / 2.0)), complex(math.sin(theta / 2.0))
-    return Element2._checked(c, -s, s, c)
+    return Element2._checked(*_rotator(theta)[1:])
 
 
 def phase_shifter(phi) -> Element2:
     """Relative phase phi between the two beams, split symmetrically."""
-    phi = _finite(phi, "phi")
-    return Element2._checked(cmath.exp(-0.5j * phi), 0j, 0j, cmath.exp(0.5j * phi))
+    return Element2._checked(*_phase_shifter(phi)[1:])
 
 
 def squeezer(eta) -> Element2:
     """Relative amplitude gain e^{eta/2} on beam 1, e^{-eta/2} on beam 2."""
-    eta = _finite(eta, "eta")
-    try:
-        return Element2._checked(complex(math.exp(eta / 2.0)), 0j, 0j, complex(math.exp(-eta / 2.0)))
-    except OverflowError:
-        raise NonFiniteError(f"squeezer overflowed: e^({abs(eta):g}/2) is too large") from None
+    return Element2._checked(*_squeezer(eta)[1:])
 
 
 def attenuator(eta1, eta2):
@@ -77,12 +70,45 @@ def attenuator(eta1, eta2):
     shrink by its square) and the remaining relative action is
     squeezer(eta2 - eta1).
     """
+    k, *g = _attenuator(eta1, eta2)
+    return k, Element2._checked(*g)
+
+
+# The entries of each element kind as plain numbers, (k, alpha, beta, gamma,
+# delta): the overall amplitude factor k, 1 except for the attenuator, and
+# the row-major complex entries of its unimodular G. The constructors above
+# wrap them; they are also the actions of circuit.STAGES, which evaluate
+# reads without building an Element2.
+
+
+def _rotator(theta):
+    theta = _finite(theta, "theta")
+    # Complex entries, as Element2 would store them: _checked converts nothing.
+    c, s = complex(math.cos(theta / 2.0)), complex(math.sin(theta / 2.0))
+    return 1.0, c, -s, s, c
+
+
+def _phase_shifter(phi):
+    phi = _finite(phi, "phi")
+    return 1.0, cmath.exp(-0.5j * phi), 0j, 0j, cmath.exp(0.5j * phi)
+
+
+def _squeezer(eta):
+    eta = _finite(eta, "eta")
+    try:
+        return 1.0, complex(math.exp(eta / 2.0)), 0j, 0j, complex(math.exp(-eta / 2.0))
+    except OverflowError:
+        raise NonFiniteError(f"squeezer overflowed: e^({abs(eta):g}/2) is too large") from None
+
+
+def _attenuator(eta1, eta2):
     eta1, eta2 = float(eta1), float(eta2)
     if not (math.isfinite(eta1) and math.isfinite(eta2)):
         raise PhysicsError("attenuation exponents must be finite")
     if eta1 < 0.0 or eta2 < 0.0:
         raise PhysicsError("attenuation exponents must be nonnegative")
-    return math.exp(-0.5 * (eta1 + eta2)), squeezer(eta2 - eta1)
+    _, a, b, c, d = _squeezer(eta2 - eta1)
+    return math.exp(-0.5 * (eta1 + eta2)), a, b, c, d
 
 
 def compose(*elements) -> Element2:

@@ -322,6 +322,24 @@ def test_scanner_agrees_with_token_parser_on_formatted_circuits():
             assert (_scan(bad) is None) == isinstance(want[0], type), repr(bad)
 
 
+def test_scanner_ends_where_the_token_parser_does():
+    # The scanner tests for the end of the text only where no stage
+    # matches after a ";". A trailing comment may hold stage text; ";;" and
+    # text that is all gap are rejected, the token parser locating why.
+    texts = ("rotate(theta=1); # rotate(theta=2)", "rotate(theta=1);# rotate(theta=2)\n  ",
+             "rotate(theta=1); # a\n# rotate(theta=2);", "rotate(theta=1);;", ";;",
+             "rotate(theta=1);; phase(phi=2)", "rotate(theta=1); ;", "", " \t\n", "# rotate(theta=1)",
+             "\n# two\n# lines\n", ";", " ; # x")
+    for text in texts:
+        want = outcome(token_parse, text)
+        assert outcome(parse, text) == want, repr(text)
+        assert (_scan(text) is None) == isinstance(want[0], type), repr(text)
+    ast, locations = outcome(_scan, "rotate(theta=1); # rotate(theta=2)")
+    assert [s.name for s in ast.stages] == ["rotate"] and locations == [(1, 1)]
+    assert outcome(token_parse, "rotate(theta=1);;")[1:] == ("expected stage name", 1, 17)
+    assert outcome(token_parse, " \t\n")[1:] == ("expected stage name", 2, 1)
+
+
 # _GAP as it was before its quantifiers were made possessive, the
 # reference for the gap language. The scanner and the token parser share
 # _GAP, so their differential cannot see a change to it.
@@ -381,21 +399,23 @@ def test_repeated_evaluation_rebuilds_only_amplitude_elements(monkeypatch):
         ast = parse(text)
         for inp in random_inputs(rng):
             assert evaluate(ast, inp) == evaluate(ast, inp) == evaluate(parse(text), inp)
+    # Each call of a STAGES action computes one stage's entries.
     built = []
-    for name in ("rotator", "phase_shifter", "squeezer", "attenuator"):
-        make = getattr(circuit, name)
-        monkeypatch.setattr(circuit, name, lambda *a, make=make: built.append(a) or make(*a))
+    for name, kind in circuit.STAGES.items():
+        if kind.action:
+            counted = lambda *a, make=kind.action: built.append(a) or make(*a)
+            monkeypatch.setitem(circuit.STAGES, name, kind._replace(action=counted))
     ast = parse("rotate(theta=0.3); phase(phi=0.2); squeeze(eta=0.1); atten(eta1=0.1, eta2=0.2)")
     jones, _, mixed = random_inputs(rng)
     first = evaluate(ast, jones)
     assert len(built) == 4
-    # The amplitude track keeps nothing, so a repeat builds its elements again.
+    # The amplitude track keeps nothing, so a repeat computes its entries again.
     assert evaluate(ast, jones) == first
     assert len(built) == 8
     second = evaluate(ast, mixed)
     assert len(built) == 12
     # The first Stokes-input evaluation keeps each stage's conjugation
-    # constants on it; later ones build no element and read no element
+    # constants on it; later ones call no action and read no element
     # entries at all.
     read = []
     entries2 = states._entries2
@@ -404,9 +424,9 @@ def test_repeated_evaluation_rebuilds_only_amplitude_elements(monkeypatch):
     assert len(built) == 12 and read == []
     # decohere keeps its e^-2 lambda on the Stage: a second Stokes-input
     # evaluation computes no per-stage constant, and no stage calls
-    # decohere_channel. Its first one builds rotate, which the amplitude
-    # track kept nothing of; a Jones-input one builds again what it meets
-    # before its first decohere, that decohere's e^-2 lambda too.
+    # decohere_channel. Its first one computes rotate's entries, which the
+    # amplitude track kept nothing of; a Jones-input one computes again what
+    # it meets before its first decohere, that decohere's e^-2 lambda too.
     decays, channel = [], []
     decay = decoherence._decay
     monkeypatch.setattr(decoherence, "_decay", lambda *a: decays.append(a) or decay(*a))
@@ -443,11 +463,14 @@ def test_evaluate_carries_one_state(monkeypatch):
 
 
 def test_evaluate_builds_records_on_first_read(monkeypatch):
-    # The loop carries plain entries and gates each stage's once: an
-    # evaluate runs the coherency checks once for the input and once per
-    # stage, and builds one checked matrix, the input's. Reading .stages
-    # builds the records, and the matrices between stages, once, from
-    # entries the loop gated, and checks none of them again.
+    # The loop carries plain entries and gates each stage's at most once:
+    # an evaluate runs the coherency checks once for the input and once
+    # per stage without amplitudes, and builds one checked matrix, the
+    # input's. On the amplitude track, before the first decohere, an outer
+    # product whose size is in the gate's plain range is not gated, since
+    # it always passes. Reading .stages builds the records, and the
+    # matrices between stages, once, from entries the loop gated or
+    # skipped, and checks none of them again.
     rng = random.Random(1111)
     built, checked = [], []
     post_init, check = CoherencyMatrix.__post_init__, states._check_coherency
@@ -461,18 +484,27 @@ def test_evaluate_builds_records_on_first_read(monkeypatch):
     monkeypatch.setattr(circuit, "_check_coherency", counted)
     for _ in range(10):
         ast = parse(decohering_circuit(rng))
+        # Stages the amplitude track runs: those before the first decohere.
+        coherent = [st.name for st in ast.stages].index("decohere")
         for inp in random_inputs(rng):
+            skipped = coherent if isinstance(inp, JonesVector) else 0
+            gated = len(ast.stages) + 1 - skipped
             del built[:], checked[:]
             report = evaluate(ast, inp)
-            assert len(checked) == len(ast.stages) + 1 and len(built) == 1
+            assert len(checked) == gated and len(built) == 1
             stages = report.stages
-            assert len(checked) == len(stages) + 1 == len(ast.stages) + 1 and len(built) == 1
+            assert len(stages) == len(ast.stages)
+            assert len(checked) == gated and len(built) == 1
             assert built[0] is stages[0].coherency_before
             assert stages[-1].coherency_after is report.final_coherency
             assert all(a.coherency_after is b.coherency_before for a, b in zip(stages, stages[1:]))
-            assert report.stages is stages and len(checked) == len(stages) + 1
+            assert report.stages is stages and len(checked) == gated
             matrices = [built[0], *(r.coherency_after for r in stages)]
-            assert [(c.s11, c.s22, c.s12) for c in matrices] == checked
+            entries = [(c.s11, c.s22, c.s12) for c in matrices]
+            assert entries[:1] + entries[1 + skipped:] == checked
+            for s11, s22, s12 in entries[1:1 + skipped]:
+                assert states._SQUARE_MIN <= s11 + s22 <= states._SQUARE_MAX
+                check(s11, s22, s12)
     monkeypatch.undo()
     # A report whose stages were never read behaves as one built eagerly.
     ast, inp = parse(decohering_circuit(rng)), random_inputs(rng)[2]

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from twobeam import (
+    STAGES,
     UNIMODULAR_TOL,
     Element2,
     JonesVector,
@@ -210,3 +212,52 @@ def test_squeeze4_overflow_is_plain():
         for sign in (1.0, -1.0):
             with pytest.raises(NonFiniteError, match=f"{ctor.__name__} overflowed"):
                 ctor(sign * eta)
+
+
+# Each coherent stage's (k, G), from the public constructor of its kind.
+CONSTRUCTORS = {
+    "rotate": lambda theta: (1.0, rotator(theta)),
+    "split": lambda theta: (1.0, rotator(theta)),
+    "phase": lambda phi: (1.0, phase_shifter(phi)),
+    "squeeze": lambda eta: (1.0, squeezer(eta)),
+    "atten": attenuator,
+}
+
+
+def entries_or_error(make, *args):
+    """(k, alpha, beta, gamma, delta) of make(*args), or the class and message it raises."""
+    try:
+        k, g = make(*args)
+    except PhysicsError as err:
+        return type(err), str(err)
+    return k, g.alpha, g.beta, g.gamma, g.delta
+
+
+def test_stage_actions_are_the_constructors_entries():
+    # A STAGES action returns the numbers its kind's constructor wraps:
+    # the same k and entries, bit for bit and of the same classes, and the
+    # same error class and message for non-finite, negative and
+    # overflowing parameters.
+    assert set(CONSTRUCTORS) == {name for name, kind in STAGES.items() if kind.action}
+    values = (0.0, -0.0, 0.3, -2.5, 5e-324, 1e-300, 700.0, 1418.0, -1420.0, 2000.0, -2000.0,
+              1e308, math.inf, -math.inf, math.nan)
+    errors = set()
+    for name, make in CONSTRUCTORS.items():
+        action = STAGES[name].action
+        for args in itertools.product(values, repeat=len(STAGES[name].params)):
+            try:
+                got = action(*args)
+            except PhysicsError as err:
+                got = type(err), str(err)
+                errors.add(got)
+            want = entries_or_error(make, *args)
+            assert repr(got) == repr(want), (name, args)
+            assert list(map(type, got)) == list(map(type, want)), (name, args)
+    assert errors >= {
+        (PhysicsError, "theta must be finite"),
+        (PhysicsError, "phi must be finite"),
+        (PhysicsError, "eta must be finite"),
+        (PhysicsError, "attenuation exponents must be finite"),
+        (PhysicsError, "attenuation exponents must be nonnegative"),
+        (NonFiniteError, "squeezer overflowed: e^(2000/2) is too large"),
+    }

@@ -1,13 +1,16 @@
 """evaluate against a reference chain built from the public functions.
 
 evaluate carries the coherency entries as plain numbers and runs the
-CoherencyMatrix gate on them. The reference below builds one matrix per
+CoherencyMatrix gate on them, or on the amplitude track tests their size
+where the gate always passes. The reference below builds one matrix per
 stage with coherency_from_jones, conjugate and decohere_channel, as the
-evaluator did before it carried entries. Every report, record and
-rejection must agree bit for bit: the same floats, the same error class,
-message, line and column. Circuits reach |eta| up to 40 and lambda up to
-50; inputs reach intensities from 1e-300 to 1e300, so overflow,
-underflow to zero and the scaled range of the gate all occur.
+evaluator did before it carried entries, and each element with its
+public constructor, where evaluate reads its stage's entries. Every
+report, record and rejection must agree bit for bit: the same floats,
+the same error class, message, line and column. Circuits reach |eta| up
+to 40 and lambda up to 50; inputs reach intensities from 1e-300 to
+1e300, so overflow, underflow to zero and the scaled range of the gate
+all occur.
 """
 
 import cmath
@@ -17,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from twobeam import (
     CIRCUIT_FORMAT,
-    STAGES,
     CircuitError,
     CircuitSemanticError,
     JonesVector,
@@ -26,6 +28,7 @@ from twobeam import (
     SimulationReport,
     StageRecord,
     StokesVector,
+    attenuator,
     classify,
     coherency_from_jones,
     coherency_from_stokes,
@@ -33,9 +36,21 @@ from twobeam import (
     decohere_channel,
     evaluate,
     parse,
+    phase_shifter,
     purity_report,
+    rotator,
+    squeezer,
     stokes_from_coherency,
 )
+
+# Each coherent stage's (k, G), from the public constructor of its kind.
+ELEMENTS = {
+    "rotate": lambda theta: (1.0, rotator(theta)),
+    "split": lambda theta: (1.0, rotator(theta)),
+    "phase": lambda phi: (1.0, phase_shifter(phi)),
+    "atten": attenuator,
+    "squeeze": lambda eta: (1.0, squeezer(eta)),
+}
 
 
 def located(stage, message):
@@ -57,7 +72,7 @@ def reference(ast, inp, tol):
             if stage.name == "decohere":
                 coh, jones = decohere_channel(coh, *params), None
             else:
-                k, g = STAGES[stage.name].action(*params)
+                k, g = ELEMENTS[stage.name](*params)
                 if jones is None:
                     coh = conjugate(coh, g, k)
                 else:

@@ -40,6 +40,7 @@ from twobeam import (
     stokes_from_coherency,
 )
 from twobeam.cli import main
+from twobeam.states import _SQUARE_MAX, _SQUARE_MIN, _check_coherency, _outer
 
 EPS = sys.float_info.epsilon
 
@@ -120,6 +121,26 @@ def test_coherency_checks_do_not_depend_on_scale(drawn):
     assert isinstance(got, CoherencyMatrix)
     for g, w in zip(purity_report(got)[1:], purity_report(want)[1:]):
         assert close(g, w)
+
+
+# An amplitude component: zero, or of either sign with a magnitude
+# log-uniform from the subnormals to 1e160.
+COMPONENT = st.just(0.0) | st.builds(
+    lambda sign, exponent, mantissa: sign * mantissa * 10.0**exponent,
+    st.sampled_from((1.0, -1.0)), st.floats(-324.0, 160.0), st.floats(1.0, 10.0))
+AMPLITUDE = st.builds(complex, COMPONENT, COMPONENT)
+DARK = st.just(0j)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(st.tuples(AMPLITUDE, AMPLITUDE) | st.tuples(AMPLITUDE, DARK) | st.tuples(DARK, AMPLITUDE))
+def test_outer_products_of_plain_size_pass_the_gate(amplitudes):
+    # evaluate's amplitude track runs no gate on an outer product whose
+    # size s11 + s22 lies in [_SQUARE_MIN, _SQUARE_MAX]: there the gate
+    # always accepts it, rounding and subnormal components included.
+    s11, s22, s12 = _outer(*amplitudes)
+    if _SQUARE_MIN <= s11 + s22 <= _SQUARE_MAX:
+        _check_coherency(s11, s22, s12)
 
 
 def test_scaled_states_at_the_float_limits():
