@@ -127,12 +127,19 @@ def _lift_stage(spec):
     """The stage of a one-element lift spec, the entries of k^2 lift(G) and their metric defect.
 
     The spec is circuit text, or the older 'squeeze eta=0.6' spelling,
-    which is rewritten to 'squeeze(eta=0.6)' first. Every rejection is
-    a plain ValueError, because the spec is a command-line argument.
+    which is rewritten to 'squeeze(eta=0.6)' first; there a bare 'deg'
+    word is the unit of the argument before it. Every rejection is a
+    plain ValueError, because the spec is a command-line argument.
     """
     text = spec
     if "(" not in spec and spec.strip():
-        name, *args = spec.split()
+        name, *words = spec.split()
+        args = []
+        for word in words:
+            if word == "deg" and args:
+                args[-1] += " deg"
+            else:
+                args.append(word)
         text = f"{name}({', '.join(args)})"
     try:
         stages = circuit.parse(text).stages

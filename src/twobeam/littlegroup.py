@@ -17,7 +17,7 @@ matrices are not metric-preserving away from the endpoints.
 import math
 
 from .states import CLASSIFY_TOL, PhysicsError, StokesVector, Transform4, metric_defect, minkowski_norm
-from .states import _Record, _finite, _scaled
+from .states import _Record, _check_tol, _finite, _scaled
 from .elements import phase4, rotator4, squeeze4
 
 __all__ = [
@@ -64,7 +64,9 @@ def classify(s: StokesVector, tol=CLASSIFY_TOL) -> StateClass:
     with the rapidity of the standardizing boost. Below the negative
     band: non-physical (spacelike). All on s rescaled by _scaled; the
     class reports the norm of s itself, NonFiniteError if it overflows.
+    A tol that is NaN, infinite or negative raises PhysicsError.
     """
+    _check_tol(tol)
     if s.s0 <= 0.0:
         raise PhysicsError("classification requires positive total intensity")
     s0, s1, s2, s3 = _scaled(s.s0, s.s1, s.s2, s.s3)
@@ -207,9 +209,7 @@ class InterpolationParams(_Record):
         theta, eta = float(theta), float(eta)
         if not (math.isfinite(theta) and math.isfinite(eta)):
             raise PhysicsError("theta and eta must be finite")
-        t = math.tan(theta / 2.0)
-        alpha = math.tanh(eta)
-        return cls(alpha, -2.0 * t, 1.0 / (1.0 + (1.0 - alpha * alpha) * t * t))
+        return cls(math.tanh(eta), -2.0 * math.tan(theta / 2.0))  # __post_init__ derives w
 
 
 def _family_matrix(p: InterpolationParams):

@@ -110,31 +110,30 @@ def _scaled(*xs):
     return tuple(x / unit for x in xs)
 
 
-class _DataclassFields:
-    """A record's fields as `dataclasses.fields`, `asdict` and `replace`
-    read them; the dataclasses module is imported on that first read."""
+class _FirstRead:
+    """A member of a record class, owner, made by build(owner) on its first read, from any
+    class or instance; it then stands on owner in this one's place, as subclasses read it."""
 
-    def __init__(self, annotations):
-        self.annotations = annotations
+    def __init__(self, owner, name, build):
+        self.owner, self.name, self.build = owner, name, build
+        setattr(owner, name, self)
 
     def __get__(self, record, cls):
-        import dataclasses as dc
-        return dc.make_dataclass(cls.__name__, [
-            (f, t, dc.field(default=getattr(cls, f, dc.MISSING), compare=f in cls._compare))
-            for f, t in self.annotations.items()]).__dataclass_fields__
+        setattr(self.owner, self.name, self.build(self.owner))
+        return getattr(cls if record is None else record, self.name)
 
 
 class _Record:
     """Frozen record: a subclass's annotations are its fields, in order.
 
-    Its __init__ converts each value of a field annotated float or complex
-    that is not exactly of that class, fills the instance __dict__, which
-    stays open to memos, then calls self.__post_init__ if the class has
-    one (looked up per call, so it can be patched). Its classmethod
-    _checked makes the same stores without either, for values of the
-    fields' exact types that passed its checks already or hold them by
-    construction; it takes one value per field, or raises TypeError. Both
-    are generated per class, _checked on its first call.
+    Its __init__, made with the class, converts each value of a field annotated
+    float or complex that is not exactly of that class, fills the instance
+    __dict__, open to memos, then calls self.__post_init__ if the class has
+    one (looked up per call, so it can be patched). Its classmethod _checked
+    makes the same stores without either, for values of the fields' exact
+    types that passed its checks already or hold them by construction; it
+    takes one value per field, or raises TypeError. It and the view that
+    `dataclasses` reads, __dataclass_fields__, are built once, on first read.
     ==, hash and repr go field by field; == and hash over ``compare``
     (default: all) and within one class only.
     """
@@ -145,26 +144,27 @@ class _Record:
         if not fields:
             return  # a subclass without fields of its own keeps its parent's
         cls.__match_args__, cls._compare = fields, fields if compare is None else compare
-        cls.__dataclass_fields__ = _DataclassFields(cls.__annotations__)
         args, stores = ", ".join(fields), "".join(f"\n    d[{f!r}] = {f}" for f in fields)
         converts = "".join(f"\n    if {f}.__class__ is not {t.__name__}: {f} = {t.__name__}({f})"
                            for f, t in cls.__annotations__.items() if t is float or t is complex)
         hook = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-        namespace = {}
+        namespace = {"new": object.__new__}
         exec(f"def __init__(self, {args}):{converts}\n    d = self.__dict__{stores}{hook}", namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__defaults__ = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
 
-        def _checked(owner, *values):
-            """A record of one value per field, without __init__'s conversions or __post_init__."""
-            namespace = {"new": object.__new__}  # compiled on the first call, which replaces this stub
-            exec(f"def _checked(cls, {args}):\n    self = new(cls)\n    d = self.__dict__{stores}\n"
-                 "    return self", namespace)
-            namespace["_checked"].__doc__ = _checked.__doc__
-            cls._checked = classmethod(namespace["_checked"])
-            return namespace["_checked"](owner, *values)
+        def dataclass_fields(cls):
+            import dataclasses as dc
+            return dc.make_dataclass(cls.__name__, [
+                (f, t, dc.field(default=getattr(cls, f, dc.MISSING), compare=f in cls._compare))
+                for f, t in cls.__annotations__.items()]).__dataclass_fields__
 
-        cls._checked = classmethod(_checked)
+        checked = (f"def _checked(cls, {args}):\n    \"A record of one value per field, without "
+                   f"__init__'s conversions or __post_init__.\"\n    self = new(cls)\n"
+                   f"    d = self.__dict__{stores}\n    return self")
+        _FirstRead(cls, "_checked",
+                   lambda _: exec(checked, namespace) or classmethod(namespace["_checked"]))
+        _FirstRead(cls, "__dataclass_fields__", dataclass_fields)
 
     def _key(self):
         return tuple(getattr(self, f) for f in self._compare)
@@ -200,8 +200,9 @@ class JonesVector(_Record):
 
     @property
     def intensity(self):
-        a, b = abs(self.psi1), abs(self.psi2)
-        return _in_range(a * a + b * b, "Jones intensity")
+        """s11 + s22 of the coherency matrix, its trace, as coherency_from_jones gives it."""
+        s11, s22, _ = _outer(self.psi1, self.psi2)
+        return _in_range(s11 + s22, "Jones intensity")
 
     def as_array(self):
         import numpy as np
@@ -357,6 +358,7 @@ class StokesVector(_Record):
 
     def require_physical(self, tol=CLASSIFY_TOL):
         """Raise unless the vector lies on or inside the light cone."""
+        _check_tol(tol)
         s0, s1, s2, s3 = _scaled(self.s0, self.s1, self.s2, self.s3)
         norm, sq = s0**2 - s1**2 - s2**2 - s3**2, s0**2
         if norm < -tol * sq:
@@ -449,6 +451,12 @@ def _is_lorentz(e):
     LORENTZ_TOL max(1, max|e|)^2, taken on (1, e) rescaled by _scaled."""
     t = _scaled(1.0, *e)
     return max(_defects(t[1:], t[0] * t[0])) <= LORENTZ_TOL * max(map(abs, t)) ** 2
+
+
+def _check_tol(tol):
+    """Reject a tolerance that is NaN, infinite or negative; 0 is exact."""
+    if tol * 0.0 != 0.0 or tol < 0.0:
+        raise PhysicsError("tol must be finite and nonnegative")
 
 
 def _in_range(x, what):  # x, unless it is inf or NaN, a value beyond the float range

@@ -119,6 +119,18 @@ def test_lift_both_spellings_match_closed_forms(capsys):
             assert np.abs(m - closed(x).m).max() < 1e-12
 
 
+def test_lift_older_spelling_takes_deg_as_its_own_word(capsys):
+    for new, olds in (("rotate(theta=30 deg)", ("rotate theta=30 deg", "rotate  theta=30   deg ",
+                                                 "rotate theta=30deg")),
+                      ("phase(phi=-45deg)", ("phase phi=-45 deg",))):
+        text = run(capsys, "lift", new)
+        _, raw = run_json(capsys, "lift", new)
+        assert text[0] == 0 and text[1].startswith("element: ")
+        for old in olds:
+            assert run(capsys, "lift", old) == text
+            assert results_text(run_json(capsys, "lift", old)[1]) == results_text(raw)
+
+
 def test_lift_atten_is_scaled_boost(capsys):
     for a, b in ((0.0, 0.0), (0.2, 0.5), (1.1, 0.3)):
         old, old_raw = run_json(capsys, "lift", f"atten eta1={a!r} eta2={b!r}")

@@ -265,6 +265,16 @@ def test_interpolation_params():
         InterpolationParams(0.5, 0.3, w=-1.0)
 
 
+def test_from_angles_derives_w_by_the_constructor_formula():
+    # One formula for w: from_angles(theta, eta) is the record built from
+    # its own alpha and u. Computing w as ((1 - alpha^2) t) t, with
+    # t = tan(theta/2), differed in the last bit for about 5% of these.
+    rng = np.random.default_rng(29)
+    for theta, eta in zip(rng.uniform(-3, 3, 20000), rng.uniform(0, 5, 20000)):
+        q = InterpolationParams.from_angles(theta, eta)
+        assert q == InterpolationParams(q.alpha, q.u)
+
+
 def test_family_endpoints():
     rng = np.random.default_rng(67)
     for _ in range(100):
@@ -372,3 +382,25 @@ def test_interpolation_params_reject_non_finite_arguments(make, message):
     with pytest.raises(PhysicsError) as err:
         make()
     assert err.type is PhysicsError and str(err.value) == message
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+@pytest.mark.parametrize("check", [
+    lambda s, tol: classify(s, tol),
+    lambda s, tol: standardize(s, tol),
+    lambda s, tol: s.require_physical(tol),
+])
+def test_a_tolerance_that_is_nan_infinite_or_negative_is_rejected(check, tol):
+    # A NaN or infinite band once classified the spacelike (1, 2, 0, 0) as pure.
+    for s in (StokesVector(1, 2, 0, 0), StokesVector(1, 0.5, 0, 0), StokesVector(1, 1, 0, 0)):
+        with pytest.raises(PhysicsError) as err:
+            check(s, tol)
+        assert err.type is PhysicsError and str(err.value) == "tol must be finite and nonnegative"
+
+
+def test_a_zero_tolerance_is_exact():
+    assert classify(StokesVector(1, 1, 0, 0), 0.0).tag == PURE
+    assert classify(StokesVector(1, 1 + 2**-52, 0, 0), 0).tag == NON_PHYSICAL
+    assert StokesVector(1, 1, 0, 0).require_physical(0.0) == StokesVector(1, 1, 0, 0)
+    with pytest.raises(PhysicsError, match="spacelike"):
+        StokesVector(1, 1 + 2**-52, 0, 0).require_physical(0)

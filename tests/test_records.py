@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import json
 import math
 import os
 import pkgutil
@@ -30,7 +31,7 @@ from twobeam import (
     parse,
 )
 from twobeam.circuit import Stage
-from twobeam.states import _Record
+from twobeam.states import _FirstRead, _Record
 
 IDENTITY16 = [1.0 if i % 5 == 0 else 0.0 for i in range(16)]
 
@@ -293,6 +294,14 @@ def test_constructors_convert_fields_annotated_float_or_complex():
                 assert type(caught.value) is error and str(caught.value) == message
 
 
+def run_python(code):
+    """stdout of a fresh interpreter running code, with the package importable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(twobeam.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_checked_is_compiled_on_its_first_call():
     class Pair(_Record):
         x: float
@@ -302,25 +311,59 @@ def test_checked_is_compiled_on_its_first_call():
         pass
 
     stub = Pair.__dict__["_checked"]
-    assert "_checked" not in Twin.__dict__
+    assert type(stub) is _FirstRead and "_checked" not in Twin.__dict__
     with pytest.raises(TypeError):
         Twin._checked(1.0)
     compiled = Pair.__dict__["_checked"]
-    assert compiled is not stub and "_checked" not in Twin.__dict__
+    assert type(compiled) is classmethod and "_checked" not in Twin.__dict__
     twin = Twin._checked(1, 2)
     assert type(twin) is Twin and vars(twin) == {"x": 1, "y": 2} and type(twin.x) is int
     assert Pair.__dict__["_checked"] is compiled and Twin._checked.__func__ is compiled.__func__
     with pytest.raises(TypeError):
         Pair._checked(1.0, 2j, 3j)
     assert vars(Pair(1, 2)) == {"x": 1.0, "y": 2 + 0j}
-    # Importing the package compiles no record's _checked.
+    # The dataclass view likewise: built on the first read, from a subclass
+    # or an instance too, and kept on the declaring class.
+    assert type(Pair.__dict__["__dataclass_fields__"]) is _FirstRead
+    assert [f.name for f in dataclasses.fields(Twin(1, 2))] == ["x", "y"]
+    view = Pair.__dict__["__dataclass_fields__"]
+    assert type(view) is dict and "__dataclass_fields__" not in Twin.__dict__
+    assert Twin.__dataclass_fields__ is view and dataclasses.fields(Pair)[0] is view["x"]
+    # Importing the package builds no record's _checked or dataclass view.
     code = ("import twobeam, twobeam.circuit, twobeam.cli, twobeam.decoherence, twobeam.littlegroup\n"
-            "from inspect import CO_VARARGS\nfrom twobeam.states import _Record\n"
+            "from twobeam.states import _FirstRead, _Record\n"
             "pending, found = _Record.__subclasses__(), []\n"
             "while pending:\n"
             "    cls = pending.pop(); pending.extend(cls.__subclasses__())\n"
-            "    found += [cls.__name__] if not cls._checked.__func__.__code__.co_flags & CO_VARARGS else []\n"
+            "    found += [(cls.__name__, name) for name in ('_checked', '__dataclass_fields__')\n"
+            "              if type(cls.__dict__[name]) is not _FirstRead]\n"
             "print(found)")
-    env = dict(os.environ, PYTHONPATH=str(Path(twobeam.__file__).parent.parent))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0 and done.stdout == "[]\n", done.stderr
+    assert run_python(code) == "[]\n"
+
+
+def test_dataclass_views_are_built_once_per_class():
+    # Counts make_dataclass calls by class name in a fresh process, over
+    # repeated fields, replace and asdict calls and the asdict of a report
+    # of 1200 stages, whose records hold 2400 coherency matrices.
+    code = """
+import collections, dataclasses, json
+made = collections.Counter()
+make = dataclasses.make_dataclass
+dataclasses.make_dataclass = lambda name, *a, **k: made.update([name]) or make(name, *a, **k)
+from twobeam import StokesVector, JonesVector, evaluate, parse
+from twobeam.circuit import Stage
+s = StokesVector(1, 0.5, 0, 0)
+for _ in range(3):
+    dataclasses.fields(Stage), dataclasses.fields(s), dataclasses.asdict(JonesVector(1, 2j))
+    assert dataclasses.replace(s, s1=0.25) == StokesVector(1, 0.25, 0, 0)
+ast = parse("; ".join(["rotate(theta=0.3)", "decohere(lambda=0.01)", "squeeze(eta=0.2)"] * 400))
+for _ in range(2):
+    report = evaluate(ast, JonesVector(1, 0.5j))
+    assert len(dataclasses.asdict(report)["stages"]) == 1200
+    dataclasses.replace(report, circuit_format="again")
+print(json.dumps(made))
+"""
+    made = json.loads(run_python(code))
+    assert set(made) >= {"Stage", "StokesVector", "JonesVector", "CoherencyMatrix", "SimulationReport",
+                         "StateClass"}
+    assert set(made.values()) == {1}, made
