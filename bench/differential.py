@@ -21,11 +21,17 @@ mid-chain, from Jones and Stokes inputs at intensities 1e-300 and 1e300.
 After them come 500-stage circuit files drawn like the others, so some
 atten stages name eta2 first; the last file has a malformed stage near
 its end. Each runs from a Jones and a Stokes input, in both formats.
-Three fixed vectors close the list, so the seeded ones above are drawn
+Three fixed vectors come next, after the seeded ones, so those are drawn
 as before: two spacelike Stokes inputs that the light cone passes
 under their --tol (the default, and 0.05) and the coherency gate does
 not, and `decompose iwasawa` of the sigma = 20 recomposition
-r(0.3) diag(e^20, e^-20) r(0.4).
+r(0.3) diag(e^20, e^-20) r(0.4). Vectors appended after them leave
+those draws as they are: `simulate` from inputs whose intensity
+underflows to zero (`jones:1e-200,0,0,0`, `stokes:5e-324,0,0,0`) and
+from dark ones; a circuit of three decohere stages around a squeeze of
+eta = 20, from Stokes inputs on the light cone, just past it within the
+coherency gate's slack, and at intensities 1e-300 and 1e300, in both
+formats; and both decompositions of the singular 1e6,1e6,1e6,1e6.
 Each circuit file is written once into one temporary
 directory, so the circuit_path a report echoes is the same on both
 sides. Each side runs every vector in-process through `cli.main`, in
@@ -171,6 +177,13 @@ GATE_CIRCUITS = (
     "split(ratio=0.3); squeeze(eta=400); phase(phi=0.7); squeeze(eta=400); rotate(theta=0.2)",
     "atten(eta1=40, eta2=0.5); decohere(lambda=12.5); squeeze(eta=-25)",
 )
+# decohere stages on states on the light cone, or past it within the
+# coherency gate's slack, and at intensities 1e-300 and 1e300.
+DECOHERE_CIRCUIT = "decohere(lambda=0.5); squeeze(eta=20); decohere(lambda=3); rotate(theta=1); decohere(lambda=0)"
+DECOHERE_INPUTS = (
+    "stokes:1,1.000000000001,0,0", "stokes:1,0.6,0.8000000000001,0",
+    "stokes:1e-300,6e-301,8e-301,0", "stokes:1e300,-6e299,0,8e299",
+)
 LIFT_SPECS = (
     "rotate(theta=0.3)", "phase(phi=-1.2)", "squeeze(eta=0.6)", "squeeze eta=0.6", "rotate theta=2",
     "split(ratio=0.25)", "split(theta=30 deg)", "atten(eta1=0.2, eta2=0.5)",
@@ -254,6 +267,13 @@ def vectors(rng, circuit_dir):
     out.append(["simulate", str(path), "--in", "stokes:1,1.00000000001,0,0"])
     out.append(["simulate", str(path), "--in", "stokes:1,1.01,0,0", "--tol", "0.05"])
     out.append(["decompose", "iwasawa", f"--matrix={reals(wigner(0.3, 20.0, 0.4))}", "--format", "json"])
+    for spec in ("jones:1e-200,0,0,0", "stokes:5e-324,0,0,0", "jones:0,0,0,0", "stokes:0,0,0,0"):
+        out.append(["simulate", str(path), "--in", spec])
+    path = circuit_dir / "decohere.circ"
+    path.write_text(DECOHERE_CIRCUIT, encoding="utf-8")
+    for spec in DECOHERE_INPUTS:
+        out += [["simulate", str(path), "--in", spec, "--format", f] for f in ("json", "text")]
+    out += [["decompose", kind, "--matrix=1e6,1e6,1e6,1e6"] for kind in ("iwasawa", "wigner")]
     return out
 
 

@@ -484,7 +484,7 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     """Push a state through the circuit, recording every stage.
 
     The state is the coherency matrix, carried as its entries; each
-    stage's new entries pass the CoherencyMatrix checks, its gate. A
+    coherent stage's new entries pass the CoherencyMatrix checks, its gate. A
     coherent stage is its STAGES action: an overall factor k (1 except
     for atten) times a unimodular G, as plain entries. While the amplitude
     track is live (Jones input, no decohere yet) it is the single source
@@ -496,7 +496,9 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     and the underflow test. One JonesVector is built from the amplitudes
     at the end, for the report. Without amplitudes the entries
     go through conjugate's formula, C -> k^2 G C G+. decohere scales s12
-    by e^-2 lambda and ends the amplitude track. Stage failures re-raise
+    by e^-2 lambda and ends the amplitude track. It runs no gate: s11 and
+    s22 stay, and with e^-2 lambda in [0, 1] no rounded part of s12 grows,
+    so entries that passed the gate pass it again. Stage failures re-raise
     as located CircuitSemanticError, as is a final class that overflows;
     overflow and an intensity that underflows to zero say so.
 
@@ -507,7 +509,7 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     loop reads of it without amplitudes: (k^2, *conjugate's constants)
     for a coherent stage, e^-2 lambda for decohere. So a repeat evaluate
     from a Stokes input looks each stage's up once and pays for its
-    arithmetic and its gate; one from a Jones input computes again the
+    arithmetic and any gate; one from a Jones input computes again the
     entries of the stages it meets before its first decohere, and builds
     no Element2.
     """
@@ -522,7 +524,9 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
         raise TypeError("input must be a JonesVector or StokesVector")
     input_stokes = stokes_from_coherency(first)
     if first.trace <= 0.0:
-        raise PhysicsError("evaluation requires positive input intensity")
+        dark = not (inp.psi1 or inp.psi2) if input_jones else inp.s0 == 0.0
+        underflow = "" if dark else " (it underflows to zero)"
+        raise PhysicsError(f"evaluation requires positive input intensity{underflow}")
     s11, s22, s12 = first.s11, first.s22, first.s12
     trail, stage = [], None
     for stage in ast.stages:
@@ -530,21 +534,20 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
             step = None if p1 is not None else stage.__dict__.get("_coherency")
             if step is None:
                 step = _step(stage, p1 is not None)
-            if step.__class__ is float:  # decohere's e^-2 lambda
+            if step.__class__ is float:  # decohere's e^-2 lambda; its result needs no gate
                 s12 = complex(step * s12.real, step * s12.imag)
                 p1 = None
-            elif p1 is None:
-                s11, s22, s12 = _conjugated(s11, s22, s12, step)
-            else:  # psi -> k conj(G) psi
-                k, a, b, c, d = step
-                p1, p2 = k * (a * p1 + b * p2), k * (c * p1 + d * p2)
-                s11, s22, s12 = _outer(p1, p2)
-                if _SQUARE_MIN <= s11 + s22 <= _SQUARE_MAX:  # an outer product there passes the gate
-                    trail.append((s11, s22, s12))
-                    continue
-            _check_coherency(s11, s22, s12)
-            if s11 + s22 <= 0.0:
-                raise PhysicsError("beam attenuated to zero intensity (underflow)")
+            else:
+                if p1 is None:
+                    s11, s22, s12 = _conjugated(s11, s22, s12, step)
+                else:  # psi -> k conj(G) psi
+                    k, a, b, c, d = step
+                    p1, p2 = k * (a * p1 + b * p2), k * (c * p1 + d * p2)
+                    s11, s22, s12 = _outer(p1, p2)
+                if p1 is None or not _SQUARE_MIN <= s11 + s22 <= _SQUARE_MAX:  # else it always passes
+                    _check_coherency(s11, s22, s12)
+                    if s11 + s22 <= 0.0:
+                        raise PhysicsError("beam attenuated to zero intensity (underflow)")
         except NonFiniteError as err:
             raise CircuitSemanticError(
                 f"stage {stage.name}: beam intensity overflowed", stage.line, stage.col

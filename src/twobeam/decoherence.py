@@ -62,14 +62,15 @@ def decohere_channel(state, lam):
     A CoherencyMatrix gives s12 -> e^-2l s12 and a StokesVector, which
     must be physical, (s0, s1, e^-2l s2, e^-2l s3): one map, returned in
     the input's type. Equals e^-l times decoherence4(l). Output stays
-    physical, purity never increases, and the maps form a semigroup in
-    l. Negative l (recoherence) is rejected.
+    physical, so it is built unchecked: the intensities stay and, as
+    e^-2l <= 1, no rounded part of s12 grows. Purity never increases, the
+    maps form a semigroup in l, and negative l (recoherence) is rejected.
     """
     k = _decay(lam)
     if isinstance(state, CoherencyMatrix):
-        return CoherencyMatrix(state.s11, state.s22, complex(k * state.s12.real, k * state.s12.imag))
+        return CoherencyMatrix._checked(state.s11, state.s22, complex(k * state.s12.real, k * state.s12.imag))
     state.require_physical()
-    return StokesVector(state.s0, state.s1, k * state.s2, k * state.s3)
+    return StokesVector._checked(state.s0, state.s1, k * state.s2, k * state.s3)
 
 
 def _decay(lam):

@@ -183,7 +183,7 @@ def conjugated_rotation(theta, eta) -> Transform4:
 class InterpolationParams(_Record):
     """Parameters (alpha, u, w) of the rotation-to-shear bridge.
 
-    From a rotation angle theta and rapidity eta: alpha = tanh(eta),
+    From a rotation angle theta and rapidity eta >= 0: alpha = tanh(eta),
     u = -2 tan(theta/2) and w = 1 / (1 + (1-alpha^2) tan^2(theta/2)).
     When w is not supplied it is derived from (alpha, u) by the same
     formula with tan(theta/2) = -u/2; at alpha = 1 that gives w = 1.
@@ -209,6 +209,8 @@ class InterpolationParams(_Record):
         theta, eta = float(theta), float(eta)
         if not (math.isfinite(theta) and math.isfinite(eta)):
             raise PhysicsError("theta and eta must be finite")
+        if eta < 0.0:
+            raise PhysicsError("eta must be nonnegative")
         return cls(math.tanh(eta), -2.0 * math.tan(theta / 2.0))  # __post_init__ derives w
 
 

@@ -1,8 +1,10 @@
 """conjugate and the Lorentz check against reference copies of their formulas.
 
-conjugate keeps an element's state-independent products on the element;
-_is_lorentz skips the rescaling of its input when that input is in range.
-Both must give, bit for bit, what the formulas written out in full give.
+conjugate computes an element's state-independent products, its
+conjugation constants, on each call and stores nothing on the element;
+_is_lorentz takes the metric check on (1, e) as _scaled returns it,
+rescaled only outside the range where squares stay normal floats. Both
+must give, bit for bit, what the formulas written out in full give.
 """
 
 import math
@@ -41,7 +43,7 @@ def reference_conjugate(c, entries, scale=1.0):
 
 
 def reference_is_lorentz(e):
-    """The metric check taken on (1, e) as _scaled always rescales it."""
+    """The metric check taken on (1, e) as _scaled returns it."""
     t = _scaled(1.0, *e)
     return max(_defects(t[1:], t[0] * t[0])) <= LORENTZ_TOL * max(map(abs, t)) ** 2
 

@@ -16,12 +16,14 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
+import pytest
 
 from twobeam import (
     CircuitError,
     CircuitSemanticError,
     CoherencyMatrix,
     JonesVector,
+    PhysicsError,
     SimulationReport,
     StokesVector,
     classify,
@@ -143,6 +145,23 @@ def test_underflow_is_located_and_plain():
             assert (err.line, err.col) == (2, 1)
         else:
             raise AssertionError("underflow not reported")
+
+
+def test_an_input_whose_intensity_underflows_is_named():
+    # |1e-200|^2 and 5e-324 / 2 round to 0: the input is not dark, yet its
+    # coherency trace is 0. A dark input keeps the plain message.
+    ast = parse("rotate(theta=0.3)")
+    message = "evaluation requires positive input intensity"
+    for inp, said in (
+        (JonesVector(1e-200, 0.0), f"{message} (it underflows to zero)"),
+        (JonesVector(0.0, 1e-170j), f"{message} (it underflows to zero)"),
+        (StokesVector(5e-324, 0.0, 0.0, 0.0), f"{message} (it underflows to zero)"),
+        (JonesVector(0.0, 0.0), message),
+        (StokesVector(0.0, 0.0, 0.0, 0.0), message),
+    ):
+        with pytest.raises(PhysicsError) as err:
+            evaluate(ast, inp)
+        assert err.type is PhysicsError and str(err.value) == said
 
 
 def test_tiny_intensity_evaluates_like_unit_intensity():
@@ -465,12 +484,13 @@ def test_evaluate_carries_one_state(monkeypatch):
 def test_evaluate_builds_records_on_first_read(monkeypatch):
     # The loop carries plain entries and gates each stage's at most once:
     # an evaluate runs the coherency checks once for the input and once
-    # per stage without amplitudes, and builds one checked matrix, the
-    # input's. On the amplitude track, before the first decohere, an outer
-    # product whose size is in the gate's plain range is not gated, since
-    # it always passes. Reading .stages builds the records, and the
-    # matrices between stages, once, from entries the loop gated or
-    # skipped, and checks none of them again.
+    # per coherent stage without amplitudes, and builds one checked
+    # matrix, the input's. On the amplitude track, before the first
+    # decohere, an outer product whose size is in the gate's plain range
+    # is not gated, since it always passes; nor is a decohere stage's
+    # output, which passes wherever its input did. Reading .stages builds
+    # the records, and the matrices between stages, once, from entries the
+    # loop gated or skipped, and checks none of them again.
     rng = random.Random(1111)
     built, checked = [], []
     post_init, check = CoherencyMatrix.__post_init__, states._check_coherency
@@ -488,7 +508,9 @@ def test_evaluate_builds_records_on_first_read(monkeypatch):
         coherent = [st.name for st in ast.stages].index("decohere")
         for inp in random_inputs(rng):
             skipped = coherent if isinstance(inp, JonesVector) else 0
-            gated = len(ast.stages) + 1 - skipped
+            # Indices into the matrices, the input's first, of the gated entries.
+            gates = [0] + [i for i, st in enumerate(ast.stages, 1) if i > skipped and st.name != "decohere"]
+            gated = len(gates)
             del built[:], checked[:]
             report = evaluate(ast, inp)
             assert len(checked) == gated and len(built) == 1
@@ -501,10 +523,11 @@ def test_evaluate_builds_records_on_first_read(monkeypatch):
             assert report.stages is stages and len(checked) == gated
             matrices = [built[0], *(r.coherency_after for r in stages)]
             entries = [(c.s11, c.s22, c.s12) for c in matrices]
-            assert entries[:1] + entries[1 + skipped:] == checked
+            assert [entries[i] for i in gates] == checked
             for s11, s22, s12 in entries[1:1 + skipped]:
                 assert states._SQUARE_MIN <= s11 + s22 <= states._SQUARE_MAX
-                check(s11, s22, s12)
+            for i in set(range(len(entries))) - set(gates):
+                check(*entries[i])
     monkeypatch.undo()
     # A report whose stages were never read behaves as one built eagerly.
     ast, inp = parse(decohering_circuit(rng)), random_inputs(rng)[2]

@@ -384,6 +384,15 @@ def test_interpolation_params_reject_non_finite_arguments(make, message):
     assert err.type is PhysicsError and str(err.value) == message
 
 
+def test_from_angles_names_a_negative_eta():
+    # Not alpha = tanh(eta), a parameter the caller did not give.
+    for eta in (-1.0, -1e-300, -5e-324):
+        with pytest.raises(PhysicsError) as err:
+            InterpolationParams.from_angles(0.5, eta)
+        assert err.type is PhysicsError and str(err.value) == "eta must be nonnegative"
+    assert InterpolationParams.from_angles(0.5, -0.0) == InterpolationParams.from_angles(0.5, 0.0)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
 @pytest.mark.parametrize("check", [
     lambda s, tol: classify(s, tol),

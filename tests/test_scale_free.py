@@ -27,6 +27,7 @@ from twobeam import (
     Transform4,
     classify,
     compose,
+    decohere_channel,
     evaluate,
     lift,
     metric_defect,
@@ -141,6 +142,55 @@ def test_outer_products_of_plain_size_pass_the_gate(amplitudes):
     s11, s22, s12 = _outer(*amplitudes)
     if _SQUARE_MIN <= s11 + s22 <= _SQUARE_MAX:
         _check_coherency(s11, s22, s12)
+
+
+def passes_the_gate(entries):
+    try:
+        _check_coherency(*entries)
+    except PhysicsError:
+        return False
+    return True
+
+
+@st.composite
+def edge_of_the_slack(draw):
+    """Entries at unit size whose det, or a diagonal entry, is at most the
+    gate's slack below 0, times a power of two from the subnormals up."""
+    u, v, t, phi = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)), draw(
+        st.sampled_from((1.0, 0.999)) | st.floats(0.0, 1.0)), draw(st.floats(-math.pi, math.pi))
+    size = u + v
+    if draw(st.booleans()):  # |s12|^2 up to 1e-12 size^2 beyond s11 s22
+        r = math.sqrt(u * v + t * 1e-12 * size * size)
+    else:  # s11 up to 1e-12 size below 0
+        u, r = -t * 1e-12 * size, 0.0
+    unit = math.ldexp(1.0, draw(st.integers(-1100, 1023)))
+    return u * unit, v * unit, complex(r * math.cos(phi) * unit, r * math.sin(phi) * unit)
+
+
+def sum_of_outer(a, b):
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+
+
+OUTER = st.builds(_outer, AMPLITUDE, AMPLITUDE)
+GATED = (OUTER | st.builds(sum_of_outer, OUTER, OUTER) | edge_of_the_slack()).filter(passes_the_gate)
+DECAY = st.sampled_from((0.0, 5e-324, 1.0)) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(GATED, DECAY)
+def test_decoherence_keeps_gated_entries_gated(entries, k):
+    # evaluate runs no gate after a decohere stage, which scales s12 by
+    # k = e^-2 lambda in [0, 1] as below, and decohere_channel builds its
+    # result unchecked: s11 and s22 stay, and neither rounded part of s12
+    # grows, so the gate's determinant only grows.
+    s11, s22, s12 = entries
+    out = complex(k * s12.real, k * s12.imag)
+    assert abs(out.real) <= abs(s12.real) and abs(out.imag) <= abs(s12.imag)
+    _check_coherency(s11, s22, out)
+    lam = -0.5 * math.log(k) if k else 400.0  # e^-800 is 0.0
+    c = decohere_channel(CoherencyMatrix._checked(s11, s22, s12), lam)
+    assert (c.s11, c.s22) == (s11, s22) and c.trace == s11 + s22
+    _check_coherency(c.s11, c.s22, c.s12)
 
 
 def test_scaled_states_at_the_float_limits():
