@@ -34,9 +34,11 @@ own setup with the given seed, as `python -m twobeam.cli` children, one
 side's `src` on PYTHONPATH, each side from a copy of its `src` without a
 `__pycache__`. A round runs each vector on both sides in turn, the
 first side alternating from round to round, and times each side's eight
-children in child CPU time (resource.getrusage); every output is checked
-with CliMix's own check, so both sides must print the bytes of
-perfbench's reference run. It prints the same summary line for cli-mix.
+children in child CPU time (resource.getrusage). Every output is checked
+with CliMix's own check, as perfbench checks one tree: against the bytes
+of that side's own first run, and the JSON simulate report against that
+side's in-process evaluate, so a change that alters printed digits can be
+timed. It prints the same summary line for cli-mix.
 """
 
 import argparse
@@ -134,21 +136,24 @@ def child_cpu(argv, path):
 
 def cli_mix(parent, args, tmp):
     """{"cli-mix": ({side: child CPU time per round}, commands per round)}."""
-    workload = workloads_of(ROOT, "change").WORKLOADS["cli-mix"](args.seed, tmp)
-    workload.setup()  # the argument vectors, their circuit file and the reference outputs
-    cases = [workload.make_input(i) for i in range(len(workload.argvs))]
-    paths = {}
+    paths, workloads = {}, {}
     for side, checkout in zip(SIDES, (parent, ROOT)):
         paths[side] = Path(tmp) / f"src-{side}"
         shutil.copytree(Path(checkout) / "src" / "twobeam", paths[side] / "twobeam",
                         ignore=shutil.ignore_patterns("__pycache__"))
+        # The same argument vectors and circuit file on both sides; the in-process
+        # final Stokes vector from this side's package, the references from its CLI.
+        workload = workloads[side] = workloads_of(checkout, side).WORKLOADS["cli-mix"](args.seed, tmp)
+        workload.setup()
+        workload.reference = [child_cpu(argv, paths[side])[1][1] for argv in workload.argvs]
+    cases = [workload.make_input(i) for i in range(len(workload.argvs))]
     times = {side: [] for side in SIDES}
     for k in range(args.rounds):
         spent = dict.fromkeys(SIDES, 0.0)
         for case in cases:
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                 cpu, out = child_cpu(case.argv, paths[side])
-                error = workload.check(case, out)
+                error = workloads[side].check(case, out)
                 if error:
                     raise SystemExit(f"{side} cli-mix: {error}")
                 spent[side] += cpu

@@ -31,7 +31,11 @@ underflows to zero (`jones:1e-200,0,0,0`, `stokes:5e-324,0,0,0`) and
 from dark ones; a circuit of three decohere stages around a squeeze of
 eta = 20, from Stokes inputs on the light cone, just past it within the
 coherency gate's slack, and at intensities 1e-300 and 1e300, in both
-formats; and both decompositions of the singular 1e6,1e6,1e6,1e6.
+formats; both decompositions of the singular 1e6,1e6,1e6,1e6; `simulate`
+of atten(eta1=2000, eta2=0), whose exponents lie too far apart for a
+factored e^-(eta1+eta2)/2 squeezer(eta2 - eta1), from a Jones and a
+Stokes input in both formats, and its `lift`; and the older `lift`
+spelling with a `deg` word, 'rotate theta=30 deg'.
 Each circuit file is written once into one temporary
 directory, so the circuit_path a report echoes is the same on both
 sides. Each side runs every vector in-process through `cli.main`, in
@@ -184,6 +188,8 @@ DECOHERE_INPUTS = (
     "stokes:1,1.000000000001,0,0", "stokes:1,0.6,0.8000000000001,0",
     "stokes:1e-300,6e-301,8e-301,0", "stokes:1e300,-6e299,0,8e299",
 )
+# An atten whose factored form overflows: squeezer(-2000) needs e^1000.
+FAR_ATTEN = "atten(eta1=2000, eta2=0)"
 LIFT_SPECS = (
     "rotate(theta=0.3)", "phase(phi=-1.2)", "squeeze(eta=0.6)", "squeeze eta=0.6", "rotate theta=2",
     "split(ratio=0.25)", "split(theta=30 deg)", "atten(eta1=0.2, eta2=0.5)",
@@ -274,6 +280,11 @@ def vectors(rng, circuit_dir):
     for spec in DECOHERE_INPUTS:
         out += [["simulate", str(path), "--in", spec, "--format", f] for f in ("json", "text")]
     out += [["decompose", kind, "--matrix=1e6,1e6,1e6,1e6"] for kind in ("iwasawa", "wigner")]
+    path = circuit_dir / "atten.circ"
+    path.write_text(FAR_ATTEN, encoding="utf-8")
+    for spec in ("jones:0,0,1,0", "stokes:2,0.5,0.5,0.5"):
+        out += [["simulate", str(path), "--in", spec, "--format", f] for f in ("json", "text")]
+    out += [["lift", FAR_ATTEN], ["lift", "rotate theta=30 deg"]]
     return out
 
 

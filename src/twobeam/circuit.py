@@ -108,10 +108,10 @@ class StageKind(NamedTuple):
     optional "deg"; nonnegative must not be negative. alias is an
     optional (name, convert) pair: the stage also accepts that
     parameter in place of params[0] and converts its value to it.
-    action maps the canonical values to the stage as plain numbers,
-    (k, alpha, beta, gamma, delta): the amplitude factor k and the
-    row-major entries of the unimodular G, those the elements module's
-    constructor of the kind wraps in an Element2; a channel, which has no
+    action maps the canonical values to the row-major complex entries
+    (alpha, beta, gamma, delta) of the stage's Jones matrix M: those the
+    elements module's constructor of the kind wraps in an Element2, or
+    atten's unfactored diag(e^-eta1, e^-eta2); a channel, which has no
     such form, has action None.
     """
 
@@ -123,10 +123,10 @@ class StageKind(NamedTuple):
 
 
 # Each action is the elements module's entries function of its kind, the
-# one its public constructor wraps; evaluate and the command line's lift
-# call it and build no Element2 from it in the loop. So a tracer that
-# wraps rotator and friends counts no calls from evaluate: the records
-# are not built, and the entries' arithmetic counts in evaluate's time.
+# one its public constructor wraps (attenuator runs only its checks);
+# evaluate and the command line's lift call it and build no Element2. So a
+# tracer that wraps rotator and friends counts no calls from evaluate: the
+# records are not built, and the entries' arithmetic counts in evaluate's time.
 STAGES = {
     "rotate": StageKind(("theta",), angles=("theta",), action=_rotator),
     "split": StageKind(("theta",), angles=("theta",), alias=("ratio", split_angle), action=_rotator),
@@ -485,17 +485,17 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
 
     The state is the coherency matrix, carried as its entries; each
     coherent stage's new entries pass the CoherencyMatrix checks, its gate. A
-    coherent stage is its STAGES action: an overall factor k (1 except
-    for atten) times a unimodular G, as plain entries. While the amplitude
+    coherent stage is its STAGES action: its Jones matrix M as plain
+    entries, unimodular except for atten's. While the amplitude
     track is live (Jones input, no decohere yet) it is the single source
     of truth: the two amplitudes are carried as plain complex numbers,
-    psi -> k conj(G) psi, and the entries are their outer product, so a
+    psi -> conj(M) psi, and the entries are their outer product, so a
     pure state stays pure to rounding however long the chain. An outer
     product whose size s11 + s22 lies in [_SQUARE_MIN, _SQUARE_MAX] always
     passes the gate, which is not run there; any other size takes the gate
     and the underflow test. One JonesVector is built from the amplitudes
     at the end, for the report. Without amplitudes the entries
-    go through conjugate's formula, C -> k^2 G C G+. decohere scales s12
+    go through conjugate's formula, C -> M C M+. decohere scales s12
     by e^-2 lambda and ends the amplitude track. It runs no gate: s11 and
     s22 stay, and with e^-2 lambda in [0, 1] no rounded part of s12 grows,
     so entries that passed the gate pass it again. Stage failures re-raise
@@ -506,7 +506,7 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     first read of the report's stages, and final_purity on its first
     read; the matrices hold entries that passed the gate, or that it
     always passes, unchecked again. Each Stage keeps one entry, what the
-    loop reads of it without amplitudes: (k^2, *conjugate's constants)
+    loop reads of it without amplitudes: conjugate's constants of M
     for a coherent stage, e^-2 lambda for decohere. So a repeat evaluate
     from a Stokes input looks each stage's up once and pays for its
     arithmetic and any gate; one from a Jones input computes again the
@@ -540,9 +540,9 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
             else:
                 if p1 is None:
                     s11, s22, s12 = _conjugated(s11, s22, s12, step)
-                else:  # psi -> k conj(G) psi
-                    k, a, b, c, d = step
-                    p1, p2 = k * (a * p1 + b * p2), k * (c * p1 + d * p2)
+                else:  # psi -> conj(M) psi
+                    a, b, c, d = step
+                    p1, p2 = a * p1 + b * p2, c * p1 + d * p2
                     s11, s22, s12 = _outer(p1, p2)
                 if p1 is None or not _SQUARE_MIN <= s11 + s22 <= _SQUARE_MAX:  # else it always passes
                     _check_coherency(s11, s22, s12)
@@ -575,20 +575,20 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
 
 def _step(stage, amplitudes):
     """What evaluate's loop reads for stage. A coherent stage's is, with
-    amplitudes, (k, conj(alpha), conj(beta), conj(gamma), conj(delta)) of its
-    action's entries, which is not kept; without them, (k^2, *G's
-    conjugation constants), kept on stage as _coherency. decohere's is its
-    float e^-2 lambda, kept as _coherency for both. A failure keeps nothing."""
+    amplitudes, the conjugated entries of its action's M, which are not
+    kept; without them, M's conjugation constants, kept on stage as
+    _coherency. decohere's is its float e^-2 lambda, kept as _coherency
+    for both. A failure keeps nothing."""
     kind = STAGES.get(stage.name)
     if kind is None:
         raise PhysicsError(_unknown_element(stage.name))
     if kind.action is None:  # decohere, the one channel
         step = decoherence._decay(*map(_value, stage.params))
     else:
-        k, a, b, c, d = kind.action(*map(_value, stage.params))
+        a, b, c, d = m = kind.action(*map(_value, stage.params))
         if amplitudes:
-            return k, a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-        step = (k * k, *_conjugation((a, b, c, d)))
+            return a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+        step = _conjugation(m)
     stage.__dict__["_coherency"] = step
     return step
 

@@ -22,11 +22,10 @@ import sys
 from . import circuit, decoherence, elements, littlegroup
 from .states import (
     CLASSIFY_TOL,
-    Element2,
     JonesVector,
     PhysicsError,
     StokesVector,
-    lift,
+    _lift,
     metric_defect,
     relative_norm,
 )
@@ -124,7 +123,7 @@ def _input_state(spec):
 
 
 def _lift_stage(spec):
-    """The stage of a one-element lift spec, the entries of k^2 lift(G) and their metric defect.
+    """The stage of a one-element lift spec, the lift entries of its Jones matrix and their metric defect.
 
     The spec is circuit text, or the older 'squeeze eta=0.6' spelling,
     which is rewritten to 'squeeze(eta=0.6)' first; there a bare 'deg'
@@ -153,8 +152,7 @@ def _lift_stage(spec):
     if action is None:
         raise ValueError(f"{stage.name} is a channel, not an element; lift takes {coherent}")
     try:
-        k, *g = action(*map(circuit._value, stage.params))
-        m = tuple(k * k * x for x in lift(Element2._checked(*g)).entries)
+        m = _lift(*action(*map(circuit._value, stage.params)))
         return stage, m, metric_defect(m)
     except PhysicsError as err:
         raise ValueError(f"{stage.name}: {err}") from None

@@ -21,7 +21,8 @@ Sign conventions, fixed once by the action on coherency matrices:
 
 A physical attenuator with per-beam intensity transmissions
 e^{-2 eta1}, e^{-2 eta2} is not unimodular; ``attenuator`` factors it
-as an overall scalar decay times a squeezer.
+as an overall scalar decay times a squeezer. Its STAGES action is the
+matrix itself, diag(e^{-eta1}, e^{-eta2}).
 """
 
 import cmath
@@ -49,17 +50,17 @@ def rotator(theta) -> Element2:
     The half angle in the 2x2 entries reflects the two-to-one cover:
     theta is the rotation angle seen by the Stokes vector.
     """
-    return Element2._checked(*_rotator(theta)[1:])
+    return Element2._checked(*_rotator(theta))
 
 
 def phase_shifter(phi) -> Element2:
     """Relative phase phi between the two beams, split symmetrically."""
-    return Element2._checked(*_phase_shifter(phi)[1:])
+    return Element2._checked(*_phase_shifter(phi))
 
 
 def squeezer(eta) -> Element2:
     """Relative amplitude gain e^{eta/2} on beam 1, e^{-eta/2} on beam 2."""
-    return Element2._checked(*_squeezer(eta)[1:])
+    return Element2._checked(*_squeezer(eta))
 
 
 def attenuator(eta1, eta2):
@@ -68,35 +69,35 @@ def attenuator(eta1, eta2):
     Amplitudes decay by e^{-eta1}, e^{-eta2} with eta1, eta2 >= 0. The
     scalar e^{-(eta1+eta2)/2} multiplies both amplitudes (so intensities
     shrink by its square) and the remaining relative action is
-    squeezer(eta2 - eta1).
+    squeezer(eta2 - eta1), which overflows for |eta1 - eta2| > ~1419.
     """
-    k, *g = _attenuator(eta1, eta2)
-    return k, Element2._checked(*g)
+    _attenuator(eta1, eta2)  # its exponent checks
+    eta1, eta2 = float(eta1), float(eta2)
+    return math.exp(-0.5 * (eta1 + eta2)), squeezer(eta2 - eta1)
 
 
-# The entries of each element kind as plain numbers, (k, alpha, beta, gamma,
-# delta): the overall amplitude factor k, 1 except for the attenuator, and
-# the row-major complex entries of its unimodular G. The constructors above
-# wrap them; they are also the actions of circuit.STAGES, which evaluate
-# reads without building an Element2.
+# The Jones matrix of each element kind as plain numbers, its row-major
+# complex entries. The constructors above wrap them in an Element2; they
+# are also the actions of circuit.STAGES, which evaluate reads without
+# building an Element2. Only the attenuator's matrix is not unimodular.
 
 
 def _rotator(theta):
     theta = _finite(theta, "theta")
     # Complex entries, as Element2 would store them: _checked converts nothing.
     c, s = complex(math.cos(theta / 2.0)), complex(math.sin(theta / 2.0))
-    return 1.0, c, -s, s, c
+    return c, -s, s, c
 
 
 def _phase_shifter(phi):
     phi = _finite(phi, "phi")
-    return 1.0, cmath.exp(-0.5j * phi), 0j, 0j, cmath.exp(0.5j * phi)
+    return cmath.exp(-0.5j * phi), 0j, 0j, cmath.exp(0.5j * phi)
 
 
 def _squeezer(eta):
     eta = _finite(eta, "eta")
     try:
-        return 1.0, complex(math.exp(eta / 2.0)), 0j, 0j, complex(math.exp(-eta / 2.0))
+        return complex(math.exp(eta / 2.0)), 0j, 0j, complex(math.exp(-eta / 2.0))
     except OverflowError:
         raise NonFiniteError(f"squeezer overflowed: e^({abs(eta):g}/2) is too large") from None
 
@@ -107,8 +108,7 @@ def _attenuator(eta1, eta2):
         raise PhysicsError("attenuation exponents must be finite")
     if eta1 < 0.0 or eta2 < 0.0:
         raise PhysicsError("attenuation exponents must be nonnegative")
-    _, a, b, c, d = _squeezer(eta2 - eta1)
-    return math.exp(-0.5 * (eta1 + eta2)), a, b, c, d
+    return complex(math.exp(-eta1)), 0j, 0j, complex(math.exp(-eta2))
 
 
 def compose(*elements) -> Element2:

@@ -540,36 +540,34 @@ def _mul2(x, y):
     return a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
 
 
-def conjugate(c: CoherencyMatrix, g, scale=1.0) -> CoherencyMatrix:
-    """Transform a coherency matrix by an element: C -> scale^2 G C G+.
+def conjugate(c: CoherencyMatrix, g) -> CoherencyMatrix:
+    """Transform a coherency matrix by an element: C -> G C G+.
 
-    The determinant of C is preserved when G is unimodular and scale
-    is 1, which is what makes the induced Stokes map a Lorentz
-    transformation; an attenuator is its overall amplitude factor
-    ``scale`` times a unimodular G. The product is written out
-    entrywise, so the result is Hermitian by construction: real
-    diagonal, one off-diagonal entry. The products of G's entries that
-    do not involve C are its conjugation constants, which evaluate keeps
-    per stage; conjugate computes them on each call and stores nothing
-    on G.
+    The determinant of C is preserved when G is unimodular, which is
+    what makes the induced Stokes map a Lorentz transformation; g may
+    also be any 2x2 array-like, such as an attenuator's diag(e^-eta1,
+    e^-eta2). The product is written out entrywise, so the result is
+    Hermitian by construction: real diagonal, one off-diagonal entry.
+    The products of G's entries that do not involve C are its
+    conjugation constants, which evaluate keeps per stage; conjugate
+    computes them on each call and stores nothing on G.
 
     This is the transform for states without amplitudes. While a beam
-    still has its Jones vector psi, transforming psi -> scale conj(G)
-    psi and taking the outer product (coherency_from_jones) gives the
-    same matrix, rank 1 to rounding.
+    still has its Jones vector psi, transforming psi -> conj(G) psi and
+    taking the outer product (coherency_from_jones) gives the same
+    matrix, rank 1 to rounding.
     """
-    step = (scale * scale, *_conjugation(_entries2(g)))
-    return CoherencyMatrix(*_conjugated(c.s11, c.s22, c.s12, step))
+    return CoherencyMatrix(*_conjugated(c.s11, c.s22, c.s12, _conjugation(_entries2(g))))
 
 
 def _conjugated(p, q, s, step):
-    """conjugate's entries: those of k^2 G C G+ for C's s11 = p, s22 = q, s12 = s,
-    with step = (k^2, *G's conjugation constants); evaluate keeps step per stage."""
-    k2, aa, bb, ab, cc, dd, cd, ad, bc, a, cbar, b, dbar = step
+    """conjugate's entries: those of G C G+ for C's s11 = p, s22 = q, s12 = s,
+    with step G's conjugation constants; evaluate keeps step per stage."""
+    aa, bb, ab, cc, dd, cd, ad, bc, a, cbar, b, dbar = step
     s11 = aa * p + bb * q + 2.0 * (ab * s).real
     s22 = cc * p + dd * q + 2.0 * (cd * s).real
     s12 = p * a * cbar + q * b * dbar + ad * s + bc * s.conjugate()
-    return k2 * s11, k2 * s22, k2 * s12
+    return s11, s22, s12
 
 
 def _conjugation(entries):
@@ -591,7 +589,11 @@ def lift(g) -> Transform4:
     is written out as its quadratic form in the entries of G. M is a
     proper orthochronous Lorentz matrix, identical for G and -G.
     """
-    a, b, c, d = _entries2(g if isinstance(g, Element2) else Element2.from_matrix(g))
+    return Transform4(_lift(*_entries2(g if isinstance(g, Element2) else Element2.from_matrix(g))))
+
+
+def _lift(a, b, c, d):
+    """lift's 16 row-major entries, tr(sigma_i M sigma_j M+) / 2, of any 2x2 M's entries."""
     aa, bb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
     cc, dd = c.real * c.real + c.imag * c.imag, d.real * d.real + d.imag * d.imag
     ab, cd, ac = a * b.conjugate(), c * d.conjugate(), a * c.conjugate()
@@ -604,7 +606,7 @@ def lift(g) -> Transform4:
     )
     if not all(map(math.isfinite, m)):
         raise NonFiniteError("lift overflowed: element entries too large to square")
-    return Transform4(m)
+    return m
 
 
 class PurityReport(NamedTuple):

@@ -536,6 +536,28 @@ def test_simulate_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+def test_atten_far_apart_exponents_give_the_exact_output(tmp_path, capsys):
+    # atten acts as diag(e^-eta1, e^-eta2), whose entries never exceed 1;
+    # its factored form e^-(eta1+eta2)/2 squeezer(eta2 - eta1) overflowed
+    # here. e^-1420 and e^-2000 are 0: beam 1 is blocked, beam 2 passes.
+    blocked = [[0.5, -0.5, 0, 0], [-0.5, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    for eta1 in ("1420", "2000"):
+        path = write_circuit(tmp_path, f"atten(eta1={eta1}, eta2=0)")
+        for spec, want in (
+            ("jones:0,0,1,0", [1, -1, 0, 0]), ("jones:3,0,0,4", [16, -16, 0, 0]),
+            ("stokes:1,-1,0,0", [1, -1, 0, 0]), ("stokes:2,0,0,0", [1, -1, 0, 0]),
+        ):
+            doc, _ = run_json(capsys, "simulate", path, "--in", spec)
+            assert doc["results"]["final_stokes"] == want, (eta1, spec)
+        doc, _ = run_json(capsys, "lift", f"atten(eta1={eta1}, eta2=0)")
+        assert doc["results"]["matrix"] == blocked
+    # e^-1e308 is 0 too, so a beam-1 input underflows rather than overflows.
+    path = write_circuit(tmp_path, "atten(eta1=1e308, eta2=0)")
+    code, out, err = run(capsys, "simulate", path, "--in", "jones:1,0,0,0")
+    assert_plain_error(code, out, err, 3)
+    assert err == "error: 1:1: stage atten: beam attenuated to zero intensity (underflow)\n"
+
+
 def test_simulate_tiny_intensity(tmp_path, capsys):
     # the purity report must not divide by an s0^2 that underflowed
     path = write_circuit(tmp_path, "rotate(theta=0.3); squeeze(eta=0.2); decohere(lambda=0.1)")

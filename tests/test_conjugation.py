@@ -17,7 +17,6 @@ from twobeam import (
     Element2,
     InterpolationParams,
     NonFiniteError,
-    attenuator,
     closed_form_family,
     compose,
     conjugate,
@@ -30,16 +29,15 @@ from twobeam.littlegroup import _family_matrix
 from twobeam.states import LORENTZ_TOL, _SQUARE_MAX, _defects, _is_lorentz, _scaled
 
 
-def reference_conjugate(c, entries, scale=1.0):
-    """C -> scale^2 G C G+, each product formed where it is used."""
+def reference_conjugate(c, entries):
+    """C -> G C G+, each product formed where it is used."""
     p, q, s = c.s11, c.s22, c.s12
     a, b, c, d = (complex(x) for x in entries)
     abar, bbar, cbar, dbar = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    k2 = scale * scale
     s11 = (a * abar).real * p + (b * bbar).real * q + 2.0 * (a * bbar * s).real
     s22 = (c * cbar).real * p + (d * dbar).real * q + 2.0 * (c * dbar * s).real
     s12 = p * a * cbar + q * b * dbar + a * dbar * s + b * cbar * s.conjugate()
-    return CoherencyMatrix(k2 * s11, k2 * s22, k2 * s12)
+    return CoherencyMatrix(s11, s22, s12)
 
 
 def reference_is_lorentz(e):
@@ -74,38 +72,42 @@ def random_state(rng):
 
 
 def random_action(rng):
-    """(scale, element) from one of the four constructors or a compose product."""
+    """An element from one of three constructors or a compose product, or an
+    attenuator's physical matrix diag(e^-eta1, e^-eta2) as nested lists."""
     angle = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
     kind = rng.randrange(5)
     if kind == 0:
-        return 1.0, rotator(angle)
+        return rotator(angle)
     if kind == 1:
-        return 1.0, phase_shifter(angle)
+        return phase_shifter(angle)
     if kind == 2:
-        return 1.0, squeezer(rng.uniform(-40.0, 40.0))
+        return squeezer(rng.uniform(-40.0, 40.0))
     if kind == 3:
-        return attenuator(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
+        return [[math.exp(-rng.uniform(0.0, 3.0)), 0.0], [0.0, math.exp(-rng.uniform(0.0, 3.0))]]
     makers = (rotator, phase_shifter, lambda x: squeezer(2.0 * x))
-    return 1.0, compose(*(rng.choice(makers)(rng.uniform(-3.0, 3.0)) for _ in range(rng.randrange(1, 6))))
+    return compose(*(rng.choice(makers)(rng.uniform(-3.0, 3.0)) for _ in range(rng.randrange(1, 6))))
 
 
 def test_conjugate_is_bitwise_the_entrywise_formula():
     rng = random.Random(1414)
     for _ in range(3000):
-        scale, g = random_action(rng)
-        entries = (g.alpha, g.beta, g.gamma, g.delta)
-        twin = Element2(*entries)
+        g = random_action(rng)
+        element = isinstance(g, Element2)
+        entries = (g.alpha, g.beta, g.gamma, g.delta) if element else (*g[0], *g[1])
         for call in ("first", "second", "third"):
             c = random_state(rng)
-            assert outcome(conjugate, c, g, scale) == outcome(reference_conjugate, c, entries, scale), call
-        # conjugate stores nothing on the element.
-        assert vars(g) == vars(twin)
-        assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+            assert outcome(conjugate, c, g) == outcome(reference_conjugate, c, entries), call
+        if element:
+            # conjugate stores nothing on the element.
+            twin = Element2(*entries)
+            assert vars(g) == vars(twin)
+            assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
         c = random_state(rng)
-        want = outcome(reference_conjugate, c, entries, scale)
+        want = outcome(reference_conjugate, c, entries)
         # An array-like element keeps nothing and gives the same bits.
-        for array in ([[g.alpha, g.beta], [g.gamma, g.delta]], g.matrix, np.array(g.matrix)):
-            assert outcome(conjugate, c, array, scale) == want
+        rows = [entries[:2], entries[2:]]
+        for array in (rows, g.matrix, np.array(g.matrix)) if element else (rows, np.array(rows)):
+            assert outcome(conjugate, c, array) == want
 
 
 def test_conjugate_overflow_matches_the_formula():

@@ -136,15 +136,22 @@ def test_overflow_is_located_and_plain():
 
 
 def test_underflow_is_located_and_plain():
-    text = "rotate(theta=0.2);\natten(eta1=400, eta2=400)"
-    for inp in (JonesVector(1.0, 0.0), StokesVector(1.0, 0.5, 0.5, 0.0)):
-        try:
-            evaluate(parse(text), inp)
-        except CircuitSemanticError as err:
-            assert err.message == "stage atten: beam attenuated to zero intensity (underflow)"
-            assert (err.line, err.col) == (2, 1)
-        else:
-            raise AssertionError("underflow not reported")
+    # e^-1e308 is 0, so a beam-1 input underflows where atten's factored
+    # form, with squeezer(-1e308), overflowed.
+    beam1 = (JonesVector(1.0, 0.0), StokesVector(1.0, 1.0, 0.0, 0.0))
+    for text, where, inputs in (
+        ("rotate(theta=0.2);\natten(eta1=400, eta2=400)", (2, 1),
+         (JonesVector(1.0, 0.0), StokesVector(1.0, 0.5, 0.5, 0.0))),
+        ("atten(eta1=1e308, eta2=0)", (1, 1), beam1),
+    ):
+        for inp in inputs:
+            try:
+                evaluate(parse(text), inp)
+            except CircuitSemanticError as err:
+                assert err.message == "stage atten: beam attenuated to zero intensity (underflow)"
+                assert (err.line, err.col) == where
+            else:
+                raise AssertionError("underflow not reported")
 
 
 def test_an_input_whose_intensity_underflows_is_named():

@@ -169,11 +169,11 @@ def test_evaluate_keeps_one_entry_per_stage():
     assert [list(vars(st)) for st in ast.stages] == [fields + ["_coherency"]] * 3
     assert vars(rotate)["_coherency"] is kept
     assert rotate == Stage("rotate", (("theta", 0.3),))
-    # Each keeps numbers, no record: (k^2, *conjugation constants), and
-    # decohere its e^-2 lambda.
+    # Each keeps numbers, no record: its Jones matrix's conjugation
+    # constants, and decohere its e^-2 lambda.
     for stage in (rotate, squeeze):
         assert [type(x) for x in vars(stage)["_coherency"]] == (
-            [float] * 3 + [complex] + [float] * 2 + [complex] * 7)
+            [float] * 2 + [complex] + [float] * 2 + [complex] * 7)
     assert type(vars(decohere)["_coherency"]) is float
 
 

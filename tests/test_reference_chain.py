@@ -4,8 +4,9 @@ evaluate carries the coherency entries as plain numbers and runs the
 CoherencyMatrix gate on them, or on the amplitude track tests their size
 where the gate always passes. The reference below builds one matrix per
 stage with coherency_from_jones, conjugate and decohere_channel, as the
-evaluator did before it carried entries, and each element with its
-public constructor, where evaluate reads its stage's entries. Every
+evaluator did before it carried entries, and each stage's Jones matrix
+from the public constructor of its kind, where evaluate reads its
+stage's entries; atten's is diag(e^-eta1, e^-eta2), unfactored. Every
 report, record and rejection must agree bit for bit: the same floats,
 the same error class, message, line and column. Circuits reach |eta| up
 to 40 and lambda up to 50; inputs reach intensities from 1e-300 to
@@ -28,7 +29,6 @@ from twobeam import (
     SimulationReport,
     StageRecord,
     StokesVector,
-    attenuator,
     classify,
     coherency_from_jones,
     coherency_from_stokes,
@@ -43,13 +43,18 @@ from twobeam import (
     stokes_from_coherency,
 )
 
-# Each coherent stage's (k, G), from the public constructor of its kind.
-ELEMENTS = {
-    "rotate": lambda theta: (1.0, rotator(theta)),
-    "split": lambda theta: (1.0, rotator(theta)),
-    "phase": lambda phi: (1.0, phase_shifter(phi)),
-    "atten": attenuator,
-    "squeeze": lambda eta: (1.0, squeezer(eta)),
+
+def rows(g):
+    return (g.alpha, g.beta), (g.gamma, g.delta)
+
+
+# Each coherent stage's Jones matrix M, as rows of complex entries.
+MATRICES = {
+    "rotate": lambda theta: rows(rotator(theta)),
+    "split": lambda theta: rows(rotator(theta)),
+    "phase": lambda phi: rows(phase_shifter(phi)),
+    "atten": lambda eta1, eta2: ((complex(math.exp(-eta1)), 0j), (0j, complex(math.exp(-eta2)))),
+    "squeeze": lambda eta: rows(squeezer(eta)),
 }
 
 
@@ -72,14 +77,15 @@ def reference(ast, inp, tol):
             if stage.name == "decohere":
                 coh, jones = decohere_channel(coh, *params), None
             else:
-                k, g = ELEMENTS[stage.name](*params)
+                m = MATRICES[stage.name](*params)
                 if jones is None:
-                    coh = conjugate(coh, g, k)
+                    coh = conjugate(coh, m)
                 else:
+                    (a, b), (c, d) = m
                     p1, p2 = jones.psi1, jones.psi2
                     jones = JonesVector(
-                        k * (g.alpha.conjugate() * p1 + g.beta.conjugate() * p2),
-                        k * (g.gamma.conjugate() * p1 + g.delta.conjugate() * p2),
+                        a.conjugate() * p1 + b.conjugate() * p2,
+                        c.conjugate() * p1 + d.conjugate() * p2,
                     )
                     coh = coherency_from_jones(jones)
             if coh.trace <= 0.0:
