@@ -3,6 +3,7 @@
     python3 bench/ab.py --parent HEAD
     python3 bench/ab.py --parent ../other-checkout --rounds 60
     python3 bench/ab.py --parent HEAD --mode cli-mix
+    python3 bench/ab.py --parent HEAD --mode batch --states 100
 
 The parent side is a git revision, exported with `git archive` into a
 temporary directory as bench/record.py exports it, or a directory that
@@ -39,12 +40,23 @@ with CliMix's own check, as perfbench checks one tree: against the bytes
 of that side's own first run, and the JSON simulate report against that
 side's in-process evaluate, so a change that alters printed digits can be
 timed. It prints the same summary line for cli-mix.
+
+The batch mode times one parsed circuit of 1000 stages, drawn with
+perfbench's own stage generators, three of them decohere at seeded
+places, evaluated from --states seeded Stokes inputs (perfbench's
+draw_stokes, alternately pure and impure), in process as above. Every
+input is checked once against perfbench's oracle before the rounds.
+It shows the gain of folding a circuit's segments, per state, on a
+circuit far longer than state-sweep's, which no perfbench workload
+evaluates from Stokes inputs. It prints the same summary line for
+batch, one operation per state.
 """
 
 import argparse
 import gc
 import importlib.util
 import os
+import random
 import resource
 import shutil
 import statistics
@@ -57,6 +69,7 @@ from pathlib import Path
 from record import ROOT, SIDES, export, quartiles  # bench/ is the script's directory, so on sys.path
 
 WORKLOADS = ("state-sweep", "long-chain")
+BATCH_STAGES, BATCH_DECOHERES = 1000, 3
 
 
 def load(path, name):
@@ -111,17 +124,57 @@ def cpu_time(block):
     return time.process_time() - start
 
 
+def batch_block(module, seed, n):
+    """(a function evaluating n seeded Stokes inputs through the batch circuit, n), with
+    module's package; every input's result is checked against module's oracle first."""
+    rng = random.Random(seed)
+    kinds = [rng.choice(module.COHERENT) for _ in range(BATCH_STAGES)]
+    for i in rng.sample(range(BATCH_STAGES), BATCH_DECOHERES):
+        kinds[i] = "decohere"
+    stages = [module.draw_stage(rng, kind) for kind in kinds]
+    ast, matrix = module.circuit.parse(module.circuit_text(stages)), module.oracle_matrix(stages)
+    inputs = [module.draw_stokes(rng, pure=i % 2 == 0) for i in range(n)]
+    cases = [module.states.StokesVector(*s) for s in inputs]
+    evaluate = module.circuit.evaluate
+    for s, case in zip(inputs, cases):
+        want = matrix @ module.np.array(s)
+        report = evaluate(ast, case)
+        error = module.stokes_error(report.final_stokes, want, report.final_classification.tag,
+                                    module.oracle_tag(want))
+        if error:
+            raise SystemExit(f"{module.__name__} batch: {error}")
+
+    def block():
+        for case in cases:
+            evaluate(ast, case)
+
+    return block, n
+
+
+def interleaved(ops, rounds):
+    """{workload: ({side: CPU time per round}, operations per block)}: each round times each
+    workload's block once per side, the side that runs first alternating."""
+    times = {w: {side: [] for side in SIDES} for w in ops["change"]}
+    for k in range(rounds):
+        for workload in ops["change"]:
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                times[workload][side].append(cpu_time(ops[side][workload][0]))
+    return {w: (times[w], n) for w, (_, n) in ops["change"].items()}
+
+
 def in_process(parent, args, tmp):
     """{workload: ({side: CPU time per round}, operations per block)} of the in-process workloads."""
     sizes = {"state-sweep": (args.states, {}), "long-chain": (args.chains, {"stages": args.stages})}
     ops = {side: operations(workloads_of(checkout, side), args.seed, tmp, sizes)
            for side, checkout in zip(SIDES, (parent, ROOT))}
-    times = {w: {side: [] for side in SIDES} for w in ops["change"]}
-    for k in range(args.rounds):
-        for workload in ops["change"]:
-            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                times[workload][side].append(cpu_time(ops[side][workload][0]))
-    return {w: (times[w], n) for w, (_, n) in ops["change"].items()}
+    return interleaved(ops, args.rounds)
+
+
+def batch(parent, args, tmp):
+    """{"batch": ({side: CPU time per round}, states per block)}."""
+    ops = {side: {"batch": batch_block(workloads_of(checkout, side), args.seed, args.states)}
+           for side, checkout in zip(SIDES, (parent, ROOT))}
+    return interleaved(ops, args.rounds)
 
 
 def child_cpu(argv, path):
@@ -166,9 +219,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True,
                         help="git revision, or a directory holding src/twobeam")
-    parser.add_argument("--mode", choices=("in-process", "cli-mix"), default="in-process")
+    parser.add_argument("--mode", choices=("in-process", "cli-mix", "batch"), default="in-process")
     parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--states", type=int, default=400, help="state-sweep operations per block")
+    parser.add_argument("--states", type=int, default=400,
+                        help="state-sweep operations, or batch states, per block")
     parser.add_argument("--chains", type=int, default=4, help="long-chain operations per block")
     parser.add_argument("--stages", type=int, default=2000, help="stages per long chain")
     parser.add_argument("--seed", type=int, default=701)
@@ -178,7 +232,7 @@ def main(argv=None):
         parent = Path(args.parent)
         if not (parent / "src" / "twobeam").is_dir():
             parent = export(args.parent, Path(tmp) / "parent")
-        results = (cli_mix if args.mode == "cli-mix" else in_process)(parent, args, tmp)
+        results = {"in-process": in_process, "cli-mix": cli_mix, "batch": batch}[args.mode](parent, args, tmp)
     what, unit, scale = ("child CPU time", "ms", 1e3) if args.mode == "cli-mix" else ("CPU time", "us", 1e6)
     for workload, (times, n) in results.items():
         ratios = [p / c for p, c in zip(times["parent"], times["change"])]

@@ -34,8 +34,13 @@ coherency gate's slack, and at intensities 1e-300 and 1e300, in both
 formats; both decompositions of the singular 1e6,1e6,1e6,1e6; `simulate`
 of atten(eta1=2000, eta2=0), whose exponents lie too far apart for a
 factored e^-(eta1+eta2)/2 squeezer(eta2 - eta1), from a Jones and a
-Stokes input in both formats, and its `lift`; and the older `lift`
-spelling with a `deg` word, 'rotate theta=30 deg'.
+Stokes input in both formats, and its `lift`; the older `lift`
+spelling with a `deg` word, 'rotate theta=30 deg'; `simulate` of
+squeeze(eta=400); rotate(theta=0.3); squeeze(eta=-400), whose state
+overflows inside that one coherent segment, from a unit Stokes input in
+both formats; and a circuit with runs of decohere stages between short
+coherent runs, from Stokes and Jones inputs at intensities 1e-300 and
+1e300, in both formats.
 Each circuit file is written once into one temporary
 directory, so the circuit_path a report echoes is the same on both
 sides. Each side runs every vector in-process through `cli.main`, in
@@ -190,6 +195,16 @@ DECOHERE_INPUTS = (
 )
 # An atten whose factored form overflows: squeezer(-2000) needs e^1000.
 FAR_ATTEN = "atten(eta1=2000, eta2=0)"
+# One coherent segment inside which the state overflows, at its third stage;
+# and runs of decohere stages between coherent runs.
+SEGMENT_OVERFLOW = "squeeze(eta=400); rotate(theta=0.3); squeeze(eta=-400)"
+DECOHERE_RUNS = ("decohere(lambda=0.2); decohere(lambda=0.7); rotate(theta=0.5); squeeze(eta=1.5); "
+                 "decohere(lambda=2); decohere(lambda=0.1); decohere(lambda=5); phase(phi=0.3); "
+                 "split(ratio=0.4); atten(eta1=0.2, eta2=0.1); decohere(lambda=1)")
+DECOHERE_RUNS_INPUTS = (
+    "stokes:1e-300,3e-301,-4e-301,5e-301", "stokes:1e300,-3e299,4e299,5e299",
+    "jones:6e-151,-2e-151,5e-151,4e-151", "jones:6e149,-2e149,5e149,4e149",
+)
 LIFT_SPECS = (
     "rotate(theta=0.3)", "phase(phi=-1.2)", "squeeze(eta=0.6)", "squeeze eta=0.6", "rotate theta=2",
     "split(ratio=0.25)", "split(theta=30 deg)", "atten(eta1=0.2, eta2=0.5)",
@@ -285,6 +300,13 @@ def vectors(rng, circuit_dir):
     for spec in ("jones:0,0,1,0", "stokes:2,0.5,0.5,0.5"):
         out += [["simulate", str(path), "--in", spec, "--format", f] for f in ("json", "text")]
     out += [["lift", FAR_ATTEN], ["lift", "rotate theta=30 deg"]]
+    path = circuit_dir / "segment_overflow.circ"
+    path.write_text(SEGMENT_OVERFLOW, encoding="utf-8")
+    out += [["simulate", str(path), "--in", "stokes:1,0.3,0.2,0.1", "--format", f] for f in ("json", "text")]
+    path = circuit_dir / "decohere_runs.circ"
+    path.write_text(DECOHERE_RUNS, encoding="utf-8")
+    for spec in DECOHERE_RUNS_INPUTS:
+        out += [["simulate", str(path), "--in", spec, "--format", f] for f in ("json", "text")]
     return out
 
 

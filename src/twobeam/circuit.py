@@ -50,6 +50,7 @@ from .states import (
     _check_coherency,
     _conjugated,
     _conjugation,
+    _mul2,
     _outer,
     coherency_from_jones,
     coherency_from_stokes,
@@ -150,8 +151,8 @@ class Stage(_Record, compare=("name", "params")):
     Locations take no part in equality, so structurally identical
     circuits compare equal regardless of layout. evaluate keeps one
     entry in the instance __dict__, outside the compared fields: the
-    numbers its loop reads without amplitudes, so they are computed once
-    per AST; a failure is not kept.
+    numbers its stage loop reads without amplitudes, so they are computed
+    once per AST; a failure is not kept.
     """
 
     name: str
@@ -167,6 +168,10 @@ class Stage(_Record, compare=("name", "params")):
 
 
 class CircuitAst(_Record):
+    """A parsed circuit, its stages in beam order. evaluate keeps the
+    circuit's compiled segments in the instance __dict__, outside the
+    compared field, as a Stage keeps its entry."""
+
     stages: tuple
 
     def __post_init__(self):
@@ -453,8 +458,10 @@ class SimulationReport(_Record):
     final_jones is populated only when the input carried amplitudes
     and no decoherence stage ran; a mixed state has no amplitude
     representation, so the track is dropped at the first decohere.
-    A report evaluate returns holds the entries it carried; its stages,
-    and final_purity, are built from them on the first read and kept.
+    A report evaluate returns holds the entries it carried: after each
+    stage the stage loop ran, and after each segment the fold ran. Its
+    stages, and final_purity, are built from them on the first read and
+    kept (see evaluate).
     """
 
     circuit_format: str
@@ -471,47 +478,65 @@ class SimulationReport(_Record):
         trail = vars(self).get("_trail") if name in ("stages", "final_purity") else None
         if trail is None:
             raise AttributeError(f"'SimulationReport' object has no attribute {name!r}")
-        stages, tol, first, entries, last = trail
+        stages, tol, first, entries, last, fold = trail
         if name == "final_purity":
             return vars(self).setdefault(name, purity_report(last))
-        matrices = [first, *(CoherencyMatrix._checked(*e) for e in entries), last]
+        if fold:
+            entries = _between(stages, first, entries, fold)
+        matrices = [first, *(CoherencyMatrix._checked(*e) for e in entries[:-1]), last]
         steps = zip(stages, matrices, matrices[1:])
         records = tuple(StageRecord(st.name, st.params, c0, c1, tol) for st, c0, c1 in steps)
         return vars(self).setdefault("stages", records)  # the first stored, if two threads race
 
 
 def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
-    """Push a state through the circuit, recording every stage.
+    """Push a state through the circuit, segment by segment; its stage records are built when read.
 
-    The state is the coherency matrix, carried as its entries; each
-    coherent stage's new entries pass the CoherencyMatrix checks, its gate. A
-    coherent stage is its STAGES action: its Jones matrix M as plain
-    entries, unimodular except for atten's. While the amplitude
-    track is live (Jones input, no decohere yet) it is the single source
-    of truth: the two amplitudes are carried as plain complex numbers,
-    psi -> conj(M) psi, and the entries are their outer product, so a
-    pure state stays pure to rounding however long the chain. An outer
-    product whose size s11 + s22 lies in [_SQUARE_MIN, _SQUARE_MAX] always
-    passes the gate, which is not run there; any other size takes the gate
-    and the underflow test. One JonesVector is built from the amplitudes
-    at the end, for the report. Without amplitudes the entries
-    go through conjugate's formula, C -> M C M+. decohere scales s12
-    by e^-2 lambda and ends the amplitude track. It runs no gate: s11 and
-    s22 stay, and with e^-2 lambda in [0, 1] no rounded part of s12 grows,
-    so entries that passed the gate pass it again. Stage failures re-raise
-    as located CircuitSemanticError, as is a final class that overflows;
-    overflow and an intensity that underflows to zero say so.
+    The state is the coherency matrix, carried as its entries. Every stage
+    is linear, so the circuit is compiled once, by the first evaluate that
+    needs it, into alternating segments kept on the AST (_segments). A
+    maximal run of coherent stages is one Jones matrix M = M_k ... M_1,
+    the product of its stages' STAGES actions (a run of one is its
+    stage's action): the state goes through conjugate's formula,
+    C -> M C M+, and the new entries pass the CoherencyMatrix checks, its
+    gate, and the underflow test, once per segment. A run of decohere
+    stages scales s12 by each stage's e^-2 lambda in turn, as the stage
+    loop does, with no gate: s11 and s22 stay, and with e^-2 lambda in
+    [0, 1] no rounded part of s12 grows, so entries that passed the gate
+    pass it again.
+
+    A Jones input first runs the stage loop on its amplitudes, up to its
+    first decohere: psi -> conj(M) psi per stage, the entries their outer
+    product, so a pure state stays pure to rounding however long the
+    chain. An outer product whose size s11 + s22 lies in [_SQUARE_MIN,
+    _SQUARE_MAX] always passes the gate, which is not run there; any other
+    size takes the gate and the underflow test. Without a decohere that is
+    the whole evaluation, and one JonesVector is built from the amplitudes
+    for the report; with one, the state joins the fold at its segment.
+
+    The range guard: a coherent segment keeps bounds on the gain in size
+    over the products P of its first j actions, max |P|_F^2 and
+    min |det P|^2 / |P|_F^2. Where the size before it times both stays in
+    [_SQUARE_MIN, _SQUARE_MAX], none of its stages overflows or
+    underflows. Where the size leaves that range, or the gate or the
+    underflow test fails after a segment, evaluate runs the stage loop
+    instead, from where the fold began, and returns or raises exactly
+    what that loop does from the input: a stage failure re-raises as a
+    located CircuitSemanticError, and overflow and an intensity that
+    underflows to zero say so. A final class that overflows is located at
+    the last stage. The result depends only on the circuit, the input and
+    tol.
 
     The StageRecords, and the matrices between stages, are built on the
     first read of the report's stages, and final_purity on its first
-    read; the matrices hold entries that passed the gate, or that it
-    always passes, unchecked again. Each Stage keeps one entry, what the
-    loop reads of it without amplitudes: conjugate's constants of M
-    for a coherent stage, e^-2 lambda for decohere. So a repeat evaluate
-    from a Stokes input looks each stage's up once and pays for its
-    arithmetic and any gate; one from a Jones input computes again the
-    entries of the stages it meets before its first decohere, and builds
-    no Element2.
+    read. Within each folded segment the stage loop runs again, with its
+    gates, from the fold's state before the segment, and the segment's
+    last record holds the fold's state after it, so
+    stages[-1].coherency_after is final_coherency; a gate that fails there
+    raises its located error from the read. A Stage keeps one entry once
+    the stage loop has run it without amplitudes: its M's conjugation
+    constants, or decohere's e^-2 lambda. The amplitude track computes its
+    stages' entries again on each evaluate and builds no Element2.
     """
     if isinstance(inp, JonesVector):
         p1, p2 = inp.psi1, inp.psi2
@@ -527,16 +552,49 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
         dark = not (inp.psi1 or inp.psi2) if input_jones else inp.s0 == 0.0
         underflow = "" if dark else " (it underflows to zero)"
         raise PhysicsError(f"evaluation requires positive input intensity{underflow}")
+    stages, trail, fold = ast.stages, [], None
     s11, s22, s12 = first.s11, first.s22, first.s12
-    trail, stage = [], None
-    for stage in ast.stages:
+    if p1 is not None:
+        s11, s22, s12, p1, p2 = _walk(stages, trail, s11, s22, s12, p1, p2)
+    ran = len(trail)
+    if ran < len(stages):  # a Stokes input, or the amplitude track stopped at a decohere
+        segments = _segments(ast)
+        fold = segments[1:] if ran else segments  # the amplitude track ran segment 0
+        state = _fold(fold, trail, s11, s22, s12)
+        if state is None:
+            del trail[ran:]
+            fold = None
+            state = _walk(stages[ran:], trail, s11, s22, s12)
+        s11, s22, s12, p1, p2 = state
+    last = CoherencyMatrix._checked(s11, s22, s12) if trail else first
+    final_stokes = stokes_from_coherency(last)
+    report = SimulationReport.__new__(SimulationReport)  # _trail in place of stages
+    vars(report).update(
+        circuit_format=CIRCUIT_FORMAT,
+        input_stokes=input_stokes,
+        input_jones=input_jones,
+        _trail=(stages, tol, first, trail, last, fold),
+        final_stokes=final_stokes,
+        final_coherency=last,
+        final_jones=None if p1 is None else JonesVector(p1, p2),
+        final_classification=_classify_at(stages[-1] if stages else None, final_stokes, tol),
+    )
+    return report
+
+
+def _walk(stages, trail, s11, s22, s12, p1=None, p2=None):
+    """The stage loop: the state (s11, s22, s12, p1, p2) after stages, from
+    that one, each stage's entries appended to trail. With amplitudes p1,
+    p2 it stops before the first decohere stage, whose state has none."""
+    for stage in stages:
         try:
             step = None if p1 is not None else stage.__dict__.get("_coherency")
             if step is None:
                 step = _step(stage, p1 is not None)
             if step.__class__ is float:  # decohere's e^-2 lambda; its result needs no gate
+                if p1 is not None:
+                    break
                 s12 = complex(step * s12.real, step * s12.imag)
-                p1 = None
             else:
                 if p1 is None:
                     s11, s22, s12 = _conjugated(s11, s22, s12, step)
@@ -557,24 +615,11 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
                 f"stage {stage.name}: {err}", stage.line, stage.col
             ) from err
         trail.append((s11, s22, s12))
-    last = CoherencyMatrix._checked(*trail.pop()) if trail else first
-    final_stokes = stokes_from_coherency(last)
-    report = SimulationReport.__new__(SimulationReport)  # _trail in place of stages
-    vars(report).update(
-        circuit_format=CIRCUIT_FORMAT,
-        input_stokes=input_stokes,
-        input_jones=input_jones,
-        _trail=(ast.stages, tol, first, trail, last),
-        final_stokes=final_stokes,
-        final_coherency=last,
-        final_jones=None if p1 is None else JonesVector(p1, p2),
-        final_classification=_classify_at(stage, final_stokes, tol),
-    )
-    return report
+    return s11, s22, s12, p1, p2
 
 
 def _step(stage, amplitudes):
-    """What evaluate's loop reads for stage. A coherent stage's is, with
+    """What the stage loop reads for stage. A coherent stage's is, with
     amplitudes, the conjugated entries of its action's M, which are not
     kept; without them, M's conjugation constants, kept on stage as
     _coherency. decohere's is its float e^-2 lambda, kept as _coherency
@@ -591,6 +636,95 @@ def _step(stage, amplitudes):
         step = _conjugation(m)
     stage.__dict__["_coherency"] = step
     return step
+
+
+def _segments(ast):
+    """The AST's segments, compiled on first use and kept in its __dict__
+    as _segments, outside the compared fields; if two threads race, both
+    read the one stored first."""
+    segments = vars(ast).get("_segments")
+    if segments is None:
+        segments = vars(ast).setdefault("_segments", _compile(ast.stages))
+    return segments
+
+
+def _compile(stages):
+    """(first stage's index, step, low, high) per maximal run of coherent
+    or of decohere stages. A coherent run's step is the conjugation
+    constants of its M, and low and high its range of gain; a decohere
+    run's is the tuple of its stages' e^-2 lambda, and its range None. A
+    run that fails to compile has step None and a NaN range, which no
+    state passes, so the stage loop reports its failure. One whose
+    product is not finite fails the range (inf) or, by NaN constants, the
+    gate."""
+    segments, start = [], 0
+    for channel, run in itertools.groupby(stages, lambda stage: stage.name == "decohere"):
+        run = tuple(run)
+        try:
+            if channel:
+                segment = tuple(decoherence._decay(*map(_value, st.params)) for st in run), None, None
+            else:
+                segment = _product(run)
+        except (ArithmeticError, LookupError, TypeError, ValueError):  # the stage loop raises it, located
+            segment = None, math.nan, math.nan
+        segments.append((start, *segment))
+        start += len(run)
+    return tuple(segments)
+
+
+def _product(run):
+    """The conjugation constants of M = M_k ... M_1, the product of run's
+    actions by _mul2 (M_1 itself for a run of one), and over its prefix
+    products P, min |det P|^2 / |P|_F^2 and max |P|_F^2, with det P the
+    product of the actions' determinants."""
+    p, det, low, high = None, 1.0, math.inf, 0.0
+    for stage in run:
+        a, b, c, d = m = STAGES[stage.name].action(*map(_value, stage.params))
+        det *= abs(a * d - b * c)
+        p = m if p is None else _mul2(m, p)
+        norm = sum(x.real * x.real + x.imag * x.imag for x in p)
+        low, high = min(low, det * det / norm), max(high, norm)
+    return _conjugation(p), low, high
+
+
+def _fold(segments, trail, s11, s22, s12):
+    """The state (s11, s22, s12, None, None) after segments, from entries
+    s11, s22, s12, each segment's entries appended to trail; None where the
+    state leaves a segment's range, or the gate or the underflow test
+    fails on a segment's entries."""
+    for _, step, low, high in segments:
+        if low is None:  # a decohere run: its result needs no gate
+            for k in step:
+                s12 = complex(k * s12.real, k * s12.imag)
+        else:
+            size = s11 + s22
+            if not (_SQUARE_MIN <= size * low and size * high <= _SQUARE_MAX):
+                return None
+            s11, s22, s12 = _conjugated(s11, s22, s12, step)
+            try:
+                _check_coherency(s11, s22, s12)
+            except PhysicsError:
+                return None
+            if s11 + s22 <= 0.0:
+                return None
+        trail.append((s11, s22, s12))
+    return s11, s22, s12, None, None
+
+
+def _between(stages, first, entries, fold):
+    """The entries after each stage, from evaluate's trail: those the stage
+    loop appended, then one per segment in fold. The stages of each such
+    segment but its last run the stage loop again, with its gates, from
+    the fold's entries before the segment; the last's are the fold's."""
+    ran = len(entries) - len(fold)
+    out = entries[:ran]
+    state = out[-1] if out else (first.s11, first.s22, first.s12)
+    stops = [segment[0] for segment in fold[1:]] + [len(stages)]
+    for (start, *_), stop, state_after in zip(fold, stops, entries[ran:]):
+        _walk(stages[start:stop - 1], out, *state)
+        out.append(state_after)
+        state = state_after
+    return out
 
 
 def _classify_at(stage, stokes, tol):

@@ -1,5 +1,5 @@
-"""bench/ab.py run A/A on this working tree: in process with tiny sizes, and one cli-mix round;
-bench/traffic.py on this tree with tiny sizes; and a revision git cannot read."""
+"""bench/ab.py run A/A on this working tree: in process with tiny sizes, one cli-mix round and
+a small batch; bench/traffic.py on this tree with tiny sizes; and a revision git cannot read."""
 
 import subprocess
 import sys
@@ -30,6 +30,16 @@ def test_ab_cli_mix_mode_runs_one_round():
     [line] = done.stdout.splitlines()
     assert line.startswith("cli-mix: parent/change child CPU time median ")
     assert "of 1 rounds" in line and "(8 ops per block)" in line
+
+
+def test_ab_batch_mode_times_states_through_one_long_circuit():
+    cmd = [sys.executable, str(ROOT / "bench" / "ab.py"), "--parent", str(ROOT), "--mode", "batch",
+           "--rounds", "2", "--states", "3"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    [line] = done.stdout.splitlines()
+    assert line.startswith("batch: parent/change CPU time median ")
+    assert "of 2 rounds" in line and "(3 ops per block)" in line
 
 
 def test_traffic_counts_entries_of_every_workload():

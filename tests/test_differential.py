@@ -11,7 +11,7 @@ import math
 import random
 import re
 import sys
-from itertools import repeat
+from itertools import groupby, repeat
 from pathlib import Path
 
 import mpmath
@@ -440,31 +440,36 @@ def test_repeated_evaluation_rebuilds_only_amplitude_elements(monkeypatch):
     assert len(built) == 8
     second = evaluate(ast, mixed)
     assert len(built) == 12
-    # The first Stokes-input evaluation keeps each stage's conjugation
-    # constants on it; later ones call no action and read no element
-    # entries at all.
+    # The first Stokes-input evaluation compiles the segments, each stage's
+    # entries once, and keeps them on the AST. The first read of records
+    # runs the stage loop over the segment's stages but its last, which
+    # keep their conjugation constants. Later evaluations and reads call
+    # no action and read no element entries at all.
+    assert len(second.stages) == 4 and len(built) == 15
     read = []
     entries2 = states._entries2
     monkeypatch.setattr(states, "_entries2", lambda *a: read.append(a) or entries2(*a))
     assert evaluate(ast, mixed) == second
-    assert len(built) == 12 and read == []
-    # decohere keeps its e^-2 lambda on the Stage: a second Stokes-input
-    # evaluation computes no per-stage constant, and no stage calls
-    # decohere_channel. Its first one computes rotate's entries, which the
-    # amplitude track kept nothing of; a Jones-input one computes again what
-    # it meets before its first decohere, that decohere's e^-2 lambda too.
+    assert len(built) == 15 and read == []
+    # The segments keep each decohere run's e^-2 lambda: a second
+    # Stokes-input evaluation computes no constant, and no stage calls
+    # decohere_channel. The first Jones-input one computes rotate's entries
+    # on the amplitude track and the first decohere's e^-2 lambda, where
+    # that track stops, and then compiles the segments, each stage's
+    # entries or e^-2 lambda once; a repeat computes again what it meets
+    # before its first decohere, that decohere's e^-2 lambda too.
     decays, channel = [], []
     decay = decoherence._decay
     monkeypatch.setattr(decoherence, "_decay", lambda *a: decays.append(a) or decay(*a))
     monkeypatch.setattr(decoherence, "decohere_channel", lambda *a: channel.append(a))
     ast = parse("rotate(theta=0.4); decohere(lambda=0.5); squeeze(eta=0.2); decohere(lambda=30)")
     first = [evaluate(ast, inp) for inp in (jones, mixed)]
-    assert len(built) == 15 and decays == [(0.5,), (30.0,)]
+    assert len(built) == 18 and decays == [(0.5,), (0.5,), (30.0,)]
     del read[:]
     assert evaluate(ast, mixed) == first[1]
-    assert len(built) == 15 and len(decays) == 2 and read == [] and channel == []
+    assert len(built) == 18 and len(decays) == 3 and read == [] and channel == []
     assert evaluate(ast, jones) == first[0]
-    assert len(built) == 16 and decays[2:] == [(0.5,)] and channel == []
+    assert len(built) == 19 and decays[3:] == [(0.5,)] and channel == []
 
 
 def test_evaluate_carries_one_state(monkeypatch):
@@ -489,15 +494,17 @@ def test_evaluate_carries_one_state(monkeypatch):
 
 
 def test_evaluate_builds_records_on_first_read(monkeypatch):
-    # The loop carries plain entries and gates each stage's at most once:
-    # an evaluate runs the coherency checks once for the input and once
-    # per coherent stage without amplitudes, and builds one checked
-    # matrix, the input's. On the amplitude track, before the first
+    # evaluate carries plain entries and gates each at most once: it runs
+    # the coherency checks once for the input and once per coherent
+    # segment it folds, after the segment's last stage, and builds one
+    # checked matrix, the input's. On the amplitude track, before the first
     # decohere, an outer product whose size is in the gate's plain range
-    # is not gated, since it always passes; nor is a decohere stage's
+    # is not gated, since it always passes; nor is a decohere segment's
     # output, which passes wherever its input did. Reading .stages builds
-    # the records, and the matrices between stages, once, from entries the
-    # loop gated or skipped, and checks none of them again.
+    # the records, and the matrices between stages, once: within each
+    # folded coherent segment it gates the state after each stage but the
+    # last, walked from the fold's state before the segment, and checks
+    # nothing else again.
     rng = random.Random(1111)
     built, checked = [], []
     post_init, check = CoherencyMatrix.__post_init__, states._check_coherency
@@ -511,29 +518,33 @@ def test_evaluate_builds_records_on_first_read(monkeypatch):
     monkeypatch.setattr(circuit, "_check_coherency", counted)
     for _ in range(10):
         ast = parse(decohering_circuit(rng))
+        names = [st.name for st in ast.stages]
         # Stages the amplitude track runs: those before the first decohere.
-        coherent = [st.name for st in ast.stages].index("decohere")
+        coherent = names.index("decohere")
+        # The segments, as indices into the matrices, the input's first.
+        runs = [list(run) for _, run in groupby(range(1, len(names) + 1),
+                                                lambda i: names[i - 1] == "decohere")]
         for inp in random_inputs(rng):
             skipped = coherent if isinstance(inp, JonesVector) else 0
-            # Indices into the matrices, the input's first, of the gated entries.
-            gates = [0] + [i for i, st in enumerate(ast.stages, 1) if i > skipped and st.name != "decohere"]
-            gated = len(gates)
+            folded = [run for run in runs if run[0] > skipped and names[run[0] - 1] != "decohere"]
+            gates = [0] + [run[-1] for run in folded]
+            walked = [i for run in folded for i in run[:-1]]
             del built[:], checked[:]
             report = evaluate(ast, inp)
-            assert len(checked) == gated and len(built) == 1
+            assert len(checked) == len(gates) and len(built) == 1
             stages = report.stages
             assert len(stages) == len(ast.stages)
-            assert len(checked) == gated and len(built) == 1
+            assert len(checked) == len(gates) + len(walked) and len(built) == 1
             assert built[0] is stages[0].coherency_before
             assert stages[-1].coherency_after is report.final_coherency
             assert all(a.coherency_after is b.coherency_before for a, b in zip(stages, stages[1:]))
-            assert report.stages is stages and len(checked) == gated
+            assert report.stages is stages and len(checked) == len(gates) + len(walked)
             matrices = [built[0], *(r.coherency_after for r in stages)]
             entries = [(c.s11, c.s22, c.s12) for c in matrices]
-            assert [entries[i] for i in gates] == checked
+            assert [entries[i] for i in gates + walked] == checked
             for s11, s22, s12 in entries[1:1 + skipped]:
                 assert states._SQUARE_MIN <= s11 + s22 <= states._SQUARE_MAX
-            for i in set(range(len(entries))) - set(gates):
+            for i in set(range(len(entries))) - set(gates) - set(walked):
                 check(*entries[i])
     monkeypatch.undo()
     # A report whose stages were never read behaves as one built eagerly.
@@ -554,14 +565,50 @@ def test_evaluate_builds_records_on_first_read(monkeypatch):
     assert stages == eager.stages
 
 
+def test_a_failing_fold_step_defers_to_the_stage_loop(monkeypatch):
+    # A gate that rejects the fold's entries, as a spurious rejection
+    # would, sends evaluate to the stage loop from the input: the report is
+    # the loop's, record for record, and a rejection is the loop's located
+    # error, at the first stage whose gate fails.
+    check, calls, everywhere = states._check_coherency, [], False
+
+    def gate(*entries):
+        calls.append(entries)
+        if len(calls) == 1 or everywhere:
+            raise PhysicsError("coherency matrix must be positive semidefinite: det = -1")
+        return check(*entries)
+
+    monkeypatch.setattr(circuit, "_check_coherency", gate)
+    ast = parse("decohere(lambda=0.2); rotate(theta=0.3); squeeze(eta=0.5); phase(phi=0.4)")
+    inp = StokesVector(1.0, 0.3, 0.2, 0.1)
+    report = evaluate(ast, inp)
+    coh, want = states.coherency_from_stokes(inp), []
+    for stage in ast.stages:
+        values = [value for _, value in stage.params]
+        if stage.name == "decohere":
+            coh = decoherence.decohere_channel(coh, *values)
+        else:
+            a, b, c, d = circuit.STAGES[stage.name].action(*values)
+            coh = states.conjugate(coh, ((a, b), (c, d)))
+        want.append(coh)
+    assert [r.coherency_after for r in report.stages] == want
+    assert report.final_coherency == want[-1] and len(calls) == 4  # the fold's, then the loop's three
+    everywhere = True
+    with pytest.raises(CircuitSemanticError) as err:
+        evaluate(ast, inp)
+    assert (err.value.line, err.value.col) == (1, 23)
+    assert err.value.message == "stage rotate: coherency matrix must be positive semidefinite: det = -1"
+
+
 def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
-    # Each Stage keeps what the coherency track reads: after a
-    # Stokes-input evaluate, a Jones-input one of the same AST computes no
-    # conjugation constants, whether its stages run on amplitudes (before
-    # decohere) or on the coherency entries (after it); nor does any
-    # repeat. The amplitudes read k and conj(G)'s entries alone, so a
-    # Jones-input evaluate of a fresh AST keeps nothing on the stages
-    # before its first decohere.
+    # The AST keeps its segments, each coherent one's conjugation constants
+    # computed once: after a Stokes-input evaluate, a Jones-input one of the
+    # same AST computes no conjugation constants, whether its stages run on
+    # amplitudes (before decohere) or in the fold (after it); nor does any
+    # repeat. The amplitudes read conj(M)'s entries alone, so a Jones-input
+    # evaluate of a fresh AST keeps nothing on the stages before its first
+    # decohere; that decohere keeps its e^-2 lambda, where the amplitude
+    # track stops, and the folded stages after it keep nothing.
     computed = []
     conjugation = states._conjugation
 
@@ -575,16 +622,23 @@ def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
                 "phase(phi=0.5); split(ratio=0.3)")
     stokes, jones = StokesVector(1.0, 0.2, 0.3, 0.1), JonesVector(1 + 1j, 0.5)
     fresh = {inp: evaluate(parse(unparse(ast)), inp) for inp in (stokes, jones)}
+    assert all(len(report.stages) == 6 for report in fresh.values())
     jones_ast = parse(unparse(ast))
     evaluate(jones_ast, jones)
-    assert [list(vars(st))[4:] for st in jones_ast.stages] == [[]] * 3 + [["_coherency"]] * 3
+    assert [list(vars(st))[4:] for st in jones_ast.stages] == [[]] * 3 + [["_coherency"]] + [[]] * 2
+    assert list(vars(jones_ast)) == ["stages", "_segments"]
     del computed[:]
     first = evaluate(ast, stokes)
-    assert len(computed) == 5
+    assert len(computed) == 2
     del computed[:]
-    for inp in (jones, stokes, jones):
-        assert evaluate(ast, inp) == fresh[inp]
-    assert computed == [] and first == fresh[stokes]
+    reports = [evaluate(ast, inp) for inp in (jones, stokes, jones)]
+    assert computed == []
+    # The first reads of records run the stage loop over each folded
+    # segment's stages but its last, here rotate, atten and phase, which
+    # compute and keep their constants once.
+    assert reports == [fresh[inp] for inp in (jones, stokes, jones)] and first == fresh[stokes]
+    assert len(computed) == 3
+    assert evaluate(ast, stokes).stages == first.stages and len(computed) == 3
     # final_purity is built on its first read, and kept.
     for inp in (stokes, jones):
         report = evaluate(ast, inp)

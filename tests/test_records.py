@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,9 @@ from twobeam import (
     evaluate,
     parse,
 )
-from twobeam.circuit import Stage
-from twobeam.states import _FirstRead, _Record
+from twobeam import circuit
+from twobeam.circuit import STAGES, Stage
+from twobeam.states import _FirstRead, _Record, _conjugation
 
 IDENTITY16 = [1.0 if i % 5 == 0 else 0.0 for i in range(16)]
 
@@ -154,27 +156,72 @@ def test_defaults_keywords_and_match_args():
 
 
 def test_evaluate_keeps_one_entry_per_stage():
-    # A Stage keeps its four fields and, once it has run without
-    # amplitudes, the one entry the loop reads there; the amplitude track
-    # keeps nothing.
-    ast = parse("rotate(theta=0.3); decohere(lambda=0.1); squeeze(eta=0.2)")
-    rotate, decohere, squeeze = ast.stages
+    # The AST keeps its segments, compiled on the first evaluate that
+    # leaves the amplitude track, outside its compared fields. A Stage
+    # keeps its four fields and, once the stage loop has run it without
+    # amplitudes, the one entry it reads there; the amplitude track keeps
+    # nothing, and stops at the first decohere, which keeps its e^-2 lambda.
+    ast = parse("rotate(theta=0.3); decohere(lambda=0.1); squeeze(eta=0.2); phase(phi=0.4)")
+    rotate, decohere, squeeze, phase = ast.stages
     fields = ["name", "params", "line", "col"]
     evaluate(ast, JonesVector(1, 0.5j))
-    assert [list(vars(st)) for st in ast.stages] == [fields] + [fields + ["_coherency"]] * 2
-    evaluate(ast, StokesVector(1, 0.5, 0, 0))
-    kept = vars(rotate)["_coherency"]
-    evaluate(ast, StokesVector(1, 0, 0.5, 0))
-    evaluate(ast, JonesVector(1, 0.5j))
-    assert [list(vars(st)) for st in ast.stages] == [fields + ["_coherency"]] * 3
-    assert vars(rotate)["_coherency"] is kept
-    assert rotate == Stage("rotate", (("theta", 0.3),))
-    # Each keeps numbers, no record: its Jones matrix's conjugation
-    # constants, and decohere its e^-2 lambda.
-    for stage in (rotate, squeeze):
-        assert [type(x) for x in vars(stage)["_coherency"]] == (
-            [float] * 2 + [complex] + [float] * 2 + [complex] * 7)
+    assert [list(vars(st)) for st in ast.stages] == [fields, fields + ["_coherency"], fields, fields]
+    assert list(vars(ast)) == ["stages", "_segments"]
+    segments = vars(ast)["_segments"]
+    for inp in (StokesVector(1, 0.5, 0, 0), StokesVector(1, 0, 0.5, 0), JonesVector(1, 0.5j)):
+        evaluate(ast, inp)
+    assert vars(ast)["_segments"] is segments
+    assert [list(vars(st)) for st in ast.stages] == [fields, fields + ["_coherency"], fields, fields]
+    assert ast == CircuitAst(ast.stages) and rotate == Stage("rotate", (("theta", 0.3),))
+    # Each segment keeps numbers, no record: its first stage's index; a
+    # coherent run's conjugation constants of its Jones matrix and its
+    # range of gain; a decohere run's e^-2 lambda per stage. A run of one
+    # keeps its stage's own constants.
+    assert [start for start, _, _, _ in segments] == [0, 1, 2]
+    for _, step, low, high in segments[::2]:
+        assert [type(x) for x in step] == [float] * 2 + [complex] + [float] * 2 + [complex] * 7
+        assert type(low) is type(high) is float and 0.0 < low <= high
+    assert segments[0][1] == _conjugation(STAGES["rotate"].action(0.3))
+    assert segments[1][1:] == ((vars(decohere)["_coherency"],), None, None)
+    # Reading the records of a Stokes input runs the stage loop over a
+    # folded segment's stages but its last: squeeze keeps its constants.
+    assert len(evaluate(ast, StokesVector(1, 0.5, 0, 0)).stages) == 4
+    assert [list(vars(st)) for st in ast.stages] == [fields] + [fields + ["_coherency"]] * 2 + [fields]
+    assert [type(x) for x in vars(squeeze)["_coherency"]] == (
+        [float] * 2 + [complex] + [float] * 2 + [complex] * 7)
     assert type(vars(decohere)["_coherency"]) is float
+
+
+def test_concurrent_first_evaluations_keep_one_segment_tuple(monkeypatch):
+    # Two threads evaluate one fresh AST at once. A barrier holds each
+    # inside the compile until the other has compiled too, so both build
+    # segments; each then folds through the tuple the AST stored first.
+    compile_ = circuit._compile
+    barrier, built = threading.Barrier(2, timeout=30), []
+
+    def compile_both(stages):
+        segments = compile_(stages)
+        built.append(segments)
+        barrier.wait()
+        return segments
+
+    monkeypatch.setattr(circuit, "_compile", compile_both)
+    text = "rotate(theta=0.3); squeeze(eta=0.5); decohere(lambda=0.2); phase(phi=0.4); atten(eta1=0.1, eta2=0.3)"
+    ast, inp = parse(text), StokesVector(1.0, 0.3, 0.2, 0.1)
+    reports = [None, None]
+    threads = [threading.Thread(target=lambda i=i: reports.__setitem__(i, evaluate(ast, inp)))
+               for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == 2 and built[0] is not built[1] and built[0] == built[1]
+    kept = vars(ast)["_segments"]
+    assert list(vars(ast)) == ["stages", "_segments"] and any(kept is segments for segments in built)
+    assert all(vars(report)["_trail"][-1] is kept for report in reports)
+    monkeypatch.undo()
+    assert reports[0] == reports[1] == evaluate(parse(text), inp)
 
 
 def test_dataclasses_functions_read_the_records():
