@@ -54,7 +54,7 @@ from .states import (
     _outer,
     coherency_from_jones,
     coherency_from_stokes,
-    conjugate,  # noqa: F401  evaluate runs its formula; the name stays importable from here
+    conjugate,  # noqa: F401  perfbench's tracer rebinds conjugate here and asserts it is wrapped
     purity_report,
     stokes_from_coherency,
 )
@@ -149,10 +149,8 @@ class Stage(_Record, compare=("name", "params")):
     """One element of a circuit, with canonical radian parameters.
 
     Locations take no part in equality, so structurally identical
-    circuits compare equal regardless of layout. evaluate keeps one
-    entry in the instance __dict__, outside the compared fields: the
-    numbers its stage loop reads without amplitudes, so they are computed
-    once per AST; a failure is not kept.
+    circuits compare equal regardless of layout. A stage keeps nothing
+    else: evaluate reads its numbers through _action.
     """
 
     name: str
@@ -170,7 +168,12 @@ class Stage(_Record, compare=("name", "params")):
 class CircuitAst(_Record):
     """A parsed circuit, its stages in beam order. evaluate keeps the
     circuit's compiled segments in the instance __dict__, outside the
-    compared field, as a Stage keeps its entry."""
+    compared field: the circuit's one memo.
+
+    A stage of a known kind must name its kind's parameters, in order;
+    else a located CircuitSemanticError. The parser builds through
+    _checked, so no parse runs this; an unknown stage name fails at
+    evaluate."""
 
     stages: tuple
 
@@ -179,6 +182,10 @@ class CircuitAst(_Record):
         for stage in self.stages:
             if not isinstance(stage, Stage):
                 raise TypeError("CircuitAst stages must be Stage instances")
+            kind = STAGES.get(stage.name)
+            if kind and tuple(key for key, _ in stage.params) != kind.params:
+                message = f"{stage.name} takes {', '.join(kind.params)}"
+                raise CircuitSemanticError(message, stage.line, stage.col)
 
 
 class _Arg(NamedTuple):
@@ -533,10 +540,10 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     gates, from the fold's state before the segment, and the segment's
     last record holds the fold's state after it, so
     stages[-1].coherency_after is final_coherency; a gate that fails there
-    raises its located error from the read. A Stage keeps one entry once
-    the stage loop has run it without amplitudes: its M's conjugation
-    constants, or decohere's e^-2 lambda. The amplitude track computes its
-    stages' entries again on each evaluate and builds no Element2.
+    raises its located error from the read. The segments are the only
+    memo: the stage loop reads each stage's numbers again through
+    _action, on the amplitude track and on a records read alike, and
+    builds no Element2.
     """
     if isinstance(inp, JonesVector):
         p1, p2 = inp.psi1, inp.psi2
@@ -588,19 +595,17 @@ def _walk(stages, trail, s11, s22, s12, p1=None, p2=None):
     p2 it stops before the first decohere stage, whose state has none."""
     for stage in stages:
         try:
-            step = None if p1 is not None else stage.__dict__.get("_coherency")
-            if step is None:
-                step = _step(stage, p1 is not None)
+            step = _action(stage)
             if step.__class__ is float:  # decohere's e^-2 lambda; its result needs no gate
                 if p1 is not None:
                     break
                 s12 = complex(step * s12.real, step * s12.imag)
             else:
                 if p1 is None:
-                    s11, s22, s12 = _conjugated(s11, s22, s12, step)
+                    s11, s22, s12 = _conjugated(s11, s22, s12, _conjugation(step))
                 else:  # psi -> conj(M) psi
                     a, b, c, d = step
-                    p1, p2 = a * p1 + b * p2, c * p1 + d * p2
+                    p1, p2 = a.conjugate() * p1 + b.conjugate() * p2, c.conjugate() * p1 + d.conjugate() * p2
                     s11, s22, s12 = _outer(p1, p2)
                 if p1 is None or not _SQUARE_MIN <= s11 + s22 <= _SQUARE_MAX:  # else it always passes
                     _check_coherency(s11, s22, s12)
@@ -618,24 +623,14 @@ def _walk(stages, trail, s11, s22, s12, p1=None, p2=None):
     return s11, s22, s12, p1, p2
 
 
-def _step(stage, amplitudes):
-    """What the stage loop reads for stage. A coherent stage's is, with
-    amplitudes, the conjugated entries of its action's M, which are not
-    kept; without them, M's conjugation constants, kept on stage as
-    _coherency. decohere's is its float e^-2 lambda, kept as _coherency
-    for both. A failure keeps nothing."""
+def _action(stage):
+    """stage's numbers: the four entries of its STAGES action's M, or, for
+    decohere, the one channel, its float e^-2 lambda. Every reader of a
+    stage's numbers calls this; nothing is kept."""
     kind = STAGES.get(stage.name)
     if kind is None:
         raise PhysicsError(_unknown_element(stage.name))
-    if kind.action is None:  # decohere, the one channel
-        step = decoherence._decay(*map(_value, stage.params))
-    else:
-        a, b, c, d = m = kind.action(*map(_value, stage.params))
-        if amplitudes:
-            return a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-        step = _conjugation(m)
-    stage.__dict__["_coherency"] = step
-    return step
+    return (kind.action or decoherence._decay)(*map(_value, stage.params))
 
 
 def _segments(ast):
@@ -662,7 +657,7 @@ def _compile(stages):
         run = tuple(run)
         try:
             if channel:
-                segment = tuple(decoherence._decay(*map(_value, st.params)) for st in run), None, None
+                segment = tuple(map(_action, run)), None, None
             else:
                 segment = _product(run)
         except (ArithmeticError, LookupError, TypeError, ValueError):  # the stage loop raises it, located
@@ -679,7 +674,7 @@ def _product(run):
     product of the actions' determinants."""
     p, det, low, high = None, 1.0, math.inf, 0.0
     for stage in run:
-        a, b, c, d = m = STAGES[stage.name].action(*map(_value, stage.params))
+        a, b, c, d = m = _action(stage)
         det *= abs(a * d - b * c)
         p = m if p is None else _mul2(m, p)
         norm = sum(x.real * x.real + x.imag * x.imag for x in p)

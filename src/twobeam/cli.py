@@ -148,11 +148,10 @@ def _lift_stage(spec):
     if len(stages) != 1:
         raise ValueError(f"lift takes one element ({coherent}), got {len(stages)} stages")
     stage = stages[0]
-    action = circuit.STAGES[stage.name].action
-    if action is None:
+    if circuit.STAGES[stage.name].action is None:
         raise ValueError(f"{stage.name} is a channel, not an element; lift takes {coherent}")
     try:
-        m = _lift(*action(*map(circuit._value, stage.params)))
+        m = _lift(*circuit._action(stage))
         return stage, m, metric_defect(m)
     except PhysicsError as err:
         raise ValueError(f"{stage.name}: {err}") from None

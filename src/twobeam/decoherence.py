@@ -74,7 +74,7 @@ def decohere_channel(state, lam):
 
 
 def _decay(lam):
-    """e^-2l, the channel's factor on s12, for a finite l >= 0 (kept by evaluate)."""
+    """e^-2l, the channel's factor on s12, for a finite l >= 0 (kept in a circuit's segments)."""
     lam = _finite(lam, "lambda")
     if lam < 0.0:
         raise PhysicsError("lambda must be nonnegative")

@@ -549,8 +549,8 @@ def conjugate(c: CoherencyMatrix, g) -> CoherencyMatrix:
     e^-eta2). The product is written out entrywise, so the result is
     Hermitian by construction: real diagonal, one off-diagonal entry.
     The products of G's entries that do not involve C are its
-    conjugation constants, which evaluate keeps per stage; conjugate
-    computes them on each call and stores nothing on G.
+    conjugation constants, which each coherent segment of a circuit
+    keeps; conjugate computes them on each call and stores nothing on G.
 
     This is the transform for states without amplitudes. While a beam
     still has its Jones vector psi, transforming psi -> conj(G) psi and
@@ -562,7 +562,7 @@ def conjugate(c: CoherencyMatrix, g) -> CoherencyMatrix:
 
 def _conjugated(p, q, s, step):
     """conjugate's entries: those of G C G+ for C's s11 = p, s22 = q, s12 = s,
-    with step G's conjugation constants; evaluate keeps step per stage."""
+    with step G's conjugation constants, as _conjugation returns them."""
     aa, bb, ab, cc, dd, cd, ad, bc, a, cbar, b, dbar = step
     s11 = aa * p + bb * q + 2.0 * (ab * s).real
     s22 = cc * p + dd * q + 2.0 * (cd * s).real

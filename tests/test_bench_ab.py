@@ -48,8 +48,11 @@ def test_traffic_counts_entries_of_every_workload():
     assert done.returncode == 0, done.stderr
     header, *rows = done.stdout.splitlines()
     assert header.split()[:4] == ["function", "long-chain", "state-sweep", "cli-mix"]
-    [evaluate] = [row.split() for row in rows if row.split()[0] == "circuit.evaluate"]
-    assert all(int(count) > 0 for count in evaluate[1:4])
+    counts = {name: [int(count) for count in rest[:3]] for name, *rest in map(str.split, rows)}
+    assert all(count > 0 for count in counts["circuit.evaluate"])
+    # state-sweep evaluates one parsed circuit again and again: every op
+    # folds its compiled segments, and none runs the stage loop.
+    assert counts["circuit._fold"][1] > 0 and counts["circuit._walk"][1] == 0
 
 
 @pytest.mark.parametrize("script", ["ab.py", "differential.py"])

@@ -316,6 +316,29 @@ def test_hand_built_ast_checks_lambda_at_evaluation():
             assert err.value.message == f"stage decohere: lambda {reason}"
 
 
+@pytest.mark.parametrize("inp", [JonesVector(1, 0), StokesVector(1, 0.2, 0.1, 0)])
+@pytest.mark.parametrize("params, message", [
+    ((("eta2", 0.5), ("eta1", 0.0)), "atten takes eta1, eta2"),
+    ((("phi", 1.0),), "rotate takes theta"),
+    ((), "rotate takes theta"),
+    ((("lam", 0.1),), "decohere takes lambda"),
+], ids=["atten-reversed", "rotate-misnamed", "rotate-empty", "decohere-misnamed"])
+def test_hand_built_stage_names_its_parameters_in_order(params, message, inp):
+    # Stages read their values by position, so a hand-built stage of a known
+    # kind must name its kind's parameters in order, or it would run as
+    # another stage: atten with eta2 first as atten(eta1=0.5, eta2=0).
+    name = message.split()[0]
+    stages = (Stage("phase", (("phi", 0.2),), 1, 1), Stage(name, params, 3, 7))
+    with pytest.raises(CircuitSemanticError) as err:
+        evaluate(CircuitAst(stages), inp)
+    assert str(err.value) == f"3:7: {message}"
+    assert isinstance(err.value, CircuitError) and err.value.exit_code == 3
+    # The parser takes either order and builds the canonical stage.
+    parsed = parse("atten(eta2=0.5, eta1=0.0)")
+    ast = CircuitAst((Stage("atten", (("eta1", 0.0), ("eta2", 0.5))),))
+    assert ast == parsed and evaluate(ast, inp) == evaluate(parsed, inp)
+
+
 def test_parse_and_report_reject_what_they_do_not_hold():
     with pytest.raises(TypeError, match="^circuit text must be str$"):
         parse(b"rotate(theta=1)")

@@ -441,35 +441,38 @@ def test_repeated_evaluation_rebuilds_only_amplitude_elements(monkeypatch):
     second = evaluate(ast, mixed)
     assert len(built) == 12
     # The first Stokes-input evaluation compiles the segments, each stage's
-    # entries once, and keeps them on the AST. The first read of records
-    # runs the stage loop over the segment's stages but its last, which
-    # keep their conjugation constants. Later evaluations and reads call
-    # no action and read no element entries at all.
+    # entries once, and keeps them on the AST. A read of records runs the
+    # stage loop over the segment's stages but its last, and a stage keeps
+    # nothing, so each such read computes those three stages' entries. A
+    # later evaluation calls no action; == reads both reports' stages,
+    # the new report's for the first time: three more. No path reads
+    # element entries.
     assert len(second.stages) == 4 and len(built) == 15
     read = []
     entries2 = states._entries2
     monkeypatch.setattr(states, "_entries2", lambda *a: read.append(a) or entries2(*a))
     assert evaluate(ast, mixed) == second
-    assert len(built) == 15 and read == []
+    assert len(built) == 18 and read == []
     # The segments keep each decohere run's e^-2 lambda: a second
     # Stokes-input evaluation computes no constant, and no stage calls
     # decohere_channel. The first Jones-input one computes rotate's entries
     # on the amplitude track and the first decohere's e^-2 lambda, where
     # that track stops, and then compiles the segments, each stage's
     # entries or e^-2 lambda once; a repeat computes again what it meets
-    # before its first decohere, that decohere's e^-2 lambda too.
+    # before its first decohere, that decohere's e^-2 lambda too. Every
+    # segment is a run of one, so a read of records walks no stage.
     decays, channel = [], []
     decay = decoherence._decay
     monkeypatch.setattr(decoherence, "_decay", lambda *a: decays.append(a) or decay(*a))
     monkeypatch.setattr(decoherence, "decohere_channel", lambda *a: channel.append(a))
     ast = parse("rotate(theta=0.4); decohere(lambda=0.5); squeeze(eta=0.2); decohere(lambda=30)")
     first = [evaluate(ast, inp) for inp in (jones, mixed)]
-    assert len(built) == 18 and decays == [(0.5,), (0.5,), (30.0,)]
+    assert len(built) == 21 and decays == [(0.5,), (0.5,), (30.0,)]
     del read[:]
     assert evaluate(ast, mixed) == first[1]
-    assert len(built) == 18 and len(decays) == 3 and read == [] and channel == []
+    assert len(built) == 21 and len(decays) == 3 and read == [] and channel == []
     assert evaluate(ast, jones) == first[0]
-    assert len(built) == 19 and decays[3:] == [(0.5,)] and channel == []
+    assert len(built) == 22 and decays[3:] == [(0.5,)] and channel == []
 
 
 def test_evaluate_carries_one_state(monkeypatch):
@@ -605,10 +608,9 @@ def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
     # computed once: after a Stokes-input evaluate, a Jones-input one of the
     # same AST computes no conjugation constants, whether its stages run on
     # amplitudes (before decohere) or in the fold (after it); nor does any
-    # repeat. The amplitudes read conj(M)'s entries alone, so a Jones-input
-    # evaluate of a fresh AST keeps nothing on the stages before its first
-    # decohere; that decohere keeps its e^-2 lambda, where the amplitude
-    # track stops, and the folded stages after it keep nothing.
+    # repeat. The amplitudes read conj(M)'s entries alone, and no stage
+    # keeps anything, whichever path runs it: the AST keeps its segments
+    # alone.
     computed = []
     conjugation = states._conjugation
 
@@ -625,7 +627,7 @@ def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
     assert all(len(report.stages) == 6 for report in fresh.values())
     jones_ast = parse(unparse(ast))
     evaluate(jones_ast, jones)
-    assert [list(vars(st))[4:] for st in jones_ast.stages] == [[]] * 3 + [["_coherency"]] + [[]] * 2
+    assert [list(vars(st))[4:] for st in jones_ast.stages] == [[]] * 6
     assert list(vars(jones_ast)) == ["stages", "_segments"]
     del computed[:]
     first = evaluate(ast, stokes)
@@ -633,12 +635,14 @@ def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
     del computed[:]
     reports = [evaluate(ast, inp) for inp in (jones, stokes, jones)]
     assert computed == []
-    # The first reads of records run the stage loop over each folded
-    # segment's stages but its last, here rotate, atten and phase, which
-    # compute and keep their constants once.
+    # A read of records runs the stage loop over each folded segment's
+    # stages but its last and computes their constants again: a Stokes
+    # input's read walks rotate, atten and phase (3), a Jones input's, whose
+    # amplitudes ran the first segment, phase alone (1). == reads the stages
+    # of both reports, and the fresh ones' were read above: 1 + 3 + 1 + 3.
     assert reports == [fresh[inp] for inp in (jones, stokes, jones)] and first == fresh[stokes]
-    assert len(computed) == 3
-    assert evaluate(ast, stokes).stages == first.stages and len(computed) == 3
+    assert len(computed) == 8
+    assert evaluate(ast, stokes).stages == first.stages and len(computed) == 11
     # final_purity is built on its first read, and kept.
     for inp in (stokes, jones):
         report = evaluate(ast, inp)

@@ -31,7 +31,7 @@ from twobeam import (
     evaluate,
     parse,
 )
-from twobeam import circuit
+from twobeam import circuit, decoherence
 from twobeam.circuit import STAGES, Stage
 from twobeam.states import _FirstRead, _Record, _conjugation
 
@@ -155,23 +155,31 @@ def test_defaults_keywords_and_match_args():
         StokesVector(1, 0, 0, 0, s4=0)
 
 
-def test_evaluate_keeps_one_entry_per_stage():
+def test_evaluate_keeps_nothing_on_a_stage():
     # The AST keeps its segments, compiled on the first evaluate that
     # leaves the amplitude track, outside its compared fields. A Stage
-    # keeps its four fields and, once the stage loop has run it without
-    # amplitudes, the one entry it reads there; the amplitude track keeps
-    # nothing, and stops at the first decohere, which keeps its e^-2 lambda.
+    # keeps its four fields and nothing else, whichever path reads its
+    # numbers: the amplitude track, the fold, the stage loop of a fallback
+    # or a read of records.
     ast = parse("rotate(theta=0.3); decohere(lambda=0.1); squeeze(eta=0.2); phase(phi=0.4)")
     rotate, decohere, squeeze, phase = ast.stages
     fields = ["name", "params", "line", "col"]
     evaluate(ast, JonesVector(1, 0.5j))
-    assert [list(vars(st)) for st in ast.stages] == [fields, fields + ["_coherency"], fields, fields]
+    assert [list(vars(st)) for st in ast.stages] == [fields] * 4
     assert list(vars(ast)) == ["stages", "_segments"]
     segments = vars(ast)["_segments"]
     for inp in (StokesVector(1, 0.5, 0, 0), StokesVector(1, 0, 0.5, 0), JonesVector(1, 0.5j)):
         evaluate(ast, inp)
+    # An intensity below the range where squares stay normal floats
+    # leaves the first segment's range of gain: the stage loop runs
+    # instead of the fold. Reading the records of a folded Stokes input
+    # runs the stage loop over a segment's stages but its last.
+    fallback = evaluate(ast, StokesVector(1e-160, 5e-161, 0, 0))
+    assert vars(fallback)["_trail"][-1] is None and len(fallback.stages) == 4
+    assert len(evaluate(ast, StokesVector(1, 0.5, 0, 0)).stages) == 4
     assert vars(ast)["_segments"] is segments
-    assert [list(vars(st)) for st in ast.stages] == [fields, fields + ["_coherency"], fields, fields]
+    assert [list(vars(st)) for st in ast.stages] == [fields] * 4
+    assert list(vars(ast)) == ["stages", "_segments"]
     assert ast == CircuitAst(ast.stages) and rotate == Stage("rotate", (("theta", 0.3),))
     # Each segment keeps numbers, no record: its first stage's index; a
     # coherent run's conjugation constants of its Jones matrix and its
@@ -182,14 +190,7 @@ def test_evaluate_keeps_one_entry_per_stage():
         assert [type(x) for x in step] == [float] * 2 + [complex] + [float] * 2 + [complex] * 7
         assert type(low) is type(high) is float and 0.0 < low <= high
     assert segments[0][1] == _conjugation(STAGES["rotate"].action(0.3))
-    assert segments[1][1:] == ((vars(decohere)["_coherency"],), None, None)
-    # Reading the records of a Stokes input runs the stage loop over a
-    # folded segment's stages but its last: squeeze keeps its constants.
-    assert len(evaluate(ast, StokesVector(1, 0.5, 0, 0)).stages) == 4
-    assert [list(vars(st)) for st in ast.stages] == [fields] + [fields + ["_coherency"]] * 2 + [fields]
-    assert [type(x) for x in vars(squeeze)["_coherency"]] == (
-        [float] * 2 + [complex] + [float] * 2 + [complex] * 7)
-    assert type(vars(decohere)["_coherency"]) is float
+    assert segments[1][1:] == ((decoherence._decay(0.1),), None, None)
 
 
 def test_concurrent_first_evaluations_keep_one_segment_tuple(monkeypatch):
