@@ -40,7 +40,10 @@ squeeze(eta=400); rotate(theta=0.3); squeeze(eta=-400), whose state
 overflows inside that one coherent segment, from a unit Stokes input in
 both formats; and a circuit with runs of decohere stages between short
 coherent runs, from Stokes and Jones inputs at intensities 1e-300 and
-1e300, in both formats.
+1e300, in both formats; and a nine-stage circuit of two decohere stages
+between coherent runs, from StokesVector(1, 0.3, -0.5, 0.6) and from
+that input times 2^-520, below the segments' range, so that one report
+is folded and the other runs the stage loop, in both formats.
 Each circuit file is written once into one temporary
 directory, so the circuit_path a report echoes is the same on both
 sides. Each side runs every vector in-process through `cli.main`, in
@@ -205,6 +208,12 @@ DECOHERE_RUNS_INPUTS = (
     "stokes:1e-300,3e-301,-4e-301,5e-301", "stokes:1e300,-3e299,4e299,5e299",
     "jones:6e-151,-2e-151,5e-151,4e-151", "jones:6e149,-2e149,5e149,4e149",
 )
+# Coherent runs between decohere stages, from an input the fold takes and
+# from the same input scaled exactly below the segments' range.
+TWO_PATHS = ("rotate(theta=0.3); squeeze(eta=0.7); phase(phi=1.1); decohere(lambda=0.2); "
+             "rotate(theta=-0.9); squeeze(eta=-0.4); atten(eta1=0.1, eta2=0.3); "
+             "decohere(lambda=0.1); phase(phi=0.5)")
+TWO_PATHS_INPUT = (1.0, 0.3, -0.5, 0.6)
 LIFT_SPECS = (
     "rotate(theta=0.3)", "phase(phi=-1.2)", "squeeze(eta=0.6)", "squeeze eta=0.6", "rotate theta=2",
     "split(ratio=0.25)", "split(theta=30 deg)", "atten(eta1=0.2, eta2=0.5)",
@@ -306,6 +315,11 @@ def vectors(rng, circuit_dir):
     path = circuit_dir / "decohere_runs.circ"
     path.write_text(DECOHERE_RUNS, encoding="utf-8")
     for spec in DECOHERE_RUNS_INPUTS:
+        out += [["simulate", str(path), "--in", spec, "--format", f] for f in ("json", "text")]
+    path = circuit_dir / "two_paths.circ"
+    path.write_text(TWO_PATHS, encoding="utf-8")
+    for scale in (0, -520):
+        spec = "stokes:" + reals(math.ldexp(x, scale) for x in TWO_PATHS_INPUT)
         out += [["simulate", str(path), "--in", spec, "--format", f] for f in ("json", "text")]
     return out
 

@@ -170,10 +170,11 @@ class CircuitAst(_Record):
     circuit's compiled segments in the instance __dict__, outside the
     compared field: the circuit's one memo.
 
-    A stage of a known kind must name its kind's parameters, in order;
-    else a located CircuitSemanticError. The parser builds through
-    _checked, so no parse runs this; an unknown stage name fails at
-    evaluate."""
+    A stage of a known kind must name its kind's parameters, in order,
+    each with an int or float value (not a bool); else a located
+    CircuitSemanticError. The parser builds through _checked, so no parse
+    runs this; an unknown stage name, and a value that is not finite or
+    is negative where it must not be, fail at evaluate."""
 
     stages: tuple
 
@@ -186,6 +187,9 @@ class CircuitAst(_Record):
             if kind and tuple(key for key, _ in stage.params) != kind.params:
                 message = f"{stage.name} takes {', '.join(kind.params)}"
                 raise CircuitSemanticError(message, stage.line, stage.col)
+            for key, value in stage.params if kind else ():
+                if value.__class__ is bool or not isinstance(value, (int, float)):
+                    raise CircuitSemanticError(f"{stage.name} {key} must be a real number", stage.line, stage.col)
 
 
 class _Arg(NamedTuple):
@@ -465,10 +469,11 @@ class SimulationReport(_Record):
     final_jones is populated only when the input carried amplitudes
     and no decoherence stage ran; a mixed state has no amplitude
     representation, so the track is dropped at the first decohere.
-    A report evaluate returns holds the entries it carried: after each
-    stage the stage loop ran, and after each segment the fold ran. Its
-    stages, and final_purity, are built from them on the first read and
-    kept (see evaluate).
+    A report evaluate returns holds the input's entries and those after
+    each stage its stage loop ran. Its stages are built on the first read,
+    the stage loop going on from there over the stages the fold ran, and
+    final_purity is read from final_coherency; both are kept (see
+    evaluate).
     """
 
     circuit_format: str
@@ -485,12 +490,13 @@ class SimulationReport(_Record):
         trail = vars(self).get("_trail") if name in ("stages", "final_purity") else None
         if trail is None:
             raise AttributeError(f"'SimulationReport' object has no attribute {name!r}")
-        stages, tol, first, entries, last, fold = trail
         if name == "final_purity":
-            return vars(self).setdefault(name, purity_report(last))
-        if fold:
-            entries = _between(stages, first, entries, fold)
-        matrices = [first, *(CoherencyMatrix._checked(*e) for e in entries[:-1]), last]
+            return vars(self).setdefault(name, purity_report(self.final_coherency))
+        stages, tol, first, walked = trail
+        entries = walked[:]  # where the fold ran, the stage loop goes on from where evaluate's stopped
+        _walk(stages[len(walked) - 1:-1], entries, *walked[-1])
+        between = itertools.starmap(CoherencyMatrix._checked, entries[1:len(stages)])
+        matrices = [first, *between, self.final_coherency]
         steps = zip(stages, matrices, matrices[1:])
         records = tuple(StageRecord(st.name, st.params, c0, c1, tol) for st, c0, c1 in steps)
         return vars(self).setdefault("stages", records)  # the first stored, if two threads race
@@ -536,14 +542,16 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
 
     The StageRecords, and the matrices between stages, are built on the
     first read of the report's stages, and final_purity on its first
-    read. Within each folded segment the stage loop runs again, with its
-    gates, from the fold's state before the segment, and the segment's
-    last record holds the fold's state after it, so
-    stages[-1].coherency_after is final_coherency; a gate that fails there
-    raises its located error from the read. The segments are the only
-    memo: the stage loop reads each stage's numbers again through
-    _action, on the amplitude track and on a records read alike, and
-    builds no Element2.
+    read. The records keep the entries evaluate's own stage loop produced,
+    on the amplitude track or in a fallback; where the fold ran, the read
+    runs the stage loop on, with its gates, from where evaluate's stopped
+    (the input, for a Stokes input) up to the last stage. So every record
+    but the last is the stage loop's, whichever path evaluate took, and
+    the last holds the final state: stages[-1].coherency_after is
+    final_coherency. A gate that fails in the read raises its located
+    error from the read. The segments are the only memo: the stage loop
+    reads each stage's numbers again through _action, on the amplitude
+    track and on a records read alike, and builds no Element2.
     """
     if isinstance(inp, JonesVector):
         p1, p2 = inp.psi1, inp.psi2
@@ -559,28 +567,23 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
         dark = not (inp.psi1 or inp.psi2) if input_jones else inp.s0 == 0.0
         underflow = "" if dark else " (it underflows to zero)"
         raise PhysicsError(f"evaluation requires positive input intensity{underflow}")
-    stages, trail, fold = ast.stages, [], None
-    s11, s22, s12 = first.s11, first.s22, first.s12
+    stages, walked = ast.stages, [(first.s11, first.s22, first.s12)]
+    s11, s22, s12 = walked[0]
     if p1 is not None:
-        s11, s22, s12, p1, p2 = _walk(stages, trail, s11, s22, s12, p1, p2)
-    ran = len(trail)
+        s11, s22, s12, p1, p2 = _walk(stages, walked, s11, s22, s12, p1, p2)
+    ran = len(walked) - 1
     if ran < len(stages):  # a Stokes input, or the amplitude track stopped at a decohere
         segments = _segments(ast)
-        fold = segments[1:] if ran else segments  # the amplitude track ran segment 0
-        state = _fold(fold, trail, s11, s22, s12)
-        if state is None:
-            del trail[ran:]
-            fold = None
-            state = _walk(stages[ran:], trail, s11, s22, s12)
-        s11, s22, s12, p1, p2 = state
-    last = CoherencyMatrix._checked(s11, s22, s12) if trail else first
+        fold = _fold(segments[1:] if ran else segments, s11, s22, s12)  # the amplitude track ran segment 0
+        s11, s22, s12, p1, p2 = fold or _walk(stages[ran:], walked, s11, s22, s12)
+    last = CoherencyMatrix._checked(s11, s22, s12) if stages else first
     final_stokes = stokes_from_coherency(last)
     report = SimulationReport.__new__(SimulationReport)  # _trail in place of stages
     vars(report).update(
         circuit_format=CIRCUIT_FORMAT,
         input_stokes=input_stokes,
         input_jones=input_jones,
-        _trail=(stages, tol, first, trail, last, fold),
+        _trail=(stages, tol, first, walked),
         final_stokes=final_stokes,
         final_coherency=last,
         final_jones=None if p1 is None else JonesVector(p1, p2),
@@ -682,11 +685,11 @@ def _product(run):
     return _conjugation(p), low, high
 
 
-def _fold(segments, trail, s11, s22, s12):
+def _fold(segments, s11, s22, s12):
     """The state (s11, s22, s12, None, None) after segments, from entries
-    s11, s22, s12, each segment's entries appended to trail; None where the
-    state leaves a segment's range, or the gate or the underflow test
-    fails on a segment's entries."""
+    s11, s22, s12; None where the state leaves a segment's range, or the
+    gate or the underflow test fails on a segment's entries. It reads and
+    keeps nothing else: a function of the segments and one state."""
     for _, step, low, high in segments:
         if low is None:  # a decohere run: its result needs no gate
             for k in step:
@@ -702,24 +705,7 @@ def _fold(segments, trail, s11, s22, s12):
                 return None
             if s11 + s22 <= 0.0:
                 return None
-        trail.append((s11, s22, s12))
     return s11, s22, s12, None, None
-
-
-def _between(stages, first, entries, fold):
-    """The entries after each stage, from evaluate's trail: those the stage
-    loop appended, then one per segment in fold. The stages of each such
-    segment but its last run the stage loop again, with its gates, from
-    the fold's entries before the segment; the last's are the fold's."""
-    ran = len(entries) - len(fold)
-    out = entries[:ran]
-    state = out[-1] if out else (first.s11, first.s22, first.s12)
-    stops = [segment[0] for segment in fold[1:]] + [len(stages)]
-    for (start, *_), stop, state_after in zip(fold, stops, entries[ran:]):
-        _walk(stages[start:stop - 1], out, *state)
-        out.append(state_after)
-        state = state_after
-    return out
 
 
 def _classify_at(stage, stokes, tol):

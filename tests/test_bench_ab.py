@@ -53,6 +53,11 @@ def test_traffic_counts_entries_of_every_workload():
     # state-sweep evaluates one parsed circuit again and again: every op
     # folds its compiled segments, and none runs the stage loop.
     assert counts["circuit._fold"][1] > 0 and counts["circuit._walk"][1] == 0
+    # No timed in-process workload reads a report's records, and long-chain,
+    # from Jones inputs without decohere, compiles no segments: work that
+    # moves into a records read, or into the compile, costs them nothing.
+    assert counts["circuit.SimulationReport.__getattr__"][:2] == [0, 0]
+    assert counts["circuit._compile"][0] == 0
 
 
 @pytest.mark.parametrize("script", ["ab.py", "differential.py"])

@@ -322,11 +322,21 @@ def test_hand_built_ast_checks_lambda_at_evaluation():
     ((("phi", 1.0),), "rotate takes theta"),
     ((), "rotate takes theta"),
     ((("lam", 0.1),), "decohere takes lambda"),
-], ids=["atten-reversed", "rotate-misnamed", "rotate-empty", "decohere-misnamed"])
+    ((("theta", "1"),), "rotate theta must be a real number"),
+    ((("theta", True),), "rotate theta must be a real number"),
+    ((("phi", None),), "phase phi must be a real number"),
+    ((("eta", 1 + 2j),), "squeeze eta must be a real number"),
+    ((("eta1", 0.1), ("eta2", None)), "atten eta2 must be a real number"),
+    ((("lambda", "0.1"),), "decohere lambda must be a real number"),
+], ids=["atten-reversed", "rotate-misnamed", "rotate-empty", "decohere-misnamed", "rotate-str",
+        "rotate-bool", "phase-none", "squeeze-complex", "atten-none", "decohere-str"])
 def test_hand_built_stage_names_its_parameters_in_order(params, message, inp):
     # Stages read their values by position, so a hand-built stage of a known
     # kind must name its kind's parameters in order, or it would run as
-    # another stage: atten with eta2 first as atten(eta1=0.5, eta2=0).
+    # another stage: atten with eta2 first as atten(eta1=0.5, eta2=0). Each
+    # value must be an int or a float, not a bool: a string or True would
+    # run as its float, and None or a complex would fail unlocated, inside
+    # the arithmetic.
     name = message.split()[0]
     stages = (Stage("phase", (("phi", 0.2),), 1, 1), Stage(name, params, 3, 7))
     with pytest.raises(CircuitSemanticError) as err:
@@ -337,6 +347,9 @@ def test_hand_built_stage_names_its_parameters_in_order(params, message, inp):
     parsed = parse("atten(eta2=0.5, eta1=0.0)")
     ast = CircuitAst((Stage("atten", (("eta1", 0.0), ("eta2", 0.5))),))
     assert ast == parsed and evaluate(ast, inp) == evaluate(parsed, inp)
+    # An int is a real number, and runs as its float.
+    ast = CircuitAst((Stage("rotate", (("theta", 1),)),))
+    assert evaluate(ast, inp) == evaluate(parse("rotate(theta=1)"), inp)
 
 
 def test_parse_and_report_reject_what_they_do_not_hold():

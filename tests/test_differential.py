@@ -442,11 +442,11 @@ def test_repeated_evaluation_rebuilds_only_amplitude_elements(monkeypatch):
     assert len(built) == 12
     # The first Stokes-input evaluation compiles the segments, each stage's
     # entries once, and keeps them on the AST. A read of records runs the
-    # stage loop over the segment's stages but its last, and a stage keeps
-    # nothing, so each such read computes those three stages' entries. A
-    # later evaluation calls no action; == reads both reports' stages,
-    # the new report's for the first time: three more. No path reads
-    # element entries.
+    # stage loop over every stage but the last, and a stage keeps nothing,
+    # so each such read computes those three stages' entries. A later
+    # evaluation calls no action; == reads both reports' stages, the new
+    # report's for the first time: three more. No path reads element
+    # entries.
     assert len(second.stages) == 4 and len(built) == 15
     read = []
     entries2 = states._entries2
@@ -459,8 +459,12 @@ def test_repeated_evaluation_rebuilds_only_amplitude_elements(monkeypatch):
     # on the amplitude track and the first decohere's e^-2 lambda, where
     # that track stops, and then compiles the segments, each stage's
     # entries or e^-2 lambda once; a repeat computes again what it meets
-    # before its first decohere, that decohere's e^-2 lambda too. Every
-    # segment is a run of one, so a read of records walks no stage.
+    # before its first decohere, that decohere's e^-2 lambda too. A read of
+    # records walks the stage loop on from where evaluate's stopped, up to
+    # the last stage: a Stokes input's read computes rotate's and
+    # squeeze's entries and the first e^-2 lambda; a Jones input's, whose
+    # amplitudes ran rotate, computes squeeze's entries and that e^-2
+    # lambda.
     decays, channel = [], []
     decay = decoherence._decay
     monkeypatch.setattr(decoherence, "_decay", lambda *a: decays.append(a) or decay(*a))
@@ -470,9 +474,9 @@ def test_repeated_evaluation_rebuilds_only_amplitude_elements(monkeypatch):
     assert len(built) == 21 and decays == [(0.5,), (0.5,), (30.0,)]
     del read[:]
     assert evaluate(ast, mixed) == first[1]
-    assert len(built) == 21 and len(decays) == 3 and read == [] and channel == []
+    assert len(built) == 25 and decays[3:] == [(0.5,)] * 2 and read == [] and channel == []
     assert evaluate(ast, jones) == first[0]
-    assert len(built) == 22 and decays[3:] == [(0.5,)] and channel == []
+    assert len(built) == 28 and decays[5:] == [(0.5,)] * 3 and channel == []
 
 
 def test_evaluate_carries_one_state(monkeypatch):
@@ -504,10 +508,11 @@ def test_evaluate_builds_records_on_first_read(monkeypatch):
     # decohere, an outer product whose size is in the gate's plain range
     # is not gated, since it always passes; nor is a decohere segment's
     # output, which passes wherever its input did. Reading .stages builds
-    # the records, and the matrices between stages, once: within each
-    # folded coherent segment it gates the state after each stage but the
-    # last, walked from the fold's state before the segment, and checks
-    # nothing else again.
+    # the records, and the matrices between stages, once: it runs the
+    # stage loop on from where evaluate's stopped, gating the state after
+    # each coherent stage but the last, and checks nothing else again. The
+    # fold's gates saw the fold's own entries, which _fold, a function of
+    # the segments and one state, gives again.
     rng = random.Random(1111)
     built, checked = [], []
     post_init, check = CoherencyMatrix.__post_init__, states._check_coherency
@@ -531,7 +536,7 @@ def test_evaluate_builds_records_on_first_read(monkeypatch):
             skipped = coherent if isinstance(inp, JonesVector) else 0
             folded = [run for run in runs if run[0] > skipped and names[run[0] - 1] != "decohere"]
             gates = [0] + [run[-1] for run in folded]
-            walked = [i for run in folded for i in run[:-1]]
+            walked = [i for i in range(skipped + 1, len(names)) if names[i - 1] != "decohere"]
             del built[:], checked[:]
             report = evaluate(ast, inp)
             assert len(checked) == len(gates) and len(built) == 1
@@ -544,10 +549,15 @@ def test_evaluate_builds_records_on_first_read(monkeypatch):
             assert report.stages is stages and len(checked) == len(gates) + len(walked)
             matrices = [built[0], *(r.coherency_after for r in stages)]
             entries = [(c.s11, c.s22, c.s12) for c in matrices]
-            assert [entries[i] for i in gates + walked] == checked
+            assert [entries[i] for i in [0] + walked] == checked[:1] + checked[len(gates):]
+            segments = circuit._segments(ast)
+            fold = segments[1:] if skipped else segments
+            ends = [k for k, (_, _, low, _) in enumerate(fold) if low is not None]
+            assert [circuit._fold(fold[:k + 1], *entries[skipped])[:3] for k in ends] == checked[1:len(gates)]
+            assert checked[len(gates) - 1] == entries[-1] or fold[-1][2] is None
             for s11, s22, s12 in entries[1:1 + skipped]:
                 assert states._SQUARE_MIN <= s11 + s22 <= states._SQUARE_MAX
-            for i in set(range(len(entries))) - set(gates) - set(walked):
+            for i in set(range(len(entries))) - {0} - set(walked):
                 check(*entries[i])
     monkeypatch.undo()
     # A report whose stages were never read behaves as one built eagerly.
@@ -603,6 +613,43 @@ def test_a_failing_fold_step_defers_to_the_stage_loop(monkeypatch):
     assert err.value.message == "stage rotate: coherency matrix must be positive semidefinite: det = -1"
 
 
+def test_records_do_not_depend_on_the_path_evaluate_took(monkeypatch):
+    # A report's records are the stage loop's, continued from where
+    # evaluate's own loop stopped, whether the fold vouched for the result
+    # or evaluate ran the stage loop instead; only the last record holds
+    # the final state, the fold's where it ran. The input scaled by 2^-520
+    # lies below the segments' range, so its evaluate runs the stage loop;
+    # a power of two scales every entry exactly.
+    ast = parse("rotate(theta=0.3); squeeze(eta=0.7); phase(phi=1.1); decohere(lambda=0.2); "
+                "rotate(theta=-0.9); squeeze(eta=-0.4); atten(eta1=0.1, eta2=0.3); "
+                "decohere(lambda=0.1); phase(phi=0.5)")
+    values = (1.0, 0.3, -0.5, 0.6)
+    folded = evaluate(ast, StokesVector(*values))
+    small = evaluate(ast, StokesVector(*(math.ldexp(x, -520) for x in values)))
+
+    def rescaled(c, n):
+        return math.ldexp(c.s11, n), math.ldexp(c.s22, n), complex(math.ldexp(c.s12.real, n),
+                                                                    math.ldexp(c.s12.imag, n))
+
+    def entries(report, n=0):
+        return [(r.stage, r.params, r.tol, rescaled(r.coherency_before, n), rescaled(r.coherency_after, n))
+                for r in report.stages]
+
+    assert len(vars(folded)["_trail"][-1]) == 1 and len(vars(small)["_trail"][-1]) == 10  # the paths
+    assert len(folded.stages) == len(small.stages) == 9
+    assert entries(small, 520)[:-1] == entries(folded)[:-1]
+    assert entries(small, 520)[-1][3] == entries(folded)[-1][3]
+    assert folded.stages[-1].coherency_after is folded.final_coherency
+    assert small.stages[-1].coherency_after is small.final_coherency
+    # The same input with the fold declined: the stage loop runs from the
+    # input, and every record but the last is the folded report's.
+    monkeypatch.setattr(circuit, "_fold", lambda *args: None)
+    fallback = evaluate(ast, StokesVector(*values))
+    assert fallback.stages[:-1] == folded.stages[:-1]
+    assert fallback.stages[-1].coherency_before == folded.stages[-1].coherency_before
+    assert fallback.stages[-1].coherency_after is fallback.final_coherency
+
+
 def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
     # The AST keeps its segments, each coherent one's conjugation constants
     # computed once: after a Stokes-input evaluate, a Jones-input one of the
@@ -635,14 +682,15 @@ def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
     del computed[:]
     reports = [evaluate(ast, inp) for inp in (jones, stokes, jones)]
     assert computed == []
-    # A read of records runs the stage loop over each folded segment's
-    # stages but its last and computes their constants again: a Stokes
-    # input's read walks rotate, atten and phase (3), a Jones input's, whose
-    # amplitudes ran the first segment, phase alone (1). == reads the stages
-    # of both reports, and the fresh ones' were read above: 1 + 3 + 1 + 3.
+    # A read of records runs the stage loop on from where evaluate's
+    # stopped, up to the last stage, and computes the constants of its
+    # coherent stages again: a Stokes input's read walks rotate, atten,
+    # squeeze and phase (4), a Jones input's, whose amplitudes ran the
+    # first segment, phase alone (1). == reads the stages of both reports,
+    # and the fresh ones' were read above: 1 + 4 + 1 + 4.
     assert reports == [fresh[inp] for inp in (jones, stokes, jones)] and first == fresh[stokes]
-    assert len(computed) == 8
-    assert evaluate(ast, stokes).stages == first.stages and len(computed) == 11
+    assert len(computed) == 10
+    assert evaluate(ast, stokes).stages == first.stages and len(computed) == 14
     # final_purity is built on its first read, and kept.
     for inp in (stokes, jones):
         report = evaluate(ast, inp)

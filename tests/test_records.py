@@ -172,11 +172,16 @@ def test_evaluate_keeps_nothing_on_a_stage():
         evaluate(ast, inp)
     # An intensity below the range where squares stay normal floats
     # leaves the first segment's range of gain: the stage loop runs
-    # instead of the fold. Reading the records of a folded Stokes input
-    # runs the stage loop over a segment's stages but its last.
+    # instead of the fold, and the report keeps the input's entries and
+    # those it walked, one per stage. A folded Stokes input's report keeps
+    # the input's alone; reading its records runs the stage loop over every
+    # stage but the last.
     fallback = evaluate(ast, StokesVector(1e-160, 5e-161, 0, 0))
-    assert vars(fallback)["_trail"][-1] is None and len(fallback.stages) == 4
-    assert len(evaluate(ast, StokesVector(1, 0.5, 0, 0)).stages) == 4
+    assert len(vars(fallback)["_trail"]) == 4 and len(vars(fallback)["_trail"][-1]) == 5
+    assert len(fallback.stages) == 4
+    folded = evaluate(ast, StokesVector(1, 0.5, 0, 0))
+    assert len(vars(folded)["_trail"]) == 4 and len(vars(folded)["_trail"][-1]) == 1
+    assert len(folded.stages) == 4
     assert vars(ast)["_segments"] is segments
     assert [list(vars(st)) for st in ast.stages] == [fields] * 4
     assert list(vars(ast)) == ["stages", "_segments"]
@@ -197,8 +202,8 @@ def test_concurrent_first_evaluations_keep_one_segment_tuple(monkeypatch):
     # Two threads evaluate one fresh AST at once. A barrier holds each
     # inside the compile until the other has compiled too, so both build
     # segments; each then folds through the tuple the AST stored first.
-    compile_ = circuit._compile
-    barrier, built = threading.Barrier(2, timeout=30), []
+    compile_, fold = circuit._compile, circuit._fold
+    barrier, built, folded = threading.Barrier(2, timeout=30), [], []
 
     def compile_both(stages):
         segments = compile_(stages)
@@ -207,6 +212,8 @@ def test_concurrent_first_evaluations_keep_one_segment_tuple(monkeypatch):
         return segments
 
     monkeypatch.setattr(circuit, "_compile", compile_both)
+    monkeypatch.setattr(circuit, "_fold", lambda segments, *entries: folded.append(segments)
+                        or fold(segments, *entries))
     text = "rotate(theta=0.3); squeeze(eta=0.5); decohere(lambda=0.2); phase(phi=0.4); atten(eta1=0.1, eta2=0.3)"
     ast, inp = parse(text), StokesVector(1.0, 0.3, 0.2, 0.1)
     reports = [None, None]
@@ -220,7 +227,8 @@ def test_concurrent_first_evaluations_keep_one_segment_tuple(monkeypatch):
     assert len(built) == 2 and built[0] is not built[1] and built[0] == built[1]
     kept = vars(ast)["_segments"]
     assert list(vars(ast)) == ["stages", "_segments"] and any(kept is segments for segments in built)
-    assert all(vars(report)["_trail"][-1] is kept for report in reports)
+    assert len(folded) == 2 and all(segments is kept for segments in folded)
+    assert all(len(vars(report)["_trail"][-1]) == 1 for report in reports)
     monkeypatch.undo()
     assert reports[0] == reports[1] == evaluate(parse(text), inp)
 

@@ -12,8 +12,8 @@ and formula of the package's 2x2 product, applied with conjugate; a run
 of decohere stages is applied stage by stage.
 Where the state's size times a run's range of gain leaves the normal
 square range, or a step fails, the reference runs stage by stage from
-the input instead. Records within a folded run are walked stage by stage
-from the state before it, and its last record holds the fold's state.
+the input instead. Records are the stage loop continued from where
+evaluate's loop stopped; the last holds the final state.
 Every report, record and rejection must agree bit for bit: the same
 floats, the same error class, message, line and column. Circuits reach
 |eta| up to 40 and lambda up to 50; inputs reach intensities from 1e-300
@@ -154,20 +154,13 @@ def reference(ast, inp, tol):
         coh, jones = step(stage, coh, jones)
         records.append(StageRecord(stage.name, stage.params, before, coh, tol))
     runs = fold(stages[len(records):], coh)
-    if runs is None:
-        for stage in stages[len(records):]:
-            before = coh
-            coh, jones = step(stage, coh, jones)
-            records.append(StageRecord(stage.name, stage.params, before, coh, tol))
-    else:
-        for run, after in runs:
-            jones = None
-            for stage in run[:-1]:
-                before = coh
-                coh = step(stage, coh, None)[0]
-                records.append(StageRecord(stage.name, stage.params, before, coh, tol))
-            records.append(StageRecord(run[-1].name, run[-1].params, coh, after, tol))
-            coh = after
+    for stage in stages[len(records):] if runs is None else stages[len(records):-1]:
+        before = coh
+        coh, jones = step(stage, coh, jones)
+        records.append(StageRecord(stage.name, stage.params, before, coh, tol))
+    if runs:
+        records.append(StageRecord(stages[-1].name, stages[-1].params, coh, runs[-1][1], tol))
+        coh, jones = runs[-1][1], None
     final = stokes_from_coherency(coh)
     try:
         cls = classify(final, tol)
