@@ -171,10 +171,11 @@ class CircuitAst(_Record):
     compared field: the circuit's one memo.
 
     A stage of a known kind must name its kind's parameters, in order,
-    each with an int or float value (not a bool); else a located
-    CircuitSemanticError. The parser builds through _checked, so no parse
-    runs this; an unknown stage name, and a value that is not finite or
-    is negative where it must not be, fail at evaluate."""
+    each with an int or float value (not a bool) within the float range;
+    else a located CircuitSemanticError. The parser builds through
+    _checked, so no parse runs this; an unknown stage name, and a value
+    that is not finite or is negative where it must not be, fail at
+    evaluate."""
 
     stages: tuple
 
@@ -190,6 +191,10 @@ class CircuitAst(_Record):
             for key, value in stage.params if kind else ():
                 if value.__class__ is bool or not isinstance(value, (int, float)):
                     raise CircuitSemanticError(f"{stage.name} {key} must be a real number", stage.line, stage.col)
+                try:
+                    float(value)
+                except OverflowError:  # an int beyond the float range, as the parser words it
+                    raise CircuitSemanticError("number out of range", stage.line, stage.col) from None
 
 
 class _Arg(NamedTuple):

@@ -103,7 +103,10 @@ def _squeezer(eta):
 
 
 def _attenuator(eta1, eta2):
-    eta1, eta2 = float(eta1), float(eta2)
+    try:
+        eta1, eta2 = float(eta1), float(eta2)
+    except OverflowError:  # an int beyond the float range
+        raise PhysicsError("attenuation exponents are beyond the float range") from None
     if not (math.isfinite(eta1) and math.isfinite(eta2)):
         raise PhysicsError("attenuation exponents must be finite")
     if eta1 < 0.0 or eta2 < 0.0:
@@ -170,7 +173,10 @@ def split_angle(ratio) -> float:
     enters in beam 1; theta = -2 arccos(sqrt(ratio)), so ratio = 0.5
     gives theta = -pi/2 (an even splitter).
     """
-    ratio = float(ratio)
+    try:
+        ratio = float(ratio)
+    except OverflowError:  # an int beyond the float range
+        ratio = math.inf
     if not math.isfinite(ratio) or not 0.0 <= ratio <= 1.0:
         raise PhysicsError("split ratio must lie in [0, 1]")
     return -2.0 * math.acos(math.sqrt(ratio))

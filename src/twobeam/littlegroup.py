@@ -206,7 +206,10 @@ class InterpolationParams(_Record):
 
     @classmethod
     def from_angles(cls, theta, eta):
-        theta, eta = float(theta), float(eta)
+        try:
+            theta, eta = float(theta), float(eta)
+        except OverflowError:  # an int beyond the float range
+            raise PhysicsError("theta or eta is beyond the float range") from None
         if not (math.isfinite(theta) and math.isfinite(eta)):
             raise PhysicsError("theta and eta must be finite")
         if eta < 0.0:

@@ -467,7 +467,10 @@ def _in_range(x, what):  # x, unless it is inf or NaN, a value beyond the float 
 
 def _finite(x, what):
     """x as a float, which must be finite; what names it in the error."""
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:  # an int beyond the float range
+        raise PhysicsError(f"{what} is beyond the float range") from None
     if not math.isfinite(x):
         raise PhysicsError(f"{what} must be finite")
     return x

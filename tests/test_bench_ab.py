@@ -1,6 +1,8 @@
 """bench/ab.py run A/A on this working tree: in process with tiny sizes, one cli-mix round and
-a small batch; bench/traffic.py on this tree with tiny sizes; and a revision git cannot read."""
+a small batch; bench/traffic.py on this tree with tiny sizes; bench/mutants.py's table against
+src/; and a revision git cannot read."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +45,8 @@ def test_ab_batch_mode_times_states_through_one_long_circuit():
 
 
 def test_traffic_counts_entries_of_every_workload():
+    """Contract: no timed workload runs the stage loop or reads records
+    where it need not, read from bench/traffic.py's per-workload counts."""
     cmd = [sys.executable, str(ROOT / "bench" / "traffic.py"), "--ops", "2", "--stages", "10"]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -58,6 +62,23 @@ def test_traffic_counts_entries_of_every_workload():
     # moves into a records read, or into the compile, costs them nothing.
     assert counts["circuit.SimulationReport.__getattr__"][:2] == [0, 0]
     assert counts["circuit._compile"][0] == 0
+    # Neither reads a stage's numbers through an Element2 or a decohere
+    # stage through decohere_channel.
+    assert counts["states._entries2"][:2] == [0, 0] and counts["decoherence.decohere_channel"][:2] == [0, 0]
+
+
+def test_every_mutant_names_text_found_once_in_src(monkeypatch):
+    """bench/mutants.py's table stays live: each mutant's old text occurs
+    exactly once in its file under src/, and its new text differs. Runs
+    no pytest child."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "bench" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({mutant.name for mutant in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for mutant in mutants.MUTANTS:
+        assert mutant.path.startswith("src/") and mutant.old != mutant.new, mutant.name
+        assert (ROOT / mutant.path).read_text().count(mutant.old) == 1, mutant.name
 
 
 @pytest.mark.parametrize("script", ["ab.py", "differential.py"])

@@ -68,6 +68,9 @@ MALFORMED = [
 
 
 def test_golden_round_trip():
+    """Contract: unparse's canonical text parses back to the AST, through
+    the stage scanner (hook: circuit._scan, which must accept it), and is
+    a fixed point of unparse(parse(...))."""
     for text in GOLDEN:
         ast = parse(text)
         canonical = unparse(ast)
@@ -110,9 +113,10 @@ def test_split_normalization():
 
 
 def test_canonical_stages_skip_the_general_validator(monkeypatch):
-    # Every valid stage, its arguments in any order or split's ratio, is
-    # checked in place by the scanner; only rejected text reaches
-    # _validate_stage.
+    """Contract: every valid stage, its arguments in any order or split's
+    ratio, is checked in place by the stage scanner; only rejected text
+    reaches the token parser's validator (hook: circuit._validate_stage,
+    recording its calls)."""
     calls = []
     validate = circuit._validate_stage
     monkeypatch.setattr(circuit, "_validate_stage", lambda *a: calls.append(a) or validate(*a))

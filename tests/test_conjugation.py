@@ -161,6 +161,10 @@ def family_inputs():
 
 
 def test_is_lorentz_reaches_the_formula_decision():
+    """Contract: the Lorentz decision Transform4.lorentz reads (hook:
+    states._is_lorentz) is the reference formula's, on scans that cross
+    its tolerance and on family matrices (hook: littlegroup._family_matrix,
+    their entries)."""
     decisions = []
     for e in edge_inputs():
         decision = _is_lorentz(e)

@@ -10,13 +10,17 @@ import pytest
 from twobeam import (
     STAGES,
     UNIMODULAR_TOL,
+    CoherencyMatrix,
     Element2,
+    InterpolationParams,
     JonesVector,
     NonFiniteError,
     PhysicsError,
     attenuator,
     coherency_from_jones,
     compose,
+    decohere_channel,
+    f1,
     lift,
     phase4,
     phase_shifter,
@@ -203,6 +207,25 @@ def test_finite_parameter_required():
             ctor(math.inf)
     with pytest.raises(PhysicsError, match="attenuation exponents must be finite"):
         attenuator(math.inf, 0)
+
+
+def test_an_int_beyond_the_float_range_is_a_named_physics_error():
+    # float(10**400) raises OverflowError; each constructor reports the
+    # parameter it could not read instead.
+    named = [(ctor, f"{name} is beyond the float range") for ctor, name in (
+        (rotator, "theta"), (phase_shifter, "phi"), (squeezer, "eta"), (rotator4, "theta"), (phase4, "phi"),
+        (squeeze4, "eta"), (f1, "u"), (lambda x: decohere_channel(CoherencyMatrix(1, 1, 0), x), "lambda"))]
+    for call, message in named + [
+        (lambda x: attenuator(x, 0), "attenuation exponents are beyond the float range"),
+        (lambda x: attenuator(0, x), "attenuation exponents are beyond the float range"),
+        (split_angle, "split ratio must lie in [0, 1]"),
+        (lambda x: InterpolationParams.from_angles(x, 1), "theta or eta is beyond the float range"),
+        (lambda x: InterpolationParams.from_angles(1, x), "theta or eta is beyond the float range"),
+    ]:
+        for x in (10**400, -10**400):
+            with pytest.raises(PhysicsError) as err:
+                call(x)
+            assert err.type is PhysicsError and str(err.value) == message
 
 
 def test_squeeze4_overflow_is_plain():

@@ -17,6 +17,8 @@ def test_star_import_resolves_all(name):
 
 
 def test_package_reexports_resolve():
+    """Contract: the package re-exports each module's __all__, by attribute
+    and by star import, and nothing private (twobeam._finite is absent)."""
     package = importlib.import_module("twobeam")
     namespace = {}
     exec("from twobeam import *", namespace)

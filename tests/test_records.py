@@ -31,9 +31,9 @@ from twobeam import (
     evaluate,
     parse,
 )
-from twobeam import circuit, decoherence
-from twobeam.circuit import STAGES, Stage
-from twobeam.states import _FirstRead, _Record, _conjugation
+from twobeam import circuit
+from twobeam.circuit import Stage
+from twobeam.states import _FirstRead, _Record
 
 IDENTITY16 = [1.0 if i % 5 == 0 else 0.0 for i in range(16)]
 
@@ -156,52 +156,27 @@ def test_defaults_keywords_and_match_args():
 
 
 def test_evaluate_keeps_nothing_on_a_stage():
-    # The AST keeps its segments, compiled on the first evaluate that
-    # leaves the amplitude track, outside its compared fields. A Stage
-    # keeps its four fields and nothing else, whichever path reads its
-    # numbers: the amplitude track, the fold, the stage loop of a fallback
-    # or a read of records.
+    """Contract: a Stage keeps its four fields and nothing else, whichever
+    path reads its numbers: the amplitude track, the fold, the stage loop
+    of a fallback (an intensity below the segments' range) or a read of
+    records; and what the AST keeps is outside its compared fields, so
+    ==, hash and repr see the circuit alone. Observed through vars() of
+    the public records."""
     ast = parse("rotate(theta=0.3); decohere(lambda=0.1); squeeze(eta=0.2); phase(phi=0.4)")
-    rotate, decohere, squeeze, phase = ast.stages
-    fields = ["name", "params", "line", "col"]
-    evaluate(ast, JonesVector(1, 0.5j))
-    assert [list(vars(st)) for st in ast.stages] == [fields] * 4
-    assert list(vars(ast)) == ["stages", "_segments"]
-    segments = vars(ast)["_segments"]
-    for inp in (StokesVector(1, 0.5, 0, 0), StokesVector(1, 0, 0.5, 0), JonesVector(1, 0.5j)):
-        evaluate(ast, inp)
-    # An intensity below the range where squares stay normal floats
-    # leaves the first segment's range of gain: the stage loop runs
-    # instead of the fold, and the report keeps the input's entries and
-    # those it walked, one per stage. A folded Stokes input's report keeps
-    # the input's alone; reading its records runs the stage loop over every
-    # stage but the last.
-    fallback = evaluate(ast, StokesVector(1e-160, 5e-161, 0, 0))
-    assert len(vars(fallback)["_trail"]) == 4 and len(vars(fallback)["_trail"][-1]) == 5
-    assert len(fallback.stages) == 4
-    folded = evaluate(ast, StokesVector(1, 0.5, 0, 0))
-    assert len(vars(folded)["_trail"]) == 4 and len(vars(folded)["_trail"][-1]) == 1
-    assert len(folded.stages) == 4
-    assert vars(ast)["_segments"] is segments
-    assert [list(vars(st)) for st in ast.stages] == [fields] * 4
-    assert list(vars(ast)) == ["stages", "_segments"]
-    assert ast == CircuitAst(ast.stages) and rotate == Stage("rotate", (("theta", 0.3),))
-    # Each segment keeps numbers, no record: its first stage's index; a
-    # coherent run's conjugation constants of its Jones matrix and its
-    # range of gain; a decohere run's e^-2 lambda per stage. A run of one
-    # keeps its stage's own constants.
-    assert [start for start, _, _, _ in segments] == [0, 1, 2]
-    for _, step, low, high in segments[::2]:
-        assert [type(x) for x in step] == [float] * 2 + [complex] + [float] * 2 + [complex] * 7
-        assert type(low) is type(high) is float and 0.0 < low <= high
-    assert segments[0][1] == _conjugation(STAGES["rotate"].action(0.3))
-    assert segments[1][1:] == ((decoherence._decay(0.1),), None, None)
+    for inp in (JonesVector(1, 0.5j), StokesVector(1, 0.5, 0, 0), StokesVector(1e-160, 5e-161, 0, 0)):
+        report = evaluate(ast, inp)
+        assert len(report.stages) == 4
+        assert [list(vars(st)) for st in ast.stages] == [["name", "params", "line", "col"]] * 4
+    fresh = CircuitAst(ast.stages)
+    assert ast == fresh and hash(ast) == hash(fresh) and repr(ast) == repr(fresh)
+    assert ast.stages[0] == Stage("rotate", (("theta", 0.3),))
 
 
 def test_concurrent_first_evaluations_keep_one_segment_tuple(monkeypatch):
-    # Two threads evaluate one fresh AST at once. A barrier holds each
-    # inside the compile until the other has compiled too, so both build
-    # segments; each then folds through the tuple the AST stored first.
+    """Contract: threads that race to compile one AST all fold through one
+    segment tuple, the one stored first, and later evaluations compile
+    nothing. Hooks: circuit._compile, held at a barrier until both threads
+    have compiled, and circuit._fold, recording the tuple each folds."""
     compile_, fold = circuit._compile, circuit._fold
     barrier, built, folded = threading.Barrier(2, timeout=30), [], []
 
@@ -225,10 +200,9 @@ def test_concurrent_first_evaluations_keep_one_segment_tuple(monkeypatch):
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
     assert len(built) == 2 and built[0] is not built[1] and built[0] == built[1]
-    kept = vars(ast)["_segments"]
-    assert list(vars(ast)) == ["stages", "_segments"] and any(kept is segments for segments in built)
-    assert len(folded) == 2 and all(segments is kept for segments in folded)
-    assert all(len(vars(report)["_trail"][-1]) == 1 for report in reports)
+    assert len(folded) == 2 and folded[0] is folded[1] and any(folded[0] is segments for segments in built)
+    evaluate(ast, inp)
+    assert len(built) == 2 and folded[2] is folded[0]
     monkeypatch.undo()
     assert reports[0] == reports[1] == evaluate(parse(text), inp)
 
@@ -287,6 +261,10 @@ def checked_values():
 
 
 def test_checked_builds_the_record_without_its_hook(monkeypatch):
+    """Contract: a record class's _checked, the constructor for values the
+    library has checked already, stores what __init__ stores without
+    running __post_init__, and takes exactly one value per field. Hooks:
+    _checked itself, on every _Record subclass of the package."""
     values = checked_values()
     assert set(record_classes()) == set(values)
     hooks = []
@@ -326,6 +304,10 @@ def converted_fields(cls):
 
 
 def test_constructors_convert_fields_annotated_float_or_complex():
+    """Contract: a record's constructor stores each field annotated float
+    or complex converted to exactly that class, and rejects a non-finite
+    one with its class's message. Hook: _Record, to list every record
+    class of the package."""
     assert {cls for cls in record_classes() if converted_fields(cls)} == set(CONVERTED)
     for cls, (values, error, message) in CONVERTED.items():
         for i, t in converted_fields(cls):
@@ -359,6 +341,9 @@ def run_python(code):
 
 
 def test_checked_is_compiled_on_its_first_call():
+    """Contract: a record class's _checked and its dataclass view are built
+    on their first read, once per class, and kept on it; importing the
+    package builds neither. Hooks: _Record, _FirstRead and _checked."""
     class Pair(_Record):
         x: float
         y: complex

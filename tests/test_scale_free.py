@@ -136,9 +136,10 @@ DARK = st.just(0j)
 @settings(derandomize=True, database=None, deadline=None, max_examples=500)
 @given(st.tuples(AMPLITUDE, AMPLITUDE) | st.tuples(AMPLITUDE, DARK) | st.tuples(DARK, AMPLITUDE))
 def test_outer_products_of_plain_size_pass_the_gate(amplitudes):
-    # evaluate's amplitude track runs no gate on an outer product whose
-    # size s11 + s22 lies in [_SQUARE_MIN, _SQUARE_MAX]: there the gate
-    # always accepts it, rounding and subnormal components included.
+    """Contract: the gate always accepts an outer product whose size
+    s11 + s22 lies in [_SQUARE_MIN, _SQUARE_MAX], rounding and subnormal
+    components included, which is why evaluate's amplitude track runs no
+    gate there. Hooks: states._outer, _check_coherency and the range."""
     s11, s22, s12 = _outer(*amplitudes)
     if _SQUARE_MIN <= s11 + s22 <= _SQUARE_MAX:
         _check_coherency(s11, s22, s12)
@@ -179,10 +180,12 @@ DECAY = st.sampled_from((0.0, 5e-324, 1.0)) | st.floats(0.0, 1.0, exclude_min=Tr
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 @given(GATED, DECAY)
 def test_decoherence_keeps_gated_entries_gated(entries, k):
-    # evaluate runs no gate after a decohere stage, which scales s12 by
-    # k = e^-2 lambda in [0, 1] as below, and decohere_channel builds its
-    # result unchecked: s11 and s22 stay, and neither rounded part of s12
-    # grows, so the gate's determinant only grows.
+    """Contract: entries that pass the gate pass it again after a decohere
+    stage, which scales s12 by k = e^-2 lambda in [0, 1] as below: s11
+    and s22 stay, and neither rounded part of s12 grows, so the gate's
+    determinant only grows. So evaluate runs no gate there and
+    decohere_channel builds its result unchecked. Hooks:
+    states._check_coherency, the gate, and CoherencyMatrix._checked."""
     s11, s22, s12 = entries
     out = complex(k * s12.real, k * s12.imag)
     assert abs(out.real) <= abs(s12.real) and abs(out.imag) <= abs(s12.imag)

@@ -389,6 +389,10 @@ def gate_cases():
 
 @pytest.mark.parametrize("s11, s22, s12, outcome", gate_cases())
 def test_coherency_gate_outcomes_on_both_sides_of_its_fast_path(s11, s22, s12, outcome):
+    """Contract: the gate evaluate runs on plain entries (hook:
+    states._check_coherency) accepts and rejects exactly as building a
+    CoherencyMatrix does, with the same class and message, on both sides
+    of its in-range fast path."""
     for check in (states._check_coherency, CoherencyMatrix):
         try:
             check(s11, s22, s12)

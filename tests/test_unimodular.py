@@ -167,6 +167,9 @@ def computed_bound(entries):
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
 @given(chains(longest=50), chains(("rotate", "squeeze"), longest=50))
 def test_each_gate_rejects_a_det_moved_past_ten_times_its_bound(elements, real_elements):
+    """Contract: each determinant gate rejects a det moved past ten times
+    its bound. Hook: Element2._checked, to hand compose a perturbed
+    element that its own constructor would reject."""
     g = compose(*elements)
     entries = [g.alpha, g.beta, g.gamma, g.delta]
     with pytest.raises(PhysicsError, match="element must be unimodular"):
