@@ -2,22 +2,22 @@
 package, must make at least one test fail.
 
     python3 bench/mutants.py
-    python3 bench/mutants.py tests/test_records.py tests/test_differential.py
 
 The working tree is copied to a temporary directory as bench/record.py
-copies it (tracked and untracked files, not ignored ones). The named
-test files, or by default TESTS, are run there once unchanged, and must
-pass. Then, for each mutant in MUTANTS in turn, the script replaces its
+copies it (tracked and untracked files, not ignored ones). The tests in
+TESTS, against which each mutant in the table was checked, are run
+there once unchanged, and must pass. Then, for each mutant in MUTANTS in turn, the script replaces its
 old text, which must occur exactly once in its file, by its new text,
 runs the tests on that copy with pytest, and restores the file.
 Bytecode writing is off, so no run reads another's cached module.
 
 It prints one line per mutant: "killed" with the ids of the tests that
-failed, or "survived". It exits with status 1 if any mutant survived,
-and 2 if the unchanged tests fail.
+failed, or "survived". A mutant counts as killed only when pytest
+reports failed tests (status 1); any other status, such as a mutant
+that does not import or collect, stops the script with status 2, as do
+failing unchanged tests. It exits with status 1 if any mutant survived.
 """
 
-import argparse
 import os
 import subprocess
 import sys
@@ -69,6 +69,12 @@ MUTANTS = (
     # The AST keeps its first fold's result, so a report depends on what it evaluated before.
     Mutant("fold-result-memo", CIRCUIT, "fold = _fold(segments[1:] if ran else segments, s11, s22, s12)",
            'fold = vars(ast).setdefault("_fold", _fold(segments[1:] if ran else segments, s11, s22, s12))'),
+    # The stage loop, which records reads run, goes through the public channel and element.
+    Mutant("decohere-through-channel", CIRCUIT, "s12 = complex(step * s12.real, step * s12.imag)",
+           "s12 = decoherence.decohere_channel(CoherencyMatrix._checked(s11, s22, s12), _value(*stage.params)).s12"),
+    Mutant("conjugate-through-element", CIRCUIT, "s11, s22, s12 = _conjugated(s11, s22, s12, _conjugation(step))",
+           "s11, s22, s12 = (c := conjugate(CoherencyMatrix._checked(s11, s22, s12), (step[:2], step[2:]))).s11, "
+           "c.s22, c.s12"),
     # An evaluate whose amplitude track ran compiles the circuit again.
     Mutant("jones-recompiles", CIRCUIT, "segments = _segments(ast)",
            "segments = _compile(stages) if ran else _segments(ast)"),
@@ -92,15 +98,11 @@ def failures(tree, tests):
     return done.returncode, failed
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("tests", nargs="*", default=TESTS, help="test files or ids (default: %(default)s)")
-    args = parser.parse_args(argv)
-
+def main():
     survived = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = copy_worktree(Path(tmp) / "tree")
-        status, failed = failures(tree, args.tests)
+        status, failed = failures(tree, TESTS)
         if status != 0:
             print(f"the unchanged tests fail (pytest status {status}): {', '.join(failed)}", file=sys.stderr)
             return 2
@@ -111,14 +113,17 @@ def main(argv=None):
                 raise SystemExit(f"{mutant.name}: its old text does not occur exactly once in {mutant.path}")
             path.write_text(source.replace(mutant.old, mutant.new))
             try:
-                status, failed = failures(tree, args.tests)
+                status, failed = failures(tree, TESTS)
             finally:
                 path.write_text(source)
             if status == 0:
                 survived += 1
                 print(f"survived  {mutant.name}")
+            elif status == 1:
+                print(f"killed    {mutant.name}: {', '.join(failed)}")
             else:
-                print(f"killed    {mutant.name}: {', '.join(failed) or f'pytest status {status}'}")
+                print(f"{mutant.name}: pytest status {status}: {', '.join(failed)}", file=sys.stderr)
+                return 2
             sys.stdout.flush()
     return 1 if survived else 0
 

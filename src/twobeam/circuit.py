@@ -172,10 +172,12 @@ class CircuitAst(_Record):
 
     A stage of a known kind must name its kind's parameters, in order,
     each with an int or float value (not a bool) within the float range;
-    else a located CircuitSemanticError. The parser builds through
-    _checked, so no parse runs this; an unknown stage name, and a value
-    that is not finite or is negative where it must not be, fail at
-    evaluate."""
+    else a located CircuitSemanticError. An int beyond that range is no
+    number the circuit format can hold: the parser rejects its literal
+    with the same "number out of range", so it fails here, as it would
+    at parse. The parser builds through _checked, so no parse runs this;
+    an unknown stage name, and a value that is not finite or is negative
+    where it must not be, fail at evaluate."""
 
     stages: tuple
 

@@ -432,11 +432,16 @@ def test_stage_diagnostics_are_those_of_the_recorded_state():
 
 def test_repeated_evaluation_rebuilds_only_amplitude_elements(monkeypatch):
     """Contracts: a report depends only on the circuit, the input and tol,
-    not on what the AST evaluated before; and a reused AST compiles once,
-    whatever its inputs and however often its records are read. Hook:
-    circuit._compile, recording the stage tuples it compiles."""
-    compiled, compile_ = [], circuit._compile
+    not on what the AST evaluated before; a reused AST compiles once,
+    whatever its inputs and however often its records are read; and no
+    evaluate or records read goes through an Element2's entries or the
+    public decohere_channel. Hooks: circuit._compile, recording the stage
+    tuples it compiles; states._entries2 and decoherence.decohere_channel,
+    recording their calls."""
+    compiled, compile_, public = [], circuit._compile, []
     monkeypatch.setattr(circuit, "_compile", lambda stages: compiled.append(stages) or compile_(stages))
+    for module, name in ((states, "_entries2"), (decoherence, "decohere_channel")):
+        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name): public.append(a) or f(*a))
     rng = random.Random(909)
     fixed = ["rotate(theta=0.3); phase(phi=0.2); squeeze(eta=0.1); atten(eta1=0.1, eta2=0.2)",
              "rotate(theta=0.4); decohere(lambda=0.5); squeeze(eta=0.2); decohere(lambda=30)"]
@@ -446,6 +451,7 @@ def test_repeated_evaluation_rebuilds_only_amplitude_elements(monkeypatch):
         for inp in random_inputs(rng):
             assert evaluate(ast, inp) == evaluate(ast, inp) == evaluate(parse(text), inp)
         assert sum(stages is ast.stages for stages in compiled) == 1
+    assert public == []
 
 
 def test_evaluate_carries_one_state(monkeypatch):
