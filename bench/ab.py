@@ -4,6 +4,7 @@
     python3 bench/ab.py --parent ../other-checkout --rounds 60
     python3 bench/ab.py --parent HEAD --mode cli-mix
     python3 bench/ab.py --parent HEAD --mode batch --states 100
+    python3 bench/ab.py --parent HEAD --mode simulate-long
 
 The parent side is a git revision, exported with `git archive` into a
 temporary directory as bench/record.py exports it, or a directory that
@@ -50,11 +51,27 @@ It shows the gain of folding a circuit's segments, per state, on a
 circuit far longer than state-sweep's, which no perfbench workload
 evaluates from Stokes inputs. It prints the same summary line for
 batch, one operation per state.
+
+The simulate-long mode times the command line's simulate on one
+--stages-stage circuit, drawn as perfbench's long-chain draws its
+circuits and written to a file, in process: each side's
+cli.main(["simulate", FILE, "--in=...", "--format", FORMAT]) with its
+stdout going to a StringIO, as above. It runs four operations, from a
+seeded Jones input and a seeded Stokes input, each in json and text, and
+prints one summary line for each, one simulate per block. Every output
+is checked once before the rounds: the exit status, and the final
+classification, and in json the final Stokes vector, against perfbench's
+oracle. No perfbench workload runs simulate on a long circuit; this
+mode measures the report's cost there.
 """
 
 import argparse
+import contextlib
+import functools
 import gc
 import importlib.util
+import io
+import json
 import os
 import random
 import resource
@@ -177,6 +194,52 @@ def batch(parent, args, tmp):
     return interleaved(ops, args.rounds)
 
 
+def simulate_once(main, argv):
+    """main(argv)'s exit status and what it wrote to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    return status, out.getvalue()
+
+
+def simulate_long(parent, args, tmp):
+    """{"simulate-long INPUT FORMAT": ({side: CPU time per round}, 1)}: one in-process simulate of
+    the long circuit per block, from a Jones and a Stokes input, in json and text."""
+    modules = {side: workloads_of(checkout, side) for side, checkout in zip(SIDES, (parent, ROOT))}
+    draw = modules["change"]  # the perfbench generators, the same file on both sides
+    rng = random.Random(args.seed)
+    stages = [draw.draw_stage(rng, rng.choice(draw.COHERENT)) for _ in range(args.stages)]
+    path = Path(tmp) / "long-chain.txt"
+    path.write_text(draw.circuit_text(stages) + "\n")
+    psi, s = draw.draw_jones(rng), draw.draw_stokes(rng, pure=False)
+    inputs = {
+        "jones": ((psi[0].real, psi[0].imag, psi[1].real, psi[1].imag), draw.jones_stokes(*psi)),
+        "stokes": (s, s),
+    }
+    ops = {side: {} for side in SIDES}
+    for side, module in modules.items():
+        main = importlib.import_module(f"twobeam_{side}.cli").main
+        for name, (values, stokes) in inputs.items():
+            want = draw.oracle_stokes(stages, stokes)
+            tag = draw.oracle_tag(want)
+            for fmt in ("json", "text"):
+                argv = ["simulate", str(path), f"--in={name}:{','.join(map(repr, values))}", "--format", fmt]
+                status, out = simulate_once(main, argv)
+                if status != 0:
+                    error = f"simulate exited with {status}"
+                elif fmt == "json":
+                    results = json.loads(out)["results"]
+                    error = module.stokes_error(module.states.StokesVector(*results["final_stokes"]), want,
+                                                results["final_classification"]["tag"], tag)
+                else:
+                    error = None if f"final classification: {tag}" in out else "text final classification"
+                if error:
+                    raise SystemExit(f"{side} simulate-long {name} {fmt}: {error}")
+                block = functools.partial(simulate_once, main, argv)
+                ops[side][f"simulate-long {name} {fmt}"] = block, 1
+    return interleaved(ops, args.rounds)
+
+
 def child_cpu(argv, path):
     """The user and system CPU time of `python -m twobeam.cli argv` with path on PYTHONPATH,
     and its (exit code, stdout)."""
@@ -219,12 +282,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True,
                         help="git revision, or a directory holding src/twobeam")
-    parser.add_argument("--mode", choices=("in-process", "cli-mix", "batch"), default="in-process")
+    parser.add_argument("--mode", choices=("in-process", "cli-mix", "batch", "simulate-long"),
+                        default="in-process")
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--states", type=int, default=400,
                         help="state-sweep operations, or batch states, per block")
     parser.add_argument("--chains", type=int, default=4, help="long-chain operations per block")
-    parser.add_argument("--stages", type=int, default=2000, help="stages per long chain")
+    parser.add_argument("--stages", type=int, default=2000,
+                        help="stages per long chain, or of simulate-long's circuit")
     parser.add_argument("--seed", type=int, default=701)
     args = parser.parse_args(argv)
 
@@ -232,8 +297,10 @@ def main(argv=None):
         parent = Path(args.parent)
         if not (parent / "src" / "twobeam").is_dir():
             parent = export(args.parent, Path(tmp) / "parent")
-        results = {"in-process": in_process, "cli-mix": cli_mix, "batch": batch}[args.mode](parent, args, tmp)
-    what, unit, scale = ("child CPU time", "ms", 1e3) if args.mode == "cli-mix" else ("CPU time", "us", 1e6)
+        modes = {"in-process": in_process, "cli-mix": cli_mix, "batch": batch, "simulate-long": simulate_long}
+        results = modes[args.mode](parent, args, tmp)
+    what = "child CPU time" if args.mode == "cli-mix" else "CPU time"
+    unit, scale = ("ms", 1e3) if args.mode in ("cli-mix", "simulate-long") else ("us", 1e6)
     for workload, (times, n) in results.items():
         ratios = [p / c for p, c in zip(times["parent"], times["change"])]
         q1, median, q3 = quartiles(ratios)

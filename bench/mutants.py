@@ -40,6 +40,7 @@ _RETURN_REPORT = """final_classification=_classify_at(stages[-1] if stages else 
     )
     return report"""
 _MEMO = 'segments = vars(ast).setdefault("_segments", _compile(ast.stages))'
+_FOLD = "_fold(_segments(ast), s11, s22, s12)"
 
 MUTANTS = (
     # Racing threads each fold through the segments they compiled.
@@ -63,21 +64,23 @@ MUTANTS = (
     Mutant("records-eager", CIRCUIT, _RETURN_REPORT, _RETURN_REPORT.replace("return", "report.stages\n    return")),
     Mutant("final-purity-eager", CIRCUIT, _RETURN_REPORT,
            _RETURN_REPORT.replace("return", "report.final_purity\n    return")),
-    # The amplitude track builds a JonesVector per stage.
+    # The amplitude path builds a JonesVector per stage.
     Mutant("jones-per-stage", CIRCUIT, "s11, s22, s12 = _outer(p1, p2)",
            "s11, s22, s12 = _outer(*vars(JonesVector(p1, p2)).values())"),
     # The AST keeps its first fold's result, so a report depends on what it evaluated before.
-    Mutant("fold-result-memo", CIRCUIT, "fold = _fold(segments[1:] if ran else segments, s11, s22, s12)",
-           'fold = vars(ast).setdefault("_fold", _fold(segments[1:] if ran else segments, s11, s22, s12))'),
+    Mutant("fold-result-memo", CIRCUIT, _FOLD, f'vars(ast).setdefault("_fold", {_FOLD})'),
     # The stage loop, which records reads run, goes through the public channel and element.
     Mutant("decohere-through-channel", CIRCUIT, "s12 = complex(step * s12.real, step * s12.imag)",
            "s12 = decoherence.decohere_channel(CoherencyMatrix._checked(s11, s22, s12), _value(*stage.params)).s12"),
     Mutant("conjugate-through-element", CIRCUIT, "s11, s22, s12 = _conjugated(s11, s22, s12, _conjugation(step))",
            "s11, s22, s12 = (c := conjugate(CoherencyMatrix._checked(s11, s22, s12), (step[:2], step[2:]))).s11, "
            "c.s22, c.s12"),
-    # An evaluate whose amplitude track ran compiles the circuit again.
-    Mutant("jones-recompiles", CIRCUIT, "segments = _segments(ast)",
-           "segments = _compile(stages) if ran else _segments(ast)"),
+    # An evaluate from a Jones input compiles the circuit again.
+    Mutant("jones-recompiles", CIRCUIT, _FOLD,
+           "_fold(_compile(stages) if input_jones else _segments(ast), s11, s22, s12)"),
+    # A Jones input keeps its amplitudes through a decohere, which then scales s12 alone.
+    Mutant("jones-through-decohere", CIRCUIT, 'p1 is None or "decohere" in map(operator.attrgetter("name"), stages)',
+           "p1 is None"),
 )
 
 TESTS = (

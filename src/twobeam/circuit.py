@@ -473,12 +473,11 @@ class StageRecord(NamedTuple):
 class SimulationReport(_Record):
     """Stage-by-stage history of a circuit evaluation.
 
-    final_jones is populated only when the input carried amplitudes
-    and no decoherence stage ran; a mixed state has no amplitude
-    representation, so the track is dropped at the first decohere.
+    final_jones is set on evaluate's amplitude path alone: from a Jones
+    input through a circuit with no decohere.
     A report evaluate returns holds the input's entries and those after
     each stage its stage loop ran. Its stages are built on the first read,
-    the stage loop going on from there over the stages the fold ran, and
+    the stage loop going on from there to the last stage, and
     final_purity is read from final_coherency; both are kept (see
     evaluate).
     """
@@ -500,7 +499,7 @@ class SimulationReport(_Record):
         if name == "final_purity":
             return vars(self).setdefault(name, purity_report(self.final_coherency))
         stages, tol, first, walked = trail
-        entries = walked[:]  # where the fold ran, the stage loop goes on from where evaluate's stopped
+        entries = walked[:]  # where the fold ran, the stage loop goes on from the input
         _walk(stages[len(walked) - 1:-1], entries, *walked[-1])
         between = itertools.starmap(CoherencyMatrix._checked, entries[1:len(stages)])
         matrices = [first, *between, self.final_coherency]
@@ -510,10 +509,22 @@ class SimulationReport(_Record):
 
 
 def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
-    """Push a state through the circuit, segment by segment; its stage records are built when read.
+    """Push a state through the circuit; its stage records are built when read.
 
-    The state is the coherency matrix, carried as its entries. Every stage
-    is linear, so the circuit is compiled once, by the first evaluate that
+    evaluate picks one path from the input and the circuit before any
+    stage runs. A Jones input to a circuit with no decohere takes the
+    amplitude path: the stage loop runs on its amplitudes over every
+    stage, psi -> conj(M) psi, the entries their outer product, so a pure
+    state stays pure to rounding however long the chain. An outer product
+    whose size s11 + s22 lies in [_SQUARE_MIN, _SQUARE_MAX] always passes
+    the gate, which is not run there; any other size takes the gate and
+    the underflow test. One JonesVector is built from the amplitudes for
+    the report. A mixed state has no amplitudes, so every other input, a
+    Stokes input or a Jones input to a circuit with a decohere, takes the
+    fold path from its own coherency entries.
+
+    The fold carries the coherency matrix as its entries. Every stage is
+    linear, so the circuit is compiled once, by the first evaluate that
     needs it, into alternating segments kept on the AST (_segments). A
     maximal run of coherent stages is one Jones matrix M = M_k ... M_1,
     the product of its stages' STAGES actions (a run of one is its
@@ -525,40 +536,30 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     [0, 1] no rounded part of s12 grows, so entries that passed the gate
     pass it again.
 
-    A Jones input first runs the stage loop on its amplitudes, up to its
-    first decohere: psi -> conj(M) psi per stage, the entries their outer
-    product, so a pure state stays pure to rounding however long the
-    chain. An outer product whose size s11 + s22 lies in [_SQUARE_MIN,
-    _SQUARE_MAX] always passes the gate, which is not run there; any other
-    size takes the gate and the underflow test. Without a decohere that is
-    the whole evaluation, and one JonesVector is built from the amplitudes
-    for the report; with one, the state joins the fold at its segment.
-
     The range guard: a coherent segment keeps bounds on the gain in size
     over the products P of its first j actions, max |P|_F^2 and
     min |det P|^2 / |P|_F^2. Where the size before it times both stays in
     [_SQUARE_MIN, _SQUARE_MAX], none of its stages overflows or
     underflows. Where the size leaves that range, or the gate or the
     underflow test fails after a segment, evaluate runs the stage loop
-    instead, from where the fold began, and returns or raises exactly
-    what that loop does from the input: a stage failure re-raises as a
-    located CircuitSemanticError, and overflow and an intensity that
-    underflows to zero say so. A final class that overflows is located at
-    the last stage. The result depends only on the circuit, the input and
-    tol.
+    instead, from the input, and returns or raises exactly what that loop
+    does: a stage failure re-raises as a located CircuitSemanticError,
+    and overflow and an intensity that underflows to zero say so. A final
+    class that overflows is located at the last stage. The result depends
+    only on the circuit, the input and tol.
 
     The StageRecords, and the matrices between stages, are built on the
     first read of the report's stages, and final_purity on its first
-    read. The records keep the entries evaluate's own stage loop produced,
-    on the amplitude track or in a fallback; where the fold ran, the read
-    runs the stage loop on, with its gates, from where evaluate's stopped
-    (the input, for a Stokes input) up to the last stage. So every record
-    but the last is the stage loop's, whichever path evaluate took, and
-    the last holds the final state: stages[-1].coherency_after is
-    final_coherency. A gate that fails in the read raises its located
-    error from the read. The segments are the only memo: the stage loop
-    reads each stage's numbers again through _action, on the amplitude
-    track and on a records read alike, and builds no Element2.
+    read. The records keep the entries evaluate's own stage loop produced:
+    all of them on the amplitude path or in a fallback, the input's alone
+    where the fold ran, from which the read runs the stage loop, with its
+    gates, up to the last stage. So every record but the last is the
+    stage loop's, whichever path evaluate took, and the last holds the
+    final state: stages[-1].coherency_after is final_coherency. A gate
+    that fails in the read raises its located error from the read. The
+    segments are the only memo: the stage loop reads each stage's numbers
+    again through _action, on the amplitude path and on a records read
+    alike, and builds no Element2.
     """
     if isinstance(inp, JonesVector):
         p1, p2 = inp.psi1, inp.psi2
@@ -576,13 +577,10 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
         raise PhysicsError(f"evaluation requires positive input intensity{underflow}")
     stages, walked = ast.stages, [(first.s11, first.s22, first.s12)]
     s11, s22, s12 = walked[0]
-    if p1 is not None:
+    if p1 is None or "decohere" in map(operator.attrgetter("name"), stages):  # a mixed state has no amplitudes
+        s11, s22, s12, p1, p2 = _fold(_segments(ast), s11, s22, s12) or _walk(stages, walked, s11, s22, s12)
+    else:
         s11, s22, s12, p1, p2 = _walk(stages, walked, s11, s22, s12, p1, p2)
-    ran = len(walked) - 1
-    if ran < len(stages):  # a Stokes input, or the amplitude track stopped at a decohere
-        segments = _segments(ast)
-        fold = _fold(segments[1:] if ran else segments, s11, s22, s12)  # the amplitude track ran segment 0
-        s11, s22, s12, p1, p2 = fold or _walk(stages[ran:], walked, s11, s22, s12)
     last = CoherencyMatrix._checked(s11, s22, s12) if stages else first
     final_stokes = stokes_from_coherency(last)
     report = SimulationReport.__new__(SimulationReport)  # _trail in place of stages
@@ -601,14 +599,12 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
 
 def _walk(stages, trail, s11, s22, s12, p1=None, p2=None):
     """The stage loop: the state (s11, s22, s12, p1, p2) after stages, from
-    that one, each stage's entries appended to trail. With amplitudes p1,
-    p2 it stops before the first decohere stage, whose state has none."""
+    that one, each stage's entries appended to trail. Amplitudes p1, p2
+    are given only for stages with no decohere: a mixed state has none."""
     for stage in stages:
         try:
             step = _action(stage)
             if step.__class__ is float:  # decohere's e^-2 lambda; its result needs no gate
-                if p1 is not None:
-                    break
                 s12 = complex(step * s12.real, step * s12.imag)
             else:
                 if p1 is None:
@@ -654,15 +650,14 @@ def _segments(ast):
 
 
 def _compile(stages):
-    """(first stage's index, step, low, high) per maximal run of coherent
-    or of decohere stages. A coherent run's step is the conjugation
-    constants of its M, and low and high its range of gain; a decohere
-    run's is the tuple of its stages' e^-2 lambda, and its range None. A
-    run that fails to compile has step None and a NaN range, which no
-    state passes, so the stage loop reports its failure. One whose
-    product is not finite fails the range (inf) or, by NaN constants, the
-    gate."""
-    segments, start = [], 0
+    """(step, low, high) per maximal run of coherent or of decohere
+    stages. A coherent run's step is the conjugation constants of its M,
+    and low and high its range of gain; a decohere run's is the tuple of
+    its stages' e^-2 lambda, and its range None. A run that fails to
+    compile has step None and a NaN range, which no state passes, so the
+    stage loop reports its failure. One whose product is not finite fails
+    the range (inf) or, by NaN constants, the gate."""
+    segments = []
     for channel, run in itertools.groupby(stages, lambda stage: stage.name == "decohere"):
         run = tuple(run)
         try:
@@ -672,8 +667,7 @@ def _compile(stages):
                 segment = _product(run)
         except (ArithmeticError, LookupError, TypeError, ValueError):  # the stage loop raises it, located
             segment = None, math.nan, math.nan
-        segments.append((start, *segment))
-        start += len(run)
+        segments.append(segment)
     return tuple(segments)
 
 
@@ -697,7 +691,7 @@ def _fold(segments, s11, s22, s12):
     s11, s22, s12; None where the state leaves a segment's range, or the
     gate or the underflow test fails on a segment's entries. It reads and
     keeps nothing else: a function of the segments and one state."""
-    for _, step, low, high in segments:
+    for step, low, high in segments:
         if low is None:  # a decohere run: its result needs no gate
             for k in step:
                 s12 = complex(k * s12.real, k * s12.imag)

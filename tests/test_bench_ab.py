@@ -1,6 +1,6 @@
-"""bench/ab.py run A/A on this working tree: in process with tiny sizes, one cli-mix round and
-a small batch; bench/traffic.py on this tree with tiny sizes; bench/mutants.py's table against
-src/; and a revision git cannot read."""
+"""bench/ab.py run A/A on this working tree: in process with tiny sizes, one cli-mix round, a small
+batch and one short simulate-long round; bench/traffic.py on this tree with tiny sizes;
+bench/mutants.py's table against src/; and a revision git cannot read."""
 
 import importlib.util
 import subprocess
@@ -42,6 +42,18 @@ def test_ab_batch_mode_times_states_through_one_long_circuit():
     [line] = done.stdout.splitlines()
     assert line.startswith("batch: parent/change CPU time median ")
     assert "of 2 rounds" in line and "(3 ops per block)" in line
+
+
+def test_ab_simulate_long_mode_times_each_input_and_format():
+    cmd = [sys.executable, str(ROOT / "bench" / "ab.py"), "--parent", str(ROOT), "--mode", "simulate-long",
+           "--rounds", "1", "--stages", "20"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"simulate-long {name} {fmt}" for name in ("jones", "stokes") for fmt in ("json", "text")]
+    assert all("parent/change CPU time median" in line and "of 1 rounds" in line for line in lines)
+    assert all("ms change (1 ops per block)" in line for line in lines)
 
 
 def test_traffic_counts_entries_of_every_workload():

@@ -555,9 +555,9 @@ def test_a_failing_fold_step_defers_to_the_stage_loop(monkeypatch):
 
 
 def test_records_do_not_depend_on_the_path_evaluate_took(monkeypatch):
-    """Contract: a report's records are the stage loop's, continued from
-    where evaluate's own loop stopped, whether the fold vouched for the
-    result or evaluate ran the stage loop instead; only the last record
+    """Contract: a report's records are the stage loop's from the input,
+    whether the fold vouched for the result or evaluate ran the stage
+    loop instead; only the last record
     holds the final state, the fold's where it ran. Hook: circuit._fold,
     recording whether it declined, then forced to decline. The input
     scaled by 2^-520 lies below the segments' range, so the fold declines
@@ -596,9 +596,8 @@ def test_records_do_not_depend_on_the_path_evaluate_took(monkeypatch):
 
 def test_repeat_evaluate_computes_no_constants_and_purity_on_read(monkeypatch):
     """Contracts: an AST compiled by a Stokes-input evaluate compiles no
-    more, whether a later Jones input runs its stages on amplitudes
-    (before decohere) or in the fold (after it), a repeat evaluates it or
-    records are read; and each report's final_purity is
+    more, whether a later Jones input folds through it, a repeat
+    evaluates it or records are read; and each report's final_purity is
     purity_report(final_coherency), built on its first read and kept.
     Hook: circuit._compile, recording the stage tuples it compiles."""
     compiled, compile_ = [], circuit._compile

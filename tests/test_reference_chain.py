@@ -5,15 +5,16 @@ loop where the fold cannot vouch for the result. The reference below
 builds one matrix per step with coherency_from_jones, conjugate and
 decohere_channel, as the evaluator did before it carried entries, and
 each coherent stage's Jones matrix from the public constructor of its
-kind; atten's is diag(e^-eta1, e^-eta2), unfactored. A Jones input runs
-stage by stage up to its first decohere. From there each maximal run of
-coherent stages is one matrix, the product of its stages' in the order
-and formula of the package's 2x2 product, applied with conjugate; a run
-of decohere stages is applied stage by stage.
+kind; atten's is diag(e^-eta1, e^-eta2), unfactored. A Jones input
+through a circuit with no decohere runs stage by stage on its
+amplitudes. Every other input folds from its coherency matrix: each
+maximal run of coherent stages is one matrix, the product of its stages'
+in the order and formula of the package's 2x2 product, applied with
+conjugate; a run of decohere stages is applied stage by stage.
 Where the state's size times a run's range of gain leaves the normal
 square range, or a step fails, the reference runs stage by stage from
-the input instead. Records are the stage loop continued from where
-evaluate's loop stopped; the last holds the final state.
+the input instead. Where the fold ran, records are the stage loop from
+the input; the last holds the final state.
 Every report, record and rejection must agree bit for bit: the same
 floats, the same error class, message, line and column. Circuits reach
 |eta| up to 40 and lambda up to 50; inputs reach intensities from 1e-300
@@ -149,12 +150,10 @@ def reference(ast, inp, tol):
     if coh.trace <= 0.0:
         raise PhysicsError("evaluation requires positive input intensity")
     records, stages = [], ast.stages
-    while jones and len(records) < len(stages) and stages[len(records)].name != "decohere":
-        stage, before = stages[len(records)], coh
-        coh, jones = step(stage, coh, jones)
-        records.append(StageRecord(stage.name, stage.params, before, coh, tol))
-    runs = fold(stages[len(records):], coh)
-    for stage in stages[len(records):] if runs is None else stages[len(records):-1]:
+    if any(stage.name == "decohere" for stage in stages):
+        jones = None  # a mixed state has no amplitudes
+    runs = None if jones else fold(stages, coh)
+    for stage in stages if runs is None else stages[:-1]:
         before = coh
         coh, jones = step(stage, coh, jones)
         records.append(StageRecord(stage.name, stage.params, before, coh, tol))
