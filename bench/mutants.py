@@ -4,11 +4,12 @@ package, must make at least one test fail.
     python3 bench/mutants.py
 
 The working tree is copied to a temporary directory as bench/record.py
-copies it (tracked and untracked files, not ignored ones). The tests in
-TESTS, against which each mutant in the table was checked, are run
-there once unchanged, and must pass. Then, for each mutant in MUTANTS in turn, the script replaces its
-old text, which must occur exactly once in its file, by its new text,
-runs the tests on that copy with pytest, and restores the file.
+copies it (tracked and untracked files, not ignored ones). Each mutant in
+the table names the tests it was checked against, TESTS where it names
+none; all of them are run there once unchanged, and must pass. Then, for
+each mutant in MUTANTS in turn, the script replaces its old text, which
+must occur exactly once in its file, by its new text, runs the mutant's
+tests on that copy with pytest, and restores the file.
 Bytecode writing is off, so no run reads another's cached module.
 
 It prints one line per mutant: "killed" with the ids of the tests that
@@ -28,19 +29,32 @@ from typing import NamedTuple
 from record import copy_worktree  # bench/ is the script's directory, so on sys.path
 
 
+TESTS = (
+    "tests/test_differential.py",
+    "tests/test_records.py",
+    "tests/test_reference_chain.py",
+    "tests/test_fold_accuracy.py",
+    "tests/test_bench_ab.py::test_traffic_counts_entries_of_every_workload",
+)
+
+
 class Mutant(NamedTuple):
     name: str
     path: str  # relative to the repository root
     old: str
     new: str
+    tests: tuple = TESTS
 
 
 CIRCUIT = "src/twobeam/circuit.py"
+STATES = "src/twobeam/states.py"
+DECOHERENCE = "src/twobeam/decoherence.py"
 _RETURN_REPORT = """final_classification=_classify_at(stages[-1] if stages else None, final_stokes, tol),
     )
     return report"""
 _MEMO = 'segments = vars(ast).setdefault("_segments", _compile(ast.stages))'
 _FOLD = "_fold(_segments(ast), s11, s22, s12)"
+_NUMBERS = "return (STAGES[stage.name].action or decoherence._decay)(*map(_value, stage.params))"
 
 MUTANTS = (
     # Racing threads each fold through the segments they compiled.
@@ -58,9 +72,7 @@ MUTANTS = (
     Mutant("last-record-a-copy", CIRCUIT, "matrices = [first, *between, self.final_coherency]",
            "matrices = [first, *between, CoherencyMatrix._checked(*vars(self.final_coherency).values())]"),
     Mutant("no-segment-memo", CIRCUIT, _MEMO, "segments = _compile(ast.stages)"),
-    Mutant("stage-memo", CIRCUIT, "return (kind.action or decoherence._decay)(*map(_value, stage.params))",
-           'return vars(stage).setdefault("_numbers", (kind.action or decoherence._decay)'
-           "(*map(_value, stage.params)))"),
+    Mutant("stage-memo", CIRCUIT, _NUMBERS, f'return vars(stage).setdefault("_numbers", {_NUMBERS[7:]})'),
     Mutant("records-eager", CIRCUIT, _RETURN_REPORT, _RETURN_REPORT.replace("return", "report.stages\n    return")),
     Mutant("final-purity-eager", CIRCUIT, _RETURN_REPORT,
            _RETURN_REPORT.replace("return", "report.final_purity\n    return")),
@@ -81,14 +93,25 @@ MUTANTS = (
     # A Jones input keeps its amplitudes through a decohere, which then scales s12 alone.
     Mutant("jones-through-decohere", CIRCUIT, 'p1 is None or "decohere" in map(operator.attrgetter("name"), stages)',
            "p1 is None"),
-)
-
-TESTS = (
-    "tests/test_differential.py",
-    "tests/test_records.py",
-    "tests/test_reference_chain.py",
-    "tests/test_fold_accuracy.py",
-    "tests/test_bench_ab.py::test_traffic_counts_entries_of_every_workload",
+    # A hand-built CircuitAst without one of its value checks, which the stage actions no longer make.
+    Mutant("ast-unknown-name", CIRCUIT, "if kind is None:\n", "if False:\n",
+           ("tests/test_circuit.py", "tests/test_differential.py")),
+    Mutant("ast-finiteness", CIRCUIT, """                    if not math.isfinite(value):
+                        raise OverflowError
+""", """                    float(value)
+""", ("tests/test_circuit.py", "tests/test_differential.py")),
+    Mutant("ast-nonnegative", CIRCUIT, "if value < 0.0 and key in kind.nonnegative:", "if False:",
+           ("tests/test_circuit.py", "tests/test_differential.py")),
+    # The compile, which catches only a squeeze's overflow, divides by a prefix product that underflows to zero.
+    Mutant("product-zero-norm", CIRCUIT, "det * det / norm if norm else 0.0", "det * det / norm",
+           ("tests/test_circuit.py",)),
+    # decohere_channel without the check it took over from the action it shares with the stage.
+    Mutant("channel-nonnegative", DECOHERENCE, """    if lam < 0.0:
+        raise PhysicsError("lambda must be nonnegative")
+""", "", ("tests/test_decoherence.py", "tests/test_elements.py")),
+    # The gates' slacks, loosened: states just outside them must still be rejected.
+    Mutant("psd-slack", STATES, "if det < -1e-12 * size**2:", "if det < -1e-10 * size**2:", ("tests/test_states.py",)),
+    Mutant("hermitian-slack", STATES, "if herm > 1e-12 * scale:", "if herm > 1e-9 * scale:", ("tests/test_states.py",)),
 )
 
 
@@ -105,7 +128,7 @@ def main():
     survived = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = copy_worktree(Path(tmp) / "tree")
-        status, failed = failures(tree, TESTS)
+        status, failed = failures(tree, tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
         if status != 0:
             print(f"the unchanged tests fail (pytest status {status}): {', '.join(failed)}", file=sys.stderr)
             return 2
@@ -116,7 +139,7 @@ def main():
                 raise SystemExit(f"{mutant.name}: its old text does not occur exactly once in {mutant.path}")
             path.write_text(source.replace(mutant.old, mutant.new))
             try:
-                status, failed = failures(tree, TESTS)
+                status, failed = failures(tree, mutant.tests)
             finally:
                 path.write_text(source)
             if status == 0:

@@ -109,11 +109,11 @@ class StageKind(NamedTuple):
     optional "deg"; nonnegative must not be negative. alias is an
     optional (name, convert) pair: the stage also accepts that
     parameter in place of params[0] and converts its value to it.
-    action maps the canonical values to the row-major complex entries
-    (alpha, beta, gamma, delta) of the stage's Jones matrix M: those the
-    elements module's constructor of the kind wraps in an Element2, or
-    atten's unfactored diag(e^-eta1, e^-eta2); a channel, which has no
-    such form, has action None.
+    action maps the canonical values, which a CircuitAst has checked, to
+    the row-major complex entries (alpha, beta, gamma, delta) of the
+    stage's Jones matrix M: those the elements module's constructor of
+    the kind wraps in an Element2, or atten's unfactored diag(e^-eta1,
+    e^-eta2); a channel, which has no such form, has action None.
     """
 
     params: tuple
@@ -123,8 +123,8 @@ class StageKind(NamedTuple):
     action: object = None
 
 
-# Each action is the elements module's entries function of its kind, the
-# one its public constructor wraps (attenuator runs only its checks);
+# Each action is the entries function of its kind that the elements module's
+# constructor checks a value for and wraps (attenuator factors the matrix);
 # evaluate and the command line's lift call it and build no Element2. So a
 # tracer that wraps rotator and friends counts no calls from evaluate: the
 # records are not built, and the entries' arithmetic counts in evaluate's time.
@@ -170,14 +170,12 @@ class CircuitAst(_Record):
     circuit's compiled segments in the instance __dict__, outside the
     compared field: the circuit's one memo.
 
-    A stage of a known kind must name its kind's parameters, in order,
-    each with an int or float value (not a bool) within the float range;
-    else a located CircuitSemanticError. An int beyond that range is no
-    number the circuit format can hold: the parser rejects its literal
-    with the same "number out of range", so it fails here, as it would
-    at parse. The parser builds through _checked, so no parse runs this;
-    an unknown stage name, and a value that is not finite or is negative
-    where it must not be, fail at evaluate."""
+    Each stage must be of a STAGES kind and name its kind's parameters,
+    in order, each with a finite int or float value (not a bool),
+    nonnegative where its kind says; else a CircuitSemanticError at the
+    stage in the parser's words (inf, NaN and an int beyond the float
+    range are "number out of range"). So the stage actions check nothing.
+    The parser builds through _checked, so no parse runs this."""
 
     stages: tuple
 
@@ -186,17 +184,22 @@ class CircuitAst(_Record):
         for stage in self.stages:
             if not isinstance(stage, Stage):
                 raise TypeError("CircuitAst stages must be Stage instances")
-            kind = STAGES.get(stage.name)
-            if kind and tuple(key for key, _ in stage.params) != kind.params:
-                message = f"{stage.name} takes {', '.join(kind.params)}"
-                raise CircuitSemanticError(message, stage.line, stage.col)
-            for key, value in stage.params if kind else ():
+            kind, where = STAGES.get(stage.name), (stage.line, stage.col)
+            if kind is None:
+                raise CircuitSemanticError(_unknown_element(stage.name), *where)
+            if tuple(key for key, _ in stage.params) != kind.params:
+                raise CircuitSemanticError(f"{stage.name} takes {', '.join(kind.params)}", *where)
+            for key, value in stage.params:
                 if value.__class__ is bool or not isinstance(value, (int, float)):
-                    raise CircuitSemanticError(f"{stage.name} {key} must be a real number", stage.line, stage.col)
+                    raise CircuitSemanticError(f"{stage.name} {key} must be a real number", *where)
                 try:
-                    float(value)
-                except OverflowError:  # an int beyond the float range, as the parser words it
-                    raise CircuitSemanticError("number out of range", stage.line, stage.col) from None
+                    if not math.isfinite(value):
+                        raise OverflowError
+                except OverflowError:  # inf, NaN or an int beyond the float range
+                    raise CircuitSemanticError("number out of range", *where) from None
+            for key, value in stage.params:  # as the parser, after every value's range
+                if value < 0.0 and key in kind.nonnegative:
+                    raise CircuitSemanticError(f"{key} must be nonnegative", *where)
 
 
 class _Arg(NamedTuple):
@@ -633,10 +636,7 @@ def _action(stage):
     """stage's numbers: the four entries of its STAGES action's M, or, for
     decohere, the one channel, its float e^-2 lambda. Every reader of a
     stage's numbers calls this; nothing is kept."""
-    kind = STAGES.get(stage.name)
-    if kind is None:
-        raise PhysicsError(_unknown_element(stage.name))
-    return (kind.action or decoherence._decay)(*map(_value, stage.params))
+    return (STAGES[stage.name].action or decoherence._decay)(*map(_value, stage.params))
 
 
 def _segments(ast):
@@ -653,10 +653,11 @@ def _compile(stages):
     """(step, low, high) per maximal run of coherent or of decohere
     stages. A coherent run's step is the conjugation constants of its M,
     and low and high its range of gain; a decohere run's is the tuple of
-    its stages' e^-2 lambda, and its range None. A run that fails to
-    compile has step None and a NaN range, which no state passes, so the
-    stage loop reports its failure. One whose product is not finite fails
-    the range (inf) or, by NaN constants, the gate."""
+    its stages' e^-2 lambda, and its range None. A run whose squeeze
+    overflows, the one failure a valid AST can compile to, has step None
+    and a NaN range, which no state passes, so the stage loop reports it.
+    One whose product is not finite fails the range (inf) or, by NaN
+    constants, the gate."""
     segments = []
     for channel, run in itertools.groupby(stages, lambda stage: stage.name == "decohere"):
         run = tuple(run)
@@ -665,7 +666,7 @@ def _compile(stages):
                 segment = tuple(map(_action, run)), None, None
             else:
                 segment = _product(run)
-        except (ArithmeticError, LookupError, TypeError, ValueError):  # the stage loop raises it, located
+        except NonFiniteError:  # the stage loop raises it, located
             segment = None, math.nan, math.nan
         segments.append(segment)
     return tuple(segments)
@@ -674,15 +675,15 @@ def _compile(stages):
 def _product(run):
     """The conjugation constants of M = M_k ... M_1, the product of run's
     actions by _mul2 (M_1 itself for a run of one), and over its prefix
-    products P, min |det P|^2 / |P|_F^2 and max |P|_F^2, with det P the
-    product of the actions' determinants."""
+    products P, min |det P|^2 / |P|_F^2 (0 once P underflows to zero) and
+    max |P|_F^2, with det P the product of the actions' determinants."""
     p, det, low, high = None, 1.0, math.inf, 0.0
     for stage in run:
         a, b, c, d = m = _action(stage)
         det *= abs(a * d - b * c)
         p = m if p is None else _mul2(m, p)
         norm = sum(x.real * x.real + x.imag * x.imag for x in p)
-        low, high = min(low, det * det / norm), max(high, norm)
+        low, high = min(low, det * det / norm if norm else 0.0), max(high, norm)
     return _conjugation(p), low, high
 
 

@@ -66,6 +66,9 @@ def decohere_channel(state, lam):
     e^-2l <= 1, no rounded part of s12 grows. Purity never increases, the
     maps form a semigroup in l, and negative l (recoherence) is rejected.
     """
+    lam = _finite(lam, "lambda")
+    if lam < 0.0:
+        raise PhysicsError("lambda must be nonnegative")
     k = _decay(lam)
     if isinstance(state, CoherencyMatrix):
         return CoherencyMatrix._checked(state.s11, state.s22, complex(k * state.s12.real, k * state.s12.imag))
@@ -75,9 +78,6 @@ def decohere_channel(state, lam):
 
 def _decay(lam):
     """e^-2l, the channel's factor on s12, for a finite l >= 0 (kept in a circuit's segments)."""
-    lam = _finite(lam, "lambda")
-    if lam < 0.0:
-        raise PhysicsError("lambda must be nonnegative")
     return math.exp(-2.0 * lam)
 
 

@@ -50,17 +50,17 @@ def rotator(theta) -> Element2:
     The half angle in the 2x2 entries reflects the two-to-one cover:
     theta is the rotation angle seen by the Stokes vector.
     """
-    return Element2._checked(*_rotator(theta))
+    return Element2._checked(*_rotator(_finite(theta, "theta")))
 
 
 def phase_shifter(phi) -> Element2:
     """Relative phase phi between the two beams, split symmetrically."""
-    return Element2._checked(*_phase_shifter(phi))
+    return Element2._checked(*_phase_shifter(_finite(phi, "phi")))
 
 
 def squeezer(eta) -> Element2:
     """Relative amplitude gain e^{eta/2} on beam 1, e^{-eta/2} on beam 2."""
-    return Element2._checked(*_squeezer(eta))
+    return Element2._checked(*_squeezer(_finite(eta, "eta")))
 
 
 def attenuator(eta1, eta2):
@@ -71,38 +71,6 @@ def attenuator(eta1, eta2):
     shrink by its square) and the remaining relative action is
     squeezer(eta2 - eta1), which overflows for |eta1 - eta2| > ~1419.
     """
-    _attenuator(eta1, eta2)  # its exponent checks
-    eta1, eta2 = float(eta1), float(eta2)
-    return math.exp(-0.5 * (eta1 + eta2)), squeezer(eta2 - eta1)
-
-
-# The Jones matrix of each element kind as plain numbers, its row-major
-# complex entries. The constructors above wrap them in an Element2; they
-# are also the actions of circuit.STAGES, which evaluate reads without
-# building an Element2. Only the attenuator's matrix is not unimodular.
-
-
-def _rotator(theta):
-    theta = _finite(theta, "theta")
-    # Complex entries, as Element2 would store them: _checked converts nothing.
-    c, s = complex(math.cos(theta / 2.0)), complex(math.sin(theta / 2.0))
-    return c, -s, s, c
-
-
-def _phase_shifter(phi):
-    phi = _finite(phi, "phi")
-    return cmath.exp(-0.5j * phi), 0j, 0j, cmath.exp(0.5j * phi)
-
-
-def _squeezer(eta):
-    eta = _finite(eta, "eta")
-    try:
-        return complex(math.exp(eta / 2.0)), 0j, 0j, complex(math.exp(-eta / 2.0))
-    except OverflowError:
-        raise NonFiniteError(f"squeezer overflowed: e^({abs(eta):g}/2) is too large") from None
-
-
-def _attenuator(eta1, eta2):
     try:
         eta1, eta2 = float(eta1), float(eta2)
     except OverflowError:  # an int beyond the float range
@@ -111,6 +79,34 @@ def _attenuator(eta1, eta2):
         raise PhysicsError("attenuation exponents must be finite")
     if eta1 < 0.0 or eta2 < 0.0:
         raise PhysicsError("attenuation exponents must be nonnegative")
+    return math.exp(-0.5 * (eta1 + eta2)), squeezer(eta2 - eta1)
+
+
+# The Jones matrix of each element kind as plain numbers, its row-major
+# complex entries, of a checked value: finite, and nonnegative for the
+# attenuator. The constructors above check it and wrap them in an Element2;
+# they are also circuit.STAGES's actions, which evaluate reads without
+# building an Element2. Only the attenuator's matrix is not unimodular.
+
+
+def _rotator(theta):
+    # Complex entries, as Element2 would store them: _checked converts nothing.
+    c, s = complex(math.cos(theta / 2.0)), complex(math.sin(theta / 2.0))
+    return c, -s, s, c
+
+
+def _phase_shifter(phi):
+    return cmath.exp(-0.5j * phi), 0j, 0j, cmath.exp(0.5j * phi)
+
+
+def _squeezer(eta):
+    try:
+        return complex(math.exp(eta / 2.0)), 0j, 0j, complex(math.exp(-eta / 2.0))
+    except OverflowError:
+        raise NonFiniteError(f"squeezer overflowed: e^({abs(eta):g}/2) is too large") from None
+
+
+def _attenuator(eta1, eta2):
     return complex(math.exp(-eta1)), 0j, 0j, complex(math.exp(-eta2))
 
 

@@ -17,7 +17,7 @@ matrices are not metric-preserving away from the endpoints.
 import math
 
 from .states import CLASSIFY_TOL, PhysicsError, StokesVector, Transform4, metric_defect, minkowski_norm
-from .states import _Record, _check_tol, _finite, _scaled
+from .states import _Record, _check_tol, _finite, _float, _scaled
 from .elements import phase4, rotator4, squeeze4
 
 __all__ = [
@@ -199,7 +199,7 @@ class InterpolationParams(_Record):
             raise PhysicsError("alpha and u must be finite")
         if not 0.0 <= alpha <= 1.0:
             raise PhysicsError("alpha must lie in [0, 1]")
-        w = 1.0 / (1.0 + (1.0 - alpha * alpha) * (u * u / 4.0)) if w is None else float(w)
+        w = 1.0 / (1.0 + (1.0 - alpha * alpha) * (u * u / 4.0)) if w is None else _float(w, "w")
         if not math.isfinite(w) or w <= 0.0:
             raise PhysicsError("w must be finite and positive")
         vars(self)["w"] = w

@@ -110,6 +110,13 @@ def _scaled(*xs):
     return tuple(x / unit for x in xs)
 
 
+def _float(x, what, kind=float):  # kind(x), float or complex; what names an int beyond the float range
+    try:
+        return kind(x)
+    except OverflowError:
+        raise PhysicsError(f"{what} is beyond the float range") from None
+
+
 class _FirstRead:
     """A member of a record class, owner, made by build(owner) on its first read, from any
     class or instance; it then stands on owner in this one's place, as subclasses read it."""
@@ -126,10 +133,10 @@ class _FirstRead:
 class _Record:
     """Frozen record: a subclass's annotations are its fields, in order.
 
-    Its __init__, made with the class, converts each value of a field annotated
-    float or complex that is not exactly of that class, fills the instance
-    __dict__, open to memos, then calls self.__post_init__ if the class has
-    one (looked up per call, so it can be patched). Its classmethod _checked
+    Its __init__, made with the class, converts by _float each value of a field
+    annotated float or complex that is not exactly of that class, fills the
+    instance __dict__, open to memos, then calls self.__post_init__ if the class
+    has one (looked up per call, so it can be patched). Its classmethod _checked
     makes the same stores without either, for values of the fields' exact
     types that passed its checks already or hold them by construction; it
     takes one value per field, or raises TypeError. It and the view that
@@ -145,10 +152,10 @@ class _Record:
             return  # a subclass without fields of its own keeps its parent's
         cls.__match_args__, cls._compare = fields, fields if compare is None else compare
         args, stores = ", ".join(fields), "".join(f"\n    d[{f!r}] = {f}" for f in fields)
-        converts = "".join(f"\n    if {f}.__class__ is not {t.__name__}: {f} = {t.__name__}({f})"
+        converts = "".join(f"\n    if {f}.__class__ is not {t.__name__}: {f} = convert({f}, {f!r}, {t.__name__})"
                            for f, t in cls.__annotations__.items() if t is float or t is complex)
         hook = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-        namespace = {"new": object.__new__}
+        namespace = {"new": object.__new__, "convert": _float}
         exec(f"def __init__(self, {args}):{converts}\n    d = self.__dict__{stores}{hook}", namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__defaults__ = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
@@ -351,7 +358,10 @@ class StokesVector(_Record):
     @classmethod
     def from_array(cls, a):
         import numpy as np
-        a = np.asarray(a, dtype=float)
+        try:
+            a = np.asarray(a, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            raise PhysicsError("Stokes component is beyond the float range") from None
         if a.shape != (4,):
             raise PhysicsError("Stokes vector must have four components")
         return cls(a[0], a[1], a[2], a[3])
@@ -427,6 +437,8 @@ def _flat16(m):
         if len(m) == 4 and all(len(row) == 4 for row in m):
             m = [x for row in m for x in row]
         e = tuple(map(float, m))
+    except OverflowError:  # an int beyond the float range
+        raise PhysicsError("transform entry is beyond the float range") from None
     except (TypeError, ValueError):
         e = ()
     if len(e) != 16:
@@ -455,6 +467,8 @@ def _is_lorentz(e):
 
 def _check_tol(tol):
     """Reject a tolerance that is NaN, infinite or negative; 0 is exact."""
+    if tol.__class__ is int:  # tol * 0.0 raises OverflowError beyond the float range
+        tol = _float(tol, "tol")
     if tol * 0.0 != 0.0 or tol < 0.0:
         raise PhysicsError("tol must be finite and nonnegative")
 
@@ -467,10 +481,7 @@ def _in_range(x, what):  # x, unless it is inf or NaN, a value beyond the float 
 
 def _finite(x, what):
     """x as a float, which must be finite; what names it in the error."""
-    try:
-        x = float(x)
-    except OverflowError:  # an int beyond the float range
-        raise PhysicsError(f"{what} is beyond the float range") from None
+    x = _float(x, what)
     if not math.isfinite(x):
         raise PhysicsError(f"{what} must be finite")
     return x
@@ -532,6 +543,8 @@ def _entries2(m, shape_error="expected a 2x2 element"):
     try:
         (a, b), (c, d) = m
         return complex(a), complex(b), complex(c), complex(d)
+    except OverflowError:  # an int beyond the float range
+        raise PhysicsError("matrix entry is beyond the float range") from None
     except (TypeError, ValueError):
         raise PhysicsError(shape_error) from None
 

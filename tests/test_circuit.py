@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -299,25 +301,73 @@ def test_evaluate_stage_failure_located():
         evaluate(ast, JonesVector(1, 0))
     assert err.value.line == 1 and err.value.col == 20
     assert "squeeze" in err.value.message
-    # a hand-built AST skips the parser's check of the stage name
-    ast = CircuitAst((Stage("mirror", (("theta", 0.1),), 3, 7),))
-    with pytest.raises(CircuitSemanticError) as err:
-        evaluate(ast, JonesVector(1, 0))
-    assert str(err.value) == (
-        "3:7: stage mirror: unknown element 'mirror' (one of rotate, split, phase, atten, squeeze, decohere)"
-    )
+    # a coherent run whose product underflows to zero compiles, and the stage loop locates it
+    ast = parse("rotate(theta=0.1); atten(eta1=800, eta2=800)")
+    for inp in (JonesVector(1, 0), StokesVector(1, 0.2, 0.1, 0)):
+        with pytest.raises(CircuitSemanticError) as err:
+            evaluate(ast, inp)
+        assert str(err.value) == "1:20: stage atten: beam attenuated to zero intensity (underflow)"
 
 
-def test_hand_built_ast_checks_lambda_at_evaluation():
-    # CircuitAst skips the parser's checks, so decohere_channel's own
-    # lambda checks are the gate, and their errors are located.
-    for lam, reason in ((-0.1, "must be nonnegative"), (math.nan, "must be finite")):
-        stages = (Stage("rotate", (("theta", 0.1),), 1, 1), Stage("decohere", (("lambda", lam),), 2, 5))
-        for inp in (JonesVector(1, 0), StokesVector(1, 0.2, 0.1, 0)):
-            with pytest.raises(CircuitSemanticError) as err:
-                evaluate(CircuitAst(stages), inp)
-            assert (err.value.line, err.value.col) == (2, 5)
-            assert err.value.message == f"stage decohere: lambda {reason}"
+def test_hand_built_ast_checks_values_at_construction():
+    # A hand-built CircuitAst rejects, at the stage and in the parser's
+    # words, what the parser rejects in text: an unknown name, a value out
+    # of the float range, and a negative one where its kind forbids it; so
+    # the stage actions check nothing.
+    def rejection(name, params):
+        stages = (Stage("rotate", (("theta", 0.1),), 1, 1), Stage(name, params, 2, 5))
+        with pytest.raises(CircuitSemanticError) as err:
+            CircuitAst(stages)
+        assert isinstance(err.value, CircuitError) and err.value.exit_code == 3
+        return str(err.value)
+
+    out_of_range = (math.inf, -math.inf, math.nan, 10**400, -10**400)
+    for name in ("atten", "decohere"):
+        keys = circuit.STAGES[name].params
+        for i, key in enumerate(keys):
+            for bad in out_of_range:
+                params = tuple((k, bad if j == i else 0.5) for j, k in enumerate(keys))
+                assert rejection(name, params) == "2:5: number out of range"
+            params = tuple((k, -0.1 if j == i else 0.5) for j, k in enumerate(keys))
+            assert rejection(name, params) == f"2:5: {key} must be nonnegative"
+    # as the parser, a value out of range is reported before a negative one
+    assert rejection("atten", (("eta1", -0.1), ("eta2", math.inf))) == "2:5: number out of range"
+    for name in ("rotate", "split", "phase", "squeeze"):
+        for bad in out_of_range:
+            assert rejection(name, ((circuit.STAGES[name].params[0], bad),)) == "2:5: number out of range"
+        CircuitAst((Stage(name, ((circuit.STAGES[name].params[0], -0.1),)),))  # no sign rule
+    assert rejection("mirror", (("theta", 0.1),)) == (
+        "2:5: unknown element 'mirror' (one of rotate, split, phase, atten, squeeze, decohere)")
+
+
+def stage_values(rng):
+    """Seeded values that circuit text can spell, as repr writes them."""
+    top = int(sys.float_info.max)
+    edges = (0.0, -0.0, 5e-324, -1.5, 10**400, -10**400, 2**1024, top, -top, top + 2**969, 2**1024 - 2**970, 7, -3)
+    while True:
+        if rng.random() < 0.4:
+            yield rng.choice(edges)
+        else:
+            yield rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-320.0, 308.0)
+
+
+def test_hand_built_ast_rejects_what_parse_rejects():
+    """Contract: a hand-built one-stage CircuitAst raises exactly when
+    parse of the same stage's text raises a CircuitSemanticError, with
+    the same message, and otherwise unparses to the parsed text."""
+    rng = random.Random(41)
+    values = stage_values(rng)
+    for _ in range(400):
+        name = rng.choice(list(circuit.STAGES))
+        params = tuple((key, next(values)) for key in circuit.STAGES[name].params)
+        text = f"{name}({', '.join(f'{key}={value!r}' for key, value in params)})"
+        outcomes = []
+        for build in (lambda: CircuitAst((Stage(name, params, 1, 1),)), lambda: parse(text)):
+            try:
+                outcomes.append(unparse(build()))
+            except CircuitSemanticError as err:
+                outcomes.append(err.message)
+        assert outcomes[0] == outcomes[1], text
 
 
 @pytest.mark.parametrize("inp", [JonesVector(1, 0), StokesVector(1, 0.2, 0.1, 0)])

@@ -16,12 +16,17 @@ from twobeam import (
     JonesVector,
     NonFiniteError,
     PhysicsError,
+    StokesVector,
+    Transform4,
     attenuator,
+    classify,
     coherency_from_jones,
+    coherency_from_stokes,
     compose,
     decohere_channel,
     f1,
     lift,
+    metric_defect,
     phase4,
     phase_shifter,
     rotator,
@@ -30,6 +35,7 @@ from twobeam import (
     squeeze4,
     squeezer,
     stokes_from_coherency,
+    wigner_decompose,
 )
 
 
@@ -210,11 +216,24 @@ def test_finite_parameter_required():
 
 
 def test_an_int_beyond_the_float_range_is_a_named_physics_error():
-    # float(10**400) raises OverflowError; each constructor reports the
-    # parameter it could not read instead.
+    # float(10**400) raises OverflowError; each constructor, record and
+    # conversion of an array-like reports the parameter it could not read
+    # instead.
     named = [(ctor, f"{name} is beyond the float range") for ctor, name in (
         (rotator, "theta"), (phase_shifter, "phi"), (squeezer, "eta"), (rotator4, "theta"), (phase4, "phi"),
         (squeeze4, "eta"), (f1, "u"), (lambda x: decohere_channel(CoherencyMatrix(1, 1, 0), x), "lambda"))]
+    named += [(make, f"{name} is beyond the float range") for make, name in (
+        (lambda x: StokesVector(x, 0, 0, 0), "s0"), (lambda x: JonesVector(1, x), "psi2"),
+        (lambda x: CoherencyMatrix(x, 0, 0), "s11"), (lambda x: CoherencyMatrix(1, 1, x), "s12"),
+        (lambda x: Element2(1, 0, 0, x), "delta"), (lambda x: InterpolationParams(x, 0), "alpha"),
+        (lambda x: InterpolationParams(0.5, 0, x), "w"), (lambda x: Transform4([x] + [0] * 15), "transform entry"),
+        (lambda x: metric_defect([[1, 0, 0, 0]] * 3 + [[0, 0, 0, x]]), "transform entry"),
+        (lambda x: lift([[x, 0], [0, 1]]), "matrix entry"), (lambda x: compose([[1, x], [0, 1]]), "matrix entry"),
+        (lambda x: wigner_decompose([[1, 0], [x, 1]]), "matrix entry"),
+        (lambda x: CoherencyMatrix.from_matrix([[1, 0], [0, x]]), "matrix entry"),
+        (lambda x: StokesVector.from_array([1, 0, x, 0]), "Stokes component"),
+        (lambda x: classify(StokesVector(1, 0, 0, 0), x), "tol"),
+        (lambda x: coherency_from_stokes(StokesVector(1, 0, 0, 0), x), "tol"))]
     for call, message in named + [
         (lambda x: attenuator(x, 0), "attenuation exponents are beyond the float range"),
         (lambda x: attenuator(0, x), "attenuation exponents are beyond the float range"),
@@ -271,22 +290,27 @@ def entries_or_error(make, *args):
 
 def test_stage_actions_are_the_constructors_entries():
     # A STAGES action returns the numbers its kind's constructor wraps:
-    # the same entries, bit for bit and of the same classes, and the
-    # same error class and message for non-finite, negative and
-    # overflowing parameters.
+    # the same entries, bit for bit and of the same classes, and the same
+    # error where the entries overflow, for every value a CircuitAst holds
+    # (finite, and nonnegative where the kind says). The constructors
+    # check the other values themselves.
     assert set(CONSTRUCTORS) == {name for name, kind in STAGES.items() if kind.action}
     values = (0.0, -0.0, 0.3, -2.5, 5e-324, 1e-300, 700.0, 1418.0, -1420.0, 2000.0, -2000.0,
               1e308, math.inf, -math.inf, math.nan)
     errors = set()
     for name, make in CONSTRUCTORS.items():
-        action = STAGES[name].action
-        for args in itertools.product(values, repeat=len(STAGES[name].params)):
+        kind = STAGES[name]
+        for args in itertools.product(values, repeat=len(kind.params)):
+            want = entries_or_error(make, *args)
+            if not all(map(math.isfinite, args)) or any(
+                    x < 0.0 for key, x in zip(kind.params, args) if key in kind.nonnegative):
+                errors.add(want)
+                continue
             try:
-                got = action(*args)
+                got = kind.action(*args)
             except PhysicsError as err:
                 got = type(err), str(err)
                 errors.add(got)
-            want = entries_or_error(make, *args)
             assert repr(got) == repr(want), (name, args)
             assert list(map(type, got)) == list(map(type, want)), (name, args)
     assert errors >= {

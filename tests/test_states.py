@@ -338,6 +338,31 @@ def test_coherency_slack_is_relative_to_the_trace():
         assert purity_report(c).trace_sq == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600])
+def test_coherency_gates_hold_their_slack_at_every_scale(scale):
+    """Contract: a pure state perturbed by ten times a gate's documented
+    slack is rejected, and one perturbed by a tenth of it is accepted, at
+    unit intensity and where the gate rescales. The PSD slack is 1e-12 of
+    the squared trace, from_matrix's Hermitian slack 1e-12 of the largest
+    entry. A power of two scales every entry exactly."""
+    s11, s22 = 0.6 * scale, 0.4 * scale
+    for factor, accepted in ((0.1, True), (10.0, False)):
+        # |s12|^2 = s11 s22 + factor * 1e-12 (s11 + s22)^2, so det = -factor * 1e-12 trace^2
+        s12 = complex(0.6, 0.8) * math.sqrt(0.24 + factor * 1e-12) * scale
+        if accepted:
+            CoherencyMatrix(s11, s22, s12)
+        else:
+            with pytest.raises(PhysicsError, match="^coherency matrix must be positive semidefinite"):
+                CoherencyMatrix(s11, s22, s12)
+        s12 = math.sqrt(0.24) * scale
+        m = [[s11, s12], [s12 + 1j * factor * 1e-12 * s11, s22]]  # s11 is the largest entry
+        if accepted:
+            assert CoherencyMatrix.from_matrix(m) == CoherencyMatrix(s11, s22, s12)
+        else:
+            with pytest.raises(PhysicsError, match="^matrix is not Hermitian"):
+                CoherencyMatrix.from_matrix(m)
+
+
 def test_spacelike_message_reports_relative_norm():
     # minkowski_norm of the tiny vector underflows to 0; its ratio to s0^2 is -3
     expected = r"^non-physical Stokes vector \(spacelike\): relative_norm = -3\.000e\+00$"
