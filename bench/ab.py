@@ -5,6 +5,7 @@
     python3 bench/ab.py --parent HEAD --mode cli-mix
     python3 bench/ab.py --parent HEAD --mode batch --states 100
     python3 bench/ab.py --parent HEAD --mode simulate-long
+    python3 bench/ab.py --parent HEAD --mode jones-reused --states 50
 
 The parent side is a git revision, exported with `git archive` into a
 temporary directory as bench/record.py exports it, or a directory that
@@ -51,6 +52,13 @@ It shows the gain of folding a circuit's segments, per state, on a
 circuit far longer than state-sweep's, which no perfbench workload
 evaluates from Stokes inputs. It prints the same summary line for
 batch, one operation per state.
+
+The jones-reused mode times one parsed circuit of --stages stages, drawn
+as perfbench's long-chain draws its circuits, evaluated from --states
+seeded Jones inputs (perfbench's draw_jones), in process as above: the
+AST is reused, so it is compiled once, before the rounds. Every input
+is checked once against perfbench's oracle. It prints the same summary
+line for jones-reused, one operation per input.
 
 The simulate-long mode times the command line's simulate on one
 --stages-stage circuit, drawn as perfbench's long-chain draws its
@@ -141,17 +149,23 @@ def cpu_time(block):
     return time.process_time() - start
 
 
-def batch_block(module, seed, n):
-    """(a function evaluating n seeded Stokes inputs through the batch circuit, n), with
-    module's package; every input's result is checked against module's oracle first."""
+def reused_block(module, seed, n, mode, stages, decoheres, jones):
+    """(a function evaluating n seeded inputs through one parsed circuit, n), with module's
+    package: the circuit's stages drawn with perfbench's generators, decoheres of them decohere
+    at seeded places; the inputs Jones (perfbench's draw_jones) or Stokes (its draw_stokes,
+    alternately pure and impure). Every input's result is checked against module's oracle first."""
     rng = random.Random(seed)
-    kinds = [rng.choice(module.COHERENT) for _ in range(BATCH_STAGES)]
-    for i in rng.sample(range(BATCH_STAGES), BATCH_DECOHERES):
+    kinds = [rng.choice(module.COHERENT) for _ in range(stages)]
+    for i in rng.sample(range(stages), decoheres):
         kinds[i] = "decohere"
-    stages = [module.draw_stage(rng, kind) for kind in kinds]
-    ast, matrix = module.circuit.parse(module.circuit_text(stages)), module.oracle_matrix(stages)
-    inputs = [module.draw_stokes(rng, pure=i % 2 == 0) for i in range(n)]
-    cases = [module.states.StokesVector(*s) for s in inputs]
+    drawn = [module.draw_stage(rng, kind) for kind in kinds]
+    ast, matrix = module.circuit.parse(module.circuit_text(drawn)), module.oracle_matrix(drawn)
+    if jones:
+        psis = [module.draw_jones(rng) for _ in range(n)]
+        inputs, cases = [module.jones_stokes(*psi) for psi in psis], [module.states.JonesVector(*psi) for psi in psis]
+    else:
+        inputs = [module.draw_stokes(rng, pure=i % 2 == 0) for i in range(n)]
+        cases = [module.states.StokesVector(*s) for s in inputs]
     evaluate = module.circuit.evaluate
     for s, case in zip(inputs, cases):
         want = matrix @ module.np.array(s)
@@ -159,7 +173,7 @@ def batch_block(module, seed, n):
         error = module.stokes_error(report.final_stokes, want, report.final_classification.tag,
                                     module.oracle_tag(want))
         if error:
-            raise SystemExit(f"{module.__name__} batch: {error}")
+            raise SystemExit(f"{module.__name__} {mode}: {error}")
 
     def block():
         for case in cases:
@@ -187,9 +201,10 @@ def in_process(parent, args, tmp):
     return interleaved(ops, args.rounds)
 
 
-def batch(parent, args, tmp):
-    """{"batch": ({side: CPU time per round}, states per block)}."""
-    ops = {side: {"batch": batch_block(workloads_of(checkout, side), args.seed, args.states)}
+def reused(parent, args, tmp):
+    """{mode: ({side: CPU time per round}, inputs per block)} of the batch or jones-reused mode."""
+    sizes = {"batch": (BATCH_STAGES, BATCH_DECOHERES, False), "jones-reused": (args.stages, 0, True)}[args.mode]
+    ops = {side: {args.mode: reused_block(workloads_of(checkout, side), args.seed, args.states, args.mode, *sizes)}
            for side, checkout in zip(SIDES, (parent, ROOT))}
     return interleaved(ops, args.rounds)
 
@@ -282,14 +297,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True,
                         help="git revision, or a directory holding src/twobeam")
-    parser.add_argument("--mode", choices=("in-process", "cli-mix", "batch", "simulate-long"),
+    parser.add_argument("--mode", choices=("in-process", "cli-mix", "batch", "simulate-long", "jones-reused"),
                         default="in-process")
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--states", type=int, default=400,
-                        help="state-sweep operations, or batch states, per block")
+                        help="state-sweep operations, or batch or jones-reused inputs, per block")
     parser.add_argument("--chains", type=int, default=4, help="long-chain operations per block")
     parser.add_argument("--stages", type=int, default=2000,
-                        help="stages per long chain, or of simulate-long's circuit")
+                        help="stages per long chain, or of simulate-long's or jones-reused's circuit")
     parser.add_argument("--seed", type=int, default=701)
     args = parser.parse_args(argv)
 
@@ -297,7 +312,8 @@ def main(argv=None):
         parent = Path(args.parent)
         if not (parent / "src" / "twobeam").is_dir():
             parent = export(args.parent, Path(tmp) / "parent")
-        modes = {"in-process": in_process, "cli-mix": cli_mix, "batch": batch, "simulate-long": simulate_long}
+        modes = {"in-process": in_process, "cli-mix": cli_mix, "batch": reused, "simulate-long": simulate_long,
+                 "jones-reused": reused}
         results = modes[args.mode](parent, args, tmp)
     what = "child CPU time" if args.mode == "cli-mix" else "CPU time"
     unit, scale = ("ms", 1e3) if args.mode in ("cli-mix", "simulate-long") else ("us", 1e6)

@@ -52,33 +52,39 @@ DECOHERENCE = "src/twobeam/decoherence.py"
 _RETURN_REPORT = """final_classification=_classify_at(stages[-1] if stages else None, final_stokes, tol),
     )
     return report"""
-_MEMO = 'segments = vars(ast).setdefault("_segments", _compile(ast.stages))'
-_FOLD = "_fold(_segments(ast), s11, s22, s12)"
+_MEMO = 'vars(ast).get("_segments") or vars(ast).setdefault("_segments", _compile(ast.stages))'
+_FOLD = "_fold(_segments(ast), *walked[0], psi)"
 _NUMBERS = "return (STAGES[stage.name].action or decoherence._decay)(*map(_value, stage.params))"
 
 MUTANTS = (
     # Racing threads each fold through the segments they compiled.
-    Mutant("segments-race", CIRCUIT, _MEMO, 'segments = vars(ast)["_segments"] = _compile(ast.stages)'),
+    Mutant("segments-race", CIRCUIT, _MEMO,
+           'vars(ast).get("_segments") or (s := _compile(ast.stages), vars(ast).update(_segments=s))[0]'),
     # A segment whose gate fails raises from the fold instead of deferring to the stage loop.
-    Mutant("fold-gate-uncaught", CIRCUIT, """            try:
-                _check_coherency(s11, s22, s12)
-            except PhysicsError:
-                return None
-""", """            _check_coherency(s11, s22, s12)
-"""),
-    Mutant("product-reversed", CIRCUIT, "p = m if p is None else _mul2(m, p)", "p = m if p is None else _mul2(p, m)"),
-    Mutant("no-range-guard", CIRCUIT, "if not (_SQUARE_MIN <= size * low and size * high <= _SQUARE_MAX):",
+    Mutant("fold-gate-uncaught", CIRCUIT, "except (OverflowError, PhysicsError):  # a gate's failure",
+           "except OverflowError:  # a gate's failure"),
+    Mutant("product-reversed", CIRCUIT, "q = m if p is None else _mul2(m, p)", "q = m if p is None else _mul2(p, m)"),
+    # A long chain's product goes wrong past its 1000th stage only: a rotation's angle negated there.
+    Mutant("rotation-negated-late", CIRCUIT, "    for stage in run:\n        m = _action(stage)\n",
+           "    for i, stage in enumerate(run):\n        m = _action(stage)\n"
+           "        m = _rotator(-_value(*stage.params)) if i >= 1000 and stage.name == 'rotate' else m\n"),
+    # A product's columns are never rescaled, so a prefix product can go subnormal or overflow.
+    Mutant("product-no-rescale", CIRCUIT,
+           "if not (_BAND_MIN <= abs(a) + abs(c) <= _BAND_MAX and _BAND_MIN <= abs(b) + abs(d) <= _BAND_MAX):",
            "if False:"),
+    # The fold drops the state's power of two, or a Jones input's.
+    Mutant("fold-exponent-dropped", CIRCUIT, "            if e:\n                s11, s22, s12 = math.ldexp(",
+           "            if False:\n                s11, s22, s12 = math.ldexp("),
+    Mutant("jones-exponent-dropped", CIRCUIT, "psi = _ldexp(p1, e), _ldexp(p2, e)", "psi = p1, p2"),
+    # A Jones input through a circuit without decohere goes down the stage loop.
+    Mutant("jones-down-the-stage-loop", CIRCUIT, f"folded = {_FOLD}", f"folded = None if input_jones else {_FOLD}"),
     Mutant("last-record-a-copy", CIRCUIT, "matrices = [first, *between, self.final_coherency]",
            "matrices = [first, *between, CoherencyMatrix._checked(*vars(self.final_coherency).values())]"),
-    Mutant("no-segment-memo", CIRCUIT, _MEMO, "segments = _compile(ast.stages)"),
+    Mutant("no-segment-memo", CIRCUIT, _MEMO, "_compile(ast.stages)"),
     Mutant("stage-memo", CIRCUIT, _NUMBERS, f'return vars(stage).setdefault("_numbers", {_NUMBERS[7:]})'),
     Mutant("records-eager", CIRCUIT, _RETURN_REPORT, _RETURN_REPORT.replace("return", "report.stages\n    return")),
     Mutant("final-purity-eager", CIRCUIT, _RETURN_REPORT,
            _RETURN_REPORT.replace("return", "report.final_purity\n    return")),
-    # The amplitude path builds a JonesVector per stage.
-    Mutant("jones-per-stage", CIRCUIT, "s11, s22, s12 = _outer(p1, p2)",
-           "s11, s22, s12 = _outer(*vars(JonesVector(p1, p2)).values())"),
     # The AST keeps its first fold's result, so a report depends on what it evaluated before.
     Mutant("fold-result-memo", CIRCUIT, _FOLD, f'vars(ast).setdefault("_fold", {_FOLD})'),
     # The stage loop, which records reads run, goes through the public channel and element.
@@ -89,10 +95,7 @@ MUTANTS = (
            "c.s22, c.s12"),
     # An evaluate from a Jones input compiles the circuit again.
     Mutant("jones-recompiles", CIRCUIT, _FOLD,
-           "_fold(_compile(stages) if input_jones else _segments(ast), s11, s22, s12)"),
-    # A Jones input keeps its amplitudes through a decohere, which then scales s12 alone.
-    Mutant("jones-through-decohere", CIRCUIT, 'p1 is None or "decohere" in map(operator.attrgetter("name"), stages)',
-           "p1 is None"),
+           "_fold(_compile(stages) if input_jones else _segments(ast), *walked[0], psi)"),
     # A hand-built CircuitAst without one of its value checks, which the stage actions no longer make.
     Mutant("ast-unknown-name", CIRCUIT, "if kind is None:\n", "if False:\n",
            ("tests/test_circuit.py", "tests/test_differential.py")),
@@ -102,9 +105,6 @@ MUTANTS = (
 """, ("tests/test_circuit.py", "tests/test_differential.py")),
     Mutant("ast-nonnegative", CIRCUIT, "if value < 0.0 and key in kind.nonnegative:", "if False:",
            ("tests/test_circuit.py", "tests/test_differential.py")),
-    # The compile, which catches only a squeeze's overflow, divides by a prefix product that underflows to zero.
-    Mutant("product-zero-norm", CIRCUIT, "det * det / norm if norm else 0.0", "det * det / norm",
-           ("tests/test_circuit.py",)),
     # decohere_channel without the check it took over from the action it shares with the stage.
     Mutant("channel-nonnegative", DECOHERENCE, """    if lam < 0.0:
         raise PhysicsError("lambda must be nonnegative")

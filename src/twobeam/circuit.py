@@ -34,6 +34,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 from typing import NamedTuple
 
 from . import decoherence, littlegroup
@@ -46,7 +47,6 @@ from .states import (
     CLASSIFY_TOL,
     _Record,
     _SQUARE_MAX,
-    _SQUARE_MIN,
     _check_coherency,
     _conjugated,
     _conjugation,
@@ -476,8 +476,9 @@ class StageRecord(NamedTuple):
 class SimulationReport(_Record):
     """Stage-by-stage history of a circuit evaluation.
 
-    final_jones is set on evaluate's amplitude path alone: from a Jones
-    input through a circuit with no decohere.
+    final_jones is set where evaluate folded a Jones input's amplitudes:
+    through a circuit with no decohere, unless the fold declined and the
+    stage loop ran, which carries no amplitudes.
     A report evaluate returns holds the input's entries and those after
     each stage its stage loop ran. Its stages are built on the first read,
     the stage loop going on from there to the last stage, and
@@ -514,63 +515,49 @@ class SimulationReport(_Record):
 def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     """Push a state through the circuit; its stage records are built when read.
 
-    evaluate picks one path from the input and the circuit before any
-    stage runs. A Jones input to a circuit with no decohere takes the
-    amplitude path: the stage loop runs on its amplitudes over every
-    stage, psi -> conj(M) psi, the entries their outer product, so a pure
-    state stays pure to rounding however long the chain. An outer product
-    whose size s11 + s22 lies in [_SQUARE_MIN, _SQUARE_MAX] always passes
-    the gate, which is not run there; any other size takes the gate and
-    the underflow test. One JonesVector is built from the amplitudes for
-    the report. A mixed state has no amplitudes, so every other input, a
-    Stokes input or a Jones input to a circuit with a decohere, takes the
-    fold path from its own coherency entries.
-
-    The fold carries the coherency matrix as its entries. Every stage is
-    linear, so the circuit is compiled once, by the first evaluate that
-    needs it, into alternating segments kept on the AST (_segments). A
+    evaluate folds every input through the circuit's segments. Every
+    stage is linear, so the circuit is compiled once, by the first
+    evaluate, into alternating segments kept on the AST (_segments). A
     maximal run of coherent stages is one Jones matrix M = M_k ... M_1,
-    the product of its stages' STAGES actions (a run of one is its
-    stage's action): the state goes through conjugate's formula,
-    C -> M C M+, and the new entries pass the CoherencyMatrix checks, its
-    gate, and the underflow test, once per segment. A run of decohere
-    stages scales s12 by each stage's e^-2 lambda in turn, as the stage
-    loop does, with no gate: s11 and s22 stay, and with e^-2 lambda in
-    [0, 1] no rounded part of s12 grows, so entries that passed the gate
-    pass it again.
+    the product of its stages' STAGES actions, kept as a matrix Q whose
+    columns carry their own powers of two: M = Q diag(2^k1, 2^k2). A run
+    of decohere stages is the tuple of its stages' e^-2 lambda. A Jones
+    input through a circuit with no decohere, one coherent segment at
+    most, folds its amplitudes, psi -> conj(M) psi, and the entries are
+    their outer product, so a pure state stays pure however long the
+    chain; final_jones is built from them. Every other input folds its
+    coherency entries: a coherent segment takes them through conjugate's
+    formula, C -> M C M+, and its gate and underflow test, once per
+    segment; a decohere segment scales s12 by each e^-2 lambda in turn.
+    The state carries its power of two beside its entries and applies it
+    once, at the end. So an intermediate state beyond the float range
+    costs nothing: squeeze(eta=800); squeeze(eta=-800) returns its input.
 
-    The range guard: a coherent segment keeps bounds on the gain in size
-    over the products P of its first j actions, max |P|_F^2 and
-    min |det P|^2 / |P|_F^2. Where the size before it times both stays in
-    [_SQUARE_MIN, _SQUARE_MAX], none of its stages overflows or
-    underflows. Where the size leaves that range, or the gate or the
-    underflow test fails after a segment, evaluate runs the stage loop
-    instead, from the input, and returns or raises exactly what that loop
-    does: a stage failure re-raises as a located CircuitSemanticError,
-    and overflow and an intensity that underflows to zero say so. A final
+    Where a segment fails its gate or underflow test, a squeeze's own
+    entries overflow, or the final trace is not a normal float at most
+    _SQUARE_MAX (classify squares it), evaluate runs the stage loop from
+    the input instead, and returns or raises exactly what it does: a
+    stage failure re-raises as a located CircuitSemanticError, and
+    overflow and an intensity that underflows to zero say so. A final
     class that overflows is located at the last stage. The result depends
     only on the circuit, the input and tol.
 
     The StageRecords, and the matrices between stages, are built on the
     first read of the report's stages, and final_purity on its first
-    read. The records keep the entries evaluate's own stage loop produced:
-    all of them on the amplitude path or in a fallback, the input's alone
-    where the fold ran, from which the read runs the stage loop, with its
-    gates, up to the last stage. So every record but the last is the
-    stage loop's, whichever path evaluate took, and the last holds the
-    final state: stages[-1].coherency_after is final_coherency. A gate
-    that fails in the read raises its located error from the read. The
-    segments are the only memo: the stage loop reads each stage's numbers
-    again through _action, on the amplitude path and on a records read
-    alike, and builds no Element2.
+    read. Where the fold ran, the read runs the stage loop, with its
+    gates, from the input up to the last stage; where the stage loop ran,
+    the read keeps its entries. So every record but the last is the stage
+    loop's, whichever path evaluate took, and the last holds the final
+    state: stages[-1].coherency_after is final_coherency. A gate that
+    fails in the read raises its located error from the read, also where
+    the fold returned a state the stage loop cannot reach. The segments
+    are the only memo: the stage loop reads each stage's numbers again
+    through _action and builds no Element2.
     """
     if isinstance(inp, JonesVector):
-        p1, p2 = inp.psi1, inp.psi2
-        first = coherency_from_jones(inp)
-        input_jones = inp
+        psi, first, input_jones = (inp.psi1, inp.psi2), coherency_from_jones(inp), inp
     elif isinstance(inp, StokesVector):
-        p1 = p2 = input_jones = None
-        first = coherency_from_stokes(inp, tol)
+        psi, first, input_jones = None, coherency_from_stokes(inp, tol), None
     else:
         raise TypeError("input must be a JonesVector or StokesVector")
     input_stokes = stokes_from_coherency(first)
@@ -579,11 +566,11 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
         underflow = "" if dark else " (it underflows to zero)"
         raise PhysicsError(f"evaluation requires positive input intensity{underflow}")
     stages, walked = ast.stages, [(first.s11, first.s22, first.s12)]
-    s11, s22, s12 = walked[0]
-    if p1 is None or "decohere" in map(operator.attrgetter("name"), stages):  # a mixed state has no amplitudes
-        s11, s22, s12, p1, p2 = _fold(_segments(ast), s11, s22, s12) or _walk(stages, walked, s11, s22, s12)
-    else:
-        s11, s22, s12, p1, p2 = _walk(stages, walked, s11, s22, s12, p1, p2)
+    try:
+        folded = _fold(_segments(ast), *walked[0], psi)
+    except NonFiniteError:  # a squeeze whose own entries overflow: the stage loop locates it
+        folded = None
+    s11, s22, s12, psi = folded or (*_walk(stages, walked, *walked[0]), None)
     last = CoherencyMatrix._checked(s11, s22, s12) if stages else first
     final_stokes = stokes_from_coherency(last)
     report = SimulationReport.__new__(SimulationReport)  # _trail in place of stages
@@ -594,42 +581,31 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
         _trail=(stages, tol, first, walked),
         final_stokes=final_stokes,
         final_coherency=last,
-        final_jones=None if p1 is None else JonesVector(p1, p2),
+        final_jones=psi and JonesVector(*psi),
         final_classification=_classify_at(stages[-1] if stages else None, final_stokes, tol),
     )
     return report
 
 
-def _walk(stages, trail, s11, s22, s12, p1=None, p2=None):
-    """The stage loop: the state (s11, s22, s12, p1, p2) after stages, from
-    that one, each stage's entries appended to trail. Amplitudes p1, p2
-    are given only for stages with no decohere: a mixed state has none."""
+def _walk(stages, trail, s11, s22, s12):
+    """The stage loop: the entries (s11, s22, s12) after stages, from those,
+    each stage's entries appended to trail; every coherent stage's pass
+    the gate and the underflow test, and a failure raises located."""
     for stage in stages:
         try:
             step = _action(stage)
             if step.__class__ is float:  # decohere's e^-2 lambda; its result needs no gate
                 s12 = complex(step * s12.real, step * s12.imag)
             else:
-                if p1 is None:
-                    s11, s22, s12 = _conjugated(s11, s22, s12, _conjugation(step))
-                else:  # psi -> conj(M) psi
-                    a, b, c, d = step
-                    p1, p2 = a.conjugate() * p1 + b.conjugate() * p2, c.conjugate() * p1 + d.conjugate() * p2
-                    s11, s22, s12 = _outer(p1, p2)
-                if p1 is None or not _SQUARE_MIN <= s11 + s22 <= _SQUARE_MAX:  # else it always passes
-                    _check_coherency(s11, s22, s12)
-                    if s11 + s22 <= 0.0:
-                        raise PhysicsError("beam attenuated to zero intensity (underflow)")
-        except NonFiniteError as err:
-            raise CircuitSemanticError(
-                f"stage {stage.name}: beam intensity overflowed", stage.line, stage.col
-            ) from err
+                s11, s22, s12 = _conjugated(s11, s22, s12, _conjugation(step))
+                _check_coherency(s11, s22, s12)
+                if s11 + s22 <= 0.0:
+                    raise PhysicsError("beam attenuated to zero intensity (underflow)")
         except PhysicsError as err:
-            raise CircuitSemanticError(
-                f"stage {stage.name}: {err}", stage.line, stage.col
-            ) from err
+            message = "beam intensity overflowed" if isinstance(err, NonFiniteError) else err
+            raise CircuitSemanticError(f"stage {stage.name}: {message}", stage.line, stage.col) from err
         trail.append((s11, s22, s12))
-    return s11, s22, s12, p1, p2
+    return s11, s22, s12
 
 
 def _action(stage):
@@ -642,72 +618,105 @@ def _action(stage):
 def _segments(ast):
     """The AST's segments, compiled on first use and kept in its __dict__
     as _segments, outside the compared fields; if two threads race, both
-    read the one stored first."""
-    segments = vars(ast).get("_segments")
-    if segments is None:
-        segments = vars(ast).setdefault("_segments", _compile(ast.stages))
-    return segments
+    read the one stored first. A compile that raises keeps nothing, and
+    the empty circuit's empty tuple is compiled on every read."""
+    return vars(ast).get("_segments") or vars(ast).setdefault("_segments", _compile(ast.stages))
 
 
 def _compile(stages):
-    """(step, low, high) per maximal run of coherent or of decohere
-    stages. A coherent run's step is the conjugation constants of its M,
-    and low and high its range of gain; a decohere run's is the tuple of
-    its stages' e^-2 lambda, and its range None. A run whose squeeze
-    overflows, the one failure a valid AST can compile to, has step None
-    and a NaN range, which no state passes, so the stage loop reports it.
-    One whose product is not finite fails the range (inf) or, by NaN
-    constants, the gate."""
-    segments = []
-    for channel, run in itertools.groupby(stages, lambda stage: stage.name == "decohere"):
-        run = tuple(run)
-        try:
-            if channel:
-                segment = tuple(map(_action, run)), None, None
-            else:
-                segment = _product(run)
-        except NonFiniteError:  # the stage loop raises it, located
-            segment = None, math.nan, math.nan
-        segments.append(segment)
-    return tuple(segments)
+    """(step, k1, k2) per maximal run of coherent or of decohere stages: a
+    coherent run's _product, and a decohere run's tuple of its stages'
+    e^-2 lambda with k1 and k2 None. A squeeze whose entries overflow, the
+    one failure a valid AST can compile to, raises NonFiniteError."""
+    return tuple((tuple(map(_action, run)), None, None) if channel else _product(run)
+                 for channel, run in itertools.groupby(stages, lambda stage: stage.name == "decohere"))
+
+
+# The size |re| + |im| of each column of a segment's product is kept in this
+# band (_product): from inside it, a stage action takes no column past the
+# float range unless its own entries pass about 2^1015, as squeeze(eta=1407)'s.
+_BAND_MIN, _BAND_MAX = 2.0**-8, 2.0**8
 
 
 def _product(run):
-    """The conjugation constants of M = M_k ... M_1, the product of run's
-    actions by _mul2 (M_1 itself for a run of one), and over its prefix
-    products P, min |det P|^2 / |P|_F^2 (0 once P underflows to zero) and
-    max |P|_F^2, with det P the product of the actions' determinants."""
-    p, det, low, high = None, 1.0, math.inf, 0.0
+    """(the conjugation constants of Q, k1, k2), where the product of run's
+    actions by _mul2 is M = M_k ... M_1 = Q diag(2^k1, 2^k2). A stage left-
+    multiplies each column alone. Where a column of the new product leaves
+    the band, the stage multiplies the previous product again, with that
+    column divided by the new column's power of two, which moves into k1 or
+    k2: the new column lands in the band, and no part of it is lost to
+    underflow on the way that its power of two would have kept."""
+    p, k1, k2 = None, 0, 0
     for stage in run:
-        a, b, c, d = m = _action(stage)
-        det *= abs(a * d - b * c)
-        p = m if p is None else _mul2(m, p)
-        norm = sum(x.real * x.real + x.imag * x.imag for x in p)
-        low, high = min(low, det * det / norm if norm else 0.0), max(high, norm)
-    return _conjugation(p), low, high
+        m = _action(stage)
+        q = m if p is None else _mul2(m, p)
+        a, b, c, d = q
+        if not (_BAND_MIN <= abs(a) + abs(c) <= _BAND_MAX and _BAND_MIN <= abs(b) + abs(d) <= _BAND_MAX):
+            n1, n2 = _exponent(a, c), _exponent(b, d)
+            w, x, y, z = p or (1.0, 0j, 0j, 1.0)  # the identity before the first stage
+            q = _mul2(m, (_ldexp(w, -n1), _ldexp(x, -n2), _ldexp(y, -n1), _ldexp(z, -n2)))
+            k1, k2 = k1 + n1, k2 + n2
+        p = q
+    return _conjugation(p), k1, k2
 
 
-def _fold(segments, s11, s22, s12):
-    """The state (s11, s22, s12, None, None) after segments, from entries
-    s11, s22, s12; None where the state leaves a segment's range, or the
-    gate or the underflow test fails on a segment's entries. It reads and
-    keeps nothing else: a function of the segments and one state."""
-    for step, low, high in segments:
-        if low is None:  # a decohere run: its result needs no gate
-            for k in step:
-                s12 = complex(k * s12.real, k * s12.imag)
+def _exponent(*parts):
+    """The power of two of the largest real or imaginary part of complex
+    parts: 2^n > it >= 2^(n-1); 0 where it is 0 or not finite."""
+    return math.frexp(max(max(abs(z.real), abs(z.imag)) for z in parts))[1]
+
+
+def _ldexp(z, n):
+    """complex z times 2^n, each part rounded once."""
+    return complex(math.ldexp(z.real, n), math.ldexp(z.imag, n))
+
+
+def _fold(segments, s11, s22, s12, psi=None):
+    """The final (s11, s22, s12, psi) after segments, from entries s11,
+    s22, s12 and, for a Jones input, its amplitudes psi; psi stays None
+    but where every segment is coherent. None where a segment's entries
+    fail the gate or the underflow test, a power of two takes them past
+    the float range, or the final trace is not a normal float at most
+    _SQUARE_MAX. It reads and keeps nothing else: a function of the
+    segments and one state."""
+    e = 0  # the state is 2^e times its entries, psi 2^e times its amplitudes
+    try:
+        if psi and all(k1 is not None for _, k1, _ in segments):
+            p1, p2 = psi
+            for step, k1, k2 in segments:  # at most one
+                # psi -> diag(2^k1, 2^k2) psi, its largest part's power of two moved into e
+                e = max(k1 + _exponent(p1) if p1 else -math.inf, k2 + _exponent(p2) if p2 else -math.inf)
+                p1, p2 = _ldexp(p1, k1 - e), _ldexp(p2, k2 - e)
+                a, cbar, b, dbar = step[8:]  # psi -> conj(Q) psi
+                p1, p2 = a.conjugate() * p1 + b.conjugate() * p2, cbar * p1 + dbar * p2
+            psi = _ldexp(p1, e), _ldexp(p2, e)
+            s11, s22, s12 = _outer(*psi)
+            _check_coherency(s11, s22, s12)
         else:
-            size = s11 + s22
-            if not (_SQUARE_MIN <= size * low and size * high <= _SQUARE_MAX):
-                return None
-            s11, s22, s12 = _conjugated(s11, s22, s12, step)
-            try:
+            psi = None
+            for step, k1, k2 in segments:
+                if k1 is None:  # a decohere run: its result needs no gate
+                    for k in step:
+                        s12 = complex(k * s12.real, k * s12.imag)
+                    continue
+                if k1 or k2 or e:
+                    # C -> D C D, D = diag(2^k1, 2^k2), divided by the power of two that puts its largest
+                    # entry near 2^900: a segment's constants, at most 2^16, keep it finite, and an
+                    # entry 2^1900 times smaller stays for a later segment to grow.
+                    t = max(2 * k1 + math.frexp(s11)[1] if s11 else -math.inf,
+                            2 * k2 + math.frexp(s22)[1] if s22 else -math.inf) - 900
+                    s11, s22, s12 = math.ldexp(s11, 2 * k1 - t), math.ldexp(s22, 2 * k2 - t), _ldexp(s12, k1 + k2 - t)
+                    e += t
+                s11, s22, s12 = _conjugated(s11, s22, s12, step)
                 _check_coherency(s11, s22, s12)
-            except PhysicsError:
-                return None
-            if s11 + s22 <= 0.0:
-                return None
-    return s11, s22, s12, None, None
+                if s11 + s22 <= 0.0:
+                    return None
+            if e:
+                s11, s22, s12 = math.ldexp(s11, e), math.ldexp(s22, e), _ldexp(s12, e)
+    except (OverflowError, PhysicsError):  # a gate's failure, or a power of two past the float range
+        return None
+    # classify squares s0: a larger one is the stage loop's to reject
+    return (s11, s22, s12, psi) if sys.float_info.min <= s11 + s22 <= _SQUARE_MAX else None
 
 
 def _classify_at(stage, stokes, tol):

@@ -1,6 +1,7 @@
 """bench/ab.py run A/A on this working tree: in process with tiny sizes, one cli-mix round, a small
-batch and one short simulate-long round; bench/traffic.py on this tree with tiny sizes;
-bench/mutants.py's table against src/; and a revision git cannot read."""
+batch, a few Jones inputs through one short circuit and one short simulate-long round;
+bench/traffic.py on this tree with tiny sizes; bench/mutants.py's table against src/; and a
+revision git cannot read."""
 
 import importlib.util
 import subprocess
@@ -44,6 +45,16 @@ def test_ab_batch_mode_times_states_through_one_long_circuit():
     assert "of 2 rounds" in line and "(3 ops per block)" in line
 
 
+def test_ab_jones_reused_mode_times_jones_inputs_through_one_circuit():
+    cmd = [sys.executable, str(ROOT / "bench" / "ab.py"), "--parent", str(ROOT), "--mode", "jones-reused",
+           "--rounds", "2", "--states", "3", "--stages", "20"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    [line] = done.stdout.splitlines()
+    assert line.startswith("jones-reused: parent/change CPU time median ")
+    assert "of 2 rounds" in line and "(3 ops per block)" in line
+
+
 def test_ab_simulate_long_mode_times_each_input_and_format():
     cmd = [sys.executable, str(ROOT / "bench" / "ab.py"), "--parent", str(ROOT), "--mode", "simulate-long",
            "--rounds", "1", "--stages", "20"]
@@ -69,11 +80,12 @@ def test_traffic_counts_entries_of_every_workload():
     # state-sweep evaluates one parsed circuit again and again: every op
     # folds its compiled segments, and none runs the stage loop.
     assert counts["circuit._fold"][1] > 0 and counts["circuit._walk"][1] == 0
-    # No timed in-process workload reads a report's records, and long-chain,
-    # from Jones inputs without decohere, compiles no segments: work that
-    # moves into a records read, or into the compile, costs them nothing.
+    # No timed in-process workload reads a report's records or runs the
+    # stage loop: long-chain, from Jones inputs without decohere, folds its
+    # amplitudes through its one segment, so work that moves into a records
+    # read or the stage loop costs them nothing.
     assert counts["circuit.SimulationReport.__getattr__"][:2] == [0, 0]
-    assert counts["circuit._compile"][0] == 0
+    assert counts["circuit._walk"][:2] == [0, 0]
     # Neither reads a stage's numbers through an Element2 or a decohere
     # stage through decohere_channel.
     assert counts["states._entries2"][:2] == [0, 0] and counts["decoherence.decohere_channel"][:2] == [0, 0]

@@ -33,8 +33,10 @@ from twobeam import (
     stokes_from_coherency,
     unparse,
 )
-from twobeam import circuit, decoherence, states
+from twobeam import circuit, cli, decoherence, states
 from twobeam.circuit import _parse_tokens, _scan
+
+import test_fold_accuracy
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -152,6 +154,70 @@ def test_underflow_is_located_and_plain():
                 assert (err.line, err.col) == where
             else:
                 raise AssertionError("underflow not reported")
+
+
+def within_bound(ast, inp, got):
+    """Each component of got, a StokesVector, is within the running bound of the exact result."""
+    want, bounds = test_fold_accuracy.reference(ast, inp, exact=True)
+    return all(abs(mpmath.mpf(g) - w) <= bound for g, w, bound in zip(vec(got), want, bounds))
+
+
+def test_an_identity_beyond_the_float_range_returns_its_input(tmp_path, capsys):
+    """Contract: an intermediate state beyond the float range costs the fold
+    nothing. squeeze(eta=800); squeeze(eta=-800) is the identity; evaluate
+    returns each input within the bound, while reading its records, which
+    holds every intermediate state, and the command line's simulate, which
+    prints them, raise the stage loop's located overflow."""
+    text = "squeeze(eta=800); squeeze(eta=-800)"
+    path = tmp_path / "identity.circ"
+    path.write_text(text + "\n")
+    for inp, spec in ((JonesVector(1, 0), "jones:1,0,0,0"), (StokesVector(1, 1, 0, 0), "stokes:1,1,0,0"),
+                      (StokesVector(1, 0.3, 0.2, 0.1), "stokes:1,0.3,0.2,0.1")):
+        report = evaluate(parse(text), inp)
+        assert within_bound(parse(text), inp, report.final_stokes)
+        with pytest.raises(CircuitSemanticError) as err:
+            report.stages
+        assert str(err.value) == "1:1: stage squeeze: beam intensity overflowed"
+        assert cli.main(["simulate", str(path), "--in", spec]) == 3
+        assert capsys.readouterr().err == "error: 1:1: stage squeeze: beam intensity overflowed\n"
+
+
+def test_a_product_that_would_be_subnormal_keeps_its_precision():
+    """Contract: a segment's product keeps every column in the normal range.
+    Two atten(370, 370) make the prefix product e^-740, which is subnormal,
+    and squeeze(eta=1400) brings beam 1 back to e^-40: s0 = e^-80 within the
+    bound, from the product's columns rescaled by powers of two."""
+    ast, inp = parse("atten(eta1=370, eta2=370); atten(eta1=370, eta2=370); squeeze(eta=1400)"), JonesVector(1, 0)
+    report = evaluate(ast, inp)
+    assert within_bound(ast, inp, report.final_stokes)
+    assert abs(report.final_stokes.s0 - math.exp(-80)) <= 1e-14 * math.exp(-80)
+
+
+def test_a_jones_input_folds_its_amplitudes(monkeypatch):
+    """Contract: a Jones input through a circuit with no decohere folds its
+    amplitudes through the circuit's one segment and never runs the stage
+    loop (hook: circuit._walk, counted) unless the fold declines (hook:
+    circuit._fold forced to None); final_coherency is the outer product of
+    final_jones, field for field, so a pure state stays pure; and the empty
+    circuit returns the input as final_jones."""
+    walked = []
+    walk = circuit._walk
+    monkeypatch.setattr(circuit, "_walk", lambda *args: walked.append(args) or walk(*args))
+    rng = random.Random(4404)
+    for _ in range(40):
+        ast = parse("; ".join(s for s in (random_stage(rng, 20.0, 5.0) for _ in range(rng.randint(1, 30)))
+                              if not s.startswith("decohere")) or "phase(phi=0.1)")
+        jones = random_inputs(rng)[0]
+        report = evaluate(ast, jones)
+        assert report.final_coherency == states.coherency_from_jones(report.final_jones)
+        assert vars(report.final_coherency) == vars(states.coherency_from_jones(report.final_jones))
+        assert report.final_classification.tag == "pure"
+    assert walked == []
+    monkeypatch.setattr(circuit, "_fold", lambda *args: None)
+    assert evaluate(ast, jones).final_jones is None and len(walked) == 1
+    monkeypatch.undo()
+    jones = JonesVector(0.6, 0.8j)
+    assert evaluate(circuit.CircuitAst(()), jones).final_jones == jones
 
 
 def test_an_input_whose_intensity_underflows_is_named():
@@ -458,7 +524,7 @@ def test_evaluate_carries_one_state(monkeypatch):
     """Contract: evaluate builds no record per stage. It carries the state
     as numbers, so the Stokes, Jones and coherency records whose checks it
     runs (hook: each class's __post_init__, counted) are as many for 200
-    stages as for one, from a Jones input on the amplitude track and from
+    stages as for one, from a Jones input folding its amplitudes and from
     a Stokes input through decohere stages."""
     built = []
     for cls in (StokesVector, JonesVector, CoherencyMatrix):
@@ -557,11 +623,11 @@ def test_a_failing_fold_step_defers_to_the_stage_loop(monkeypatch):
 def test_records_do_not_depend_on_the_path_evaluate_took(monkeypatch):
     """Contract: a report's records are the stage loop's from the input,
     whether the fold vouched for the result or evaluate ran the stage
-    loop instead; only the last record
-    holds the final state, the fold's where it ran. Hook: circuit._fold,
-    recording whether it declined, then forced to decline. The input
-    scaled by 2^-520 lies below the segments' range, so the fold declines
-    it; a power of two scales every entry exactly."""
+    loop instead; only the last record holds the final state, the fold's
+    where it ran. Hook: circuit._fold, recording whether it declined, then
+    forced to decline. The input scaled by 2^-520 folds as the unit one
+    does, its power of two carried beside its entries; through the stage
+    loop a power of two scales every entry exactly."""
     fold, declined = circuit._fold, []
     monkeypatch.setattr(circuit, "_fold", lambda *args: (out := fold(*args), declined.append(out is None))[0])
     ast = parse("rotate(theta=0.3); squeeze(eta=0.7); phase(phi=1.1); decohere(lambda=0.2); "
@@ -569,7 +635,8 @@ def test_records_do_not_depend_on_the_path_evaluate_took(monkeypatch):
                 "decohere(lambda=0.1); phase(phi=0.5)")
     values = (1.0, 0.3, -0.5, 0.6)
     folded = evaluate(ast, StokesVector(*values))
-    small = evaluate(ast, StokesVector(*(math.ldexp(x, -520) for x in values)))
+    small_folded = evaluate(ast, StokesVector(*(math.ldexp(x, -520) for x in values)))
+    assert declined == [False, False]
 
     def rescaled(c, n):
         return math.ldexp(c.s11, n), math.ldexp(c.s22, n), complex(math.ldexp(c.s12.real, n),
@@ -579,15 +646,18 @@ def test_records_do_not_depend_on_the_path_evaluate_took(monkeypatch):
         return [(r.stage, r.params, r.tol, rescaled(r.coherency_before, n), rescaled(r.coherency_after, n))
                 for r in report.stages]
 
-    assert declined == [False, True]
-    assert len(folded.stages) == len(small.stages) == 9
+    # The small input with the fold declined: the stage loop runs from it.
+    monkeypatch.setattr(circuit, "_fold", lambda *args: None)
+    small = evaluate(ast, StokesVector(*(math.ldexp(x, -520) for x in values)))
+    assert len(folded.stages) == len(small.stages) == len(small_folded.stages) == 9
     assert entries(small, 520)[:-1] == entries(folded)[:-1]
     assert entries(small, 520)[-1][3] == entries(folded)[-1][3]
-    assert folded.stages[-1].coherency_after is folded.final_coherency
-    assert small.stages[-1].coherency_after is small.final_coherency
-    # The same input with the fold declined: the stage loop runs from the
-    # input, and every record but the last is the folded report's.
-    monkeypatch.setattr(circuit, "_fold", lambda *args: None)
+    assert entries(small_folded)[:-1] == entries(small)[:-1]
+    assert entries(small_folded, 520)[-1][4] == entries(folded)[-1][4]
+    for report in (folded, small, small_folded):
+        assert report.stages[-1].coherency_after is report.final_coherency
+    # The unit input with the fold declined: every record but the last is
+    # the folded report's.
     fallback = evaluate(ast, StokesVector(*values))
     assert fallback.stages[:-1] == folded.stages[:-1]
     assert fallback.stages[-1].coherency_before == folded.stages[-1].coherency_before
@@ -651,27 +721,38 @@ def test_evaluate_raises_only_located_circuit_errors_or_physics_errors():
 
 
 def test_the_fold_rejects_what_the_stage_loop_rejects(monkeypatch):
-    """Contract: the fold changes no outcome. On extreme circuits from
-    Stokes inputs, some scaled by a power of two, evaluate accepts where
-    the stage loop accepts, and otherwise raises the loop's class,
-    message, line and col. Hook: circuit._fold forced to None, which runs
-    the stage loop from the input. Final bits are not compared: a
-    coherent run of two or more stages folds to different last bits by
-    design."""
+    """Contract: the fold rejects only what the stage loop rejects, and as
+    it does. On extreme circuits from Stokes inputs, some scaled by a
+    power of two, evaluate accepts where the stage loop accepts; where
+    evaluate rejects, it raises the loop's class, message, line and col;
+    and where evaluate accepts and the loop rejects, an intermediate state
+    beyond the float range, its result agrees with the exact one within
+    the running bound of test_fold_accuracy. Hook: circuit._fold forced
+    to None, which runs the stage loop from the input. Final bits are not
+    compared where both accept: a coherent run of two or more stages folds
+    to different last bits by design."""
     fold = circuit._fold
 
     def outcome(ast, inp, through):
         monkeypatch.setattr(circuit, "_fold", through)
         try:
-            evaluate(ast, inp)
+            return evaluate(ast, inp).final_stokes
         except (CircuitError, PhysicsError) as err:
             return type(err), str(err)
-        return None
 
     rng = random.Random(36)
+    beyond = 0
     for _ in range(150):
         ast = parse("; ".join(random_stage(rng, 800.0, 700.0, 5.0) for _ in range(rng.randint(1, 8))))
         _, _, mixed = random_inputs(rng)
         for n in (0, rng.randint(-1000, 1000)):
             inp = StokesVector(*(math.ldexp(x, n) for x in vec(mixed)))
-            assert outcome(ast, inp, fold) == outcome(ast, inp, lambda *args: None), (unparse(ast), inp)
+            got, loop = outcome(ast, inp, fold), outcome(ast, inp, lambda *args: None)
+            if isinstance(got, tuple):
+                assert got == loop, (unparse(ast), inp)
+            elif isinstance(loop, tuple):
+                beyond += 1
+                want, bounds = test_fold_accuracy.reference(ast, inp, exact=True)
+                for g, w, bound in zip(vec(got), want, bounds):
+                    assert abs(mpmath.mpf(g) - w) <= bound, (unparse(ast), inp)
+    assert beyond > 0

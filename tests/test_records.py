@@ -157,8 +157,8 @@ def test_defaults_keywords_and_match_args():
 
 def test_evaluate_keeps_nothing_on_a_stage():
     """Contract: a Stage keeps its four fields and nothing else, whichever
-    path reads its numbers: the amplitude track, the fold, the stage loop
-    of a fallback (an intensity below the segments' range) or a read of
+    path reads its numbers: the compile, the fold of a Jones or a Stokes
+    input, at unit intensity or at 1e-160, or the stage loop of a read of
     records; and what the AST keeps is outside its compared fields, so
     ==, hash and repr see the circuit alone. Observed through vars() of
     the public records."""

@@ -5,21 +5,30 @@ loop where the fold cannot vouch for the result. The reference below
 builds one matrix per step with coherency_from_jones, conjugate and
 decohere_channel, as the evaluator did before it carried entries, and
 each coherent stage's Jones matrix from the public constructor of its
-kind; atten's is diag(e^-eta1, e^-eta2), unfactored. A Jones input
-through a circuit with no decohere runs stage by stage on its
-amplitudes. Every other input folds from its coherency matrix: each
-maximal run of coherent stages is one matrix, the product of its stages'
-in the order and formula of the package's 2x2 product, applied with
-conjugate; a run of decohere stages is applied stage by stage.
-Where the state's size times a run's range of gain leaves the normal
-square range, or a step fails, the reference runs stage by stage from
-the input instead. Where the fold ran, records are the stage loop from
-the input; the last holds the final state.
+kind; atten's is diag(e^-eta1, e^-eta2), unfactored. Each maximal run of
+coherent stages is one matrix, the product of its stages' in the order
+and formula of the package's 2x2 product; where a column of it leaves
+[2^-8, 2^8] in size |re| + |im|, the stage multiplies the product before
+it again with that column divided by the power of two of the new
+column's largest part, which the run keeps, as the package does.
+A Jones input through a circuit with no decohere takes its amplitudes
+through the one run: scaled by the columns' powers of two, its largest
+part's moved out, then psi -> conj(M) psi, then the power of two put
+back. Every other input folds from its coherency matrix, carried as
+entries and a power of two: where a run has scaled columns, or the
+power is not 0, the entries are scaled as D C D, D the columns' powers,
+and by the power of two that puts their largest diagonal entry near
+2^900; the run is applied
+with conjugate and a run of decohere stages stage by stage. Where a step
+fails or underflows to zero, or the final intensity is not a normal
+float at most the square range's top, the reference runs the stage loop
+on the coherency matrix from the input instead. Records are the stage
+loop from the input; where the fold ran, the last holds the final state.
 Every report, record and rejection must agree bit for bit: the same
 floats, the same error class, message, line and column. Circuits reach
 |eta| up to 40 and lambda up to 50; inputs reach intensities from 1e-300
 to 1e300, so overflow, underflow to zero, the scaled range of the gate
-and both sides of the range test all occur.
+and intermediate states beyond the float range all occur.
 """
 
 import cmath
@@ -33,6 +42,7 @@ from twobeam import (
     CIRCUIT_FORMAT,
     CircuitError,
     CircuitSemanticError,
+    CoherencyMatrix,
     JonesVector,
     NonFiniteError,
     PhysicsError,
@@ -72,105 +82,140 @@ def located(stage, message):
     return CircuitSemanticError(f"stage {stage.name}: {message}", stage.line, stage.col)
 
 
-# The range in which squares stay normal floats (README): about 1.5e-154 to 6.7e153.
-SQUARE_MIN, SQUARE_MAX = math.sqrt(sys.float_info.min), 0.5 * math.sqrt(sys.float_info.max)
+# The top of the range in which squares stay normal floats (README): about 6.7e153.
+SQUARE_MAX = 0.5 * math.sqrt(sys.float_info.max)
 
 
-def step(stage, coh, jones):
+def step(stage, coh):
     """The state after one stage, as the per-stage evaluator computed it."""
     params = [value for _, value in stage.params]
     try:
         if stage.name == "decohere":
-            coh, jones = decohere_channel(coh, *params), None
+            coh = decohere_channel(coh, *params)
         else:
-            m = MATRICES[stage.name](*params)
-            if jones is None:
-                coh = conjugate(coh, m)
-            else:
-                (a, b), (c, d) = m
-                p1, p2 = jones.psi1, jones.psi2
-                jones = JonesVector(
-                    a.conjugate() * p1 + b.conjugate() * p2,
-                    c.conjugate() * p1 + d.conjugate() * p2,
-                )
-                coh = coherency_from_jones(jones)
+            coh = conjugate(coh, MATRICES[stage.name](*params))
         if coh.trace <= 0.0:
             raise PhysicsError("beam attenuated to zero intensity (underflow)")
     except NonFiniteError as err:
         raise located(stage, "beam intensity overflowed") from err
     except PhysicsError as err:
         raise located(stage, err) from err
-    return coh, jones
+    return coh
+
+
+def power(*parts):
+    """The exponent of the largest real or imaginary part of complex parts (frexp's)."""
+    return math.frexp(max(max(abs(z.real), abs(z.imag)) for z in parts))[1]
+
+
+def scaled(z, n):
+    return complex(math.ldexp(z.real, n), math.ldexp(z.imag, n))
 
 
 def product(run):
-    """The run's matrix M_k ... M_1, and min |det P|^2 / |P|_F^2 and max
-    |P|_F^2 over its prefix products P, det P the product of the stages'."""
-    p, det, low, high = None, 1.0, math.inf, 0.0
+    """The run's matrix M_k ... M_1 = Q diag(2^k1, 2^k2): (Q's rows, k1, k2)."""
+    p, k1, k2 = None, 0, 0
     for stage in run:
         (a, b), (c, d) = MATRICES[stage.name](*(value for _, value in stage.params))
-        det *= abs(a * d - b * c)
-        if p is None:
-            p = a, b, c, d
-        else:
-            w, x, y, z = p
-            p = a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z
-        norm = sum(e.real * e.real + e.imag * e.imag for e in p)
-        low, high = min(low, det * det / norm), max(high, norm)
-    return (p[:2], p[2:]), low, high
+
+        def times(w, x, y, z):
+            return a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z
+
+        q = (a, b, c, d) if p is None else times(*p)
+        w, x, y, z = q
+        if not (2.0**-8 <= abs(w) + abs(y) <= 2.0**8 and 2.0**-8 <= abs(x) + abs(z) <= 2.0**8):
+            n1, n2 = power(w, y), power(x, z)
+            w, x, y, z = p or (1.0, 0j, 0j, 1.0)
+            q = times(scaled(w, -n1), scaled(x, -n2), scaled(y, -n1), scaled(z, -n2))
+            k1, k2 = k1 + n1, k2 + n2
+        p = q
+    return (p[:2], p[2:]), k1, k2
+
+
+def normal(intensity):
+    return sys.float_info.min <= intensity <= SQUARE_MAX
+
+
+def fold_jones(stages, jones):
+    """The final JonesVector, or None where evaluate runs the stage loop."""
+    p1, p2, e = jones.psi1, jones.psi2, 0
+    if stages:
+        ((a, b), (c, d)), k1, k2 = product(stages)
+        if k1 or k2:
+            e = max(k1 + power(p1) if p1 else -math.inf, k2 + power(p2) if p2 else -math.inf)
+            p1, p2 = scaled(p1, k1 - e), scaled(p2, k2 - e)
+        p1, p2 = a.conjugate() * p1 + b.conjugate() * p2, c.conjugate() * p1 + d.conjugate() * p2
+    try:
+        final = JonesVector(scaled(p1, e), scaled(p2, e))
+        coh = coherency_from_jones(final)
+    except (ArithmeticError, ValueError):  # ValueError: PhysicsError too
+        return None
+    return final if normal(coh.trace) else None
 
 
 def fold(stages, coh):
-    """[(run, state after it)] from coh, or None where evaluate runs stage by stage."""
-    out = []
+    """The final CoherencyMatrix, or None where evaluate runs the stage loop."""
+    e = 0
     for channel, run in itertools.groupby(stages, lambda stage: stage.name == "decohere"):
         run = tuple(run)
         try:
             if channel:
                 for stage in run:
                     coh = decohere_channel(coh, stage.params[0][1])
-            else:
-                m, low, high = product(run)
-                if not (SQUARE_MIN <= coh.trace * low and coh.trace * high <= SQUARE_MAX):
-                    return None
-                coh = conjugate(coh, m)
-                if coh.trace <= 0.0:
-                    return None
+                continue
+            m, k1, k2 = product(run)
+            if k1 or k2 or e:
+                s11, s22 = coh.s11, coh.s22
+                t = max(2 * k1 + math.frexp(s11)[1] if s11 else -math.inf,
+                        2 * k2 + math.frexp(s22)[1] if s22 else -math.inf) - 900
+                coh = CoherencyMatrix(math.ldexp(s11, 2 * k1 - t), math.ldexp(s22, 2 * k2 - t),
+                                      scaled(coh.s12, k1 + k2 - t))
+                e += t
+            coh = conjugate(coh, m)
+            if coh.trace <= 0.0:
+                return None
         except (ArithmeticError, ValueError):  # ValueError: PhysicsError too
             return None
-        out.append((run, coh))
-    return out
+    try:
+        coh = CoherencyMatrix(math.ldexp(coh.s11, e), math.ldexp(coh.s22, e), scaled(coh.s12, e))
+    except OverflowError:
+        return None
+    return coh if normal(coh.trace) else None
 
 
 def reference(ast, inp, tol):
-    """evaluate's report, one CoherencyMatrix (and JonesVector) per step."""
-    jones = inp if isinstance(inp, JonesVector) else None
-    coh = coherency_from_jones(inp) if jones else coherency_from_stokes(inp, tol)
+    """evaluate's report, one CoherencyMatrix per step."""
+    coh = coherency_from_jones(inp) if isinstance(inp, JonesVector) else coherency_from_stokes(inp, tol)
     input_stokes = stokes_from_coherency(coh)
     if coh.trace <= 0.0:
         raise PhysicsError("evaluation requires positive input intensity")
-    records, stages = [], ast.stages
-    if any(stage.name == "decohere" for stage in stages):
-        jones = None  # a mixed state has no amplitudes
-    runs = None if jones else fold(stages, coh)
-    for stage in stages if runs is None else stages[:-1]:
+    stages, first, jones = ast.stages, coh, None
+    if isinstance(inp, JonesVector) and not any(stage.name == "decohere" for stage in stages):
+        jones = fold_jones(stages, inp)
+        final = jones and coherency_from_jones(jones)
+    else:
+        final = fold(stages, coh)
+    walked = stages if final is None else stages[:-1]
+    records = []
+    for stage in walked:
         before = coh
-        coh, jones = step(stage, coh, jones)
+        coh = step(stage, coh)
         records.append(StageRecord(stage.name, stage.params, before, coh, tol))
-    if runs:
-        records.append(StageRecord(stages[-1].name, stages[-1].params, coh, runs[-1][1], tol))
-        coh, jones = runs[-1][1], None
-    final = stokes_from_coherency(coh)
+    if final is None:
+        final = coh if stages else first
+    elif stages:
+        records.append(StageRecord(stages[-1].name, stages[-1].params, coh, final, tol))
+    final_stokes = stokes_from_coherency(final)
     try:
-        cls = classify(final, tol)
+        cls = classify(final_stokes, tol)
     except NonFiniteError as err:
         if not stages:
             raise
         raise located(stages[-1], err) from err
     input_jones = inp if isinstance(inp, JonesVector) else None
     return SimulationReport(
-        CIRCUIT_FORMAT, input_stokes, input_jones, tuple(records), final, coh, jones,
-        purity_report(coh), cls,
+        CIRCUIT_FORMAT, input_stokes, input_jones, tuple(records), final_stokes, final, jones,
+        purity_report(final), cls,
     )
 
 
@@ -213,9 +258,9 @@ def inputs(draw):
     return StokesVector(intensity, p * math.cos(t), x, y)
 
 
-# Each example leaves one side of the range alone, its size times the
-# segment's gain above the square range or below it; there the fold's bits
-# would differ from the stage loop's.
+# Each example takes an intermediate state past one side of the range in
+# which squares stay normal floats, where the stage loop's gates scale the
+# entries and a product of its columns is rescaled.
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(CIRCUIT, inputs(), st.sampled_from((1e-9, 1e-3)))
 @example("squeeze(eta=5); rotate(theta=0.3); phase(phi=0.7); decohere(lambda=0.5)",

@@ -138,8 +138,9 @@ DARK = st.just(0j)
 def test_outer_products_of_plain_size_pass_the_gate(amplitudes):
     """Contract: the gate always accepts an outer product whose size
     s11 + s22 lies in [_SQUARE_MIN, _SQUARE_MAX], rounding and subnormal
-    components included, which is why evaluate's amplitude track runs no
-    gate there. Hooks: states._outer, _check_coherency and the range."""
+    components included: the outer product of a Jones input's folded
+    amplitudes, its final state, is a coherency matrix there. Hooks:
+    states._outer, _check_coherency and the range."""
     s11, s22, s12 = _outer(*amplitudes)
     if _SQUARE_MIN <= s11 + s22 <= _SQUARE_MAX:
         _check_coherency(s11, s22, s12)
