@@ -90,9 +90,16 @@ MUTANTS = (
     # The stage loop, which records reads run, goes through the public channel and element.
     Mutant("decohere-through-channel", CIRCUIT, "s12 = complex(step * s12.real, step * s12.imag)",
            "s12 = decoherence.decohere_channel(CoherencyMatrix._checked(s11, s22, s12), _value(*stage.params)).s12"),
-    Mutant("conjugate-through-element", CIRCUIT, "s11, s22, s12 = _conjugated(s11, s22, s12, _conjugation(step))",
-           "s11, s22, s12 = (c := conjugate(CoherencyMatrix._checked(s11, s22, s12), (step[:2], step[2:]))).s11, "
-           "c.s22, c.s12"),
+    # The coherent step both take goes through the public conjugate, its element built from the constants.
+    Mutant("conjugate-through-element", CIRCUIT, "s11, s22, s12 = _conjugated(s11, s22, s12, step)",
+           "s11, s22, s12 = (c := conjugate(CoherencyMatrix._checked(s11, s22, s12), ((step[8], step[10]), "
+           "(step[9].conjugate(), step[11].conjugate())))).s11, c.s22, c.s12"),
+    # The underflow rule back at zero: a state below the normal floats is accepted, after a coherent
+    # stage or segment, or as the input.
+    Mutant("step-underflow-at-zero", CIRCUIT, "if s11 + s22 < _TRACE_MIN:", "if s11 + s22 <= 0.0:",
+           ("tests/test_reference_chain.py", "tests/test_extremes.py")),
+    Mutant("input-underflow-at-zero", CIRCUIT, "if first.trace < _TRACE_MIN:", "if first.trace <= 0.0:",
+           ("tests/test_differential.py", "tests/test_extremes.py")),
     # An evaluate from a Jones input compiles the circuit again.
     Mutant("jones-recompiles", CIRCUIT, _FOLD,
            "_fold(_compile(stages) if input_jones else _segments(ast), *walked[0], psi)"),

@@ -478,12 +478,11 @@ class SimulationReport(_Record):
 
     final_jones is set where evaluate folded a Jones input's amplitudes:
     through a circuit with no decohere, unless the fold declined and the
-    stage loop ran, which carries no amplitudes.
-    A report evaluate returns holds the input's entries and those after
-    each stage its stage loop ran. Its stages are built on the first read,
-    the stage loop going on from there to the last stage, and
-    final_purity is read from final_coherency; both are kept (see
-    evaluate).
+    stage loop ran, which carries no amplitudes. A report evaluate returns
+    holds the input's entries and those after each stage its stage loop
+    ran. Its stages are built on the first read, the stage loop going on
+    from there to the last stage, and final_purity from final_coherency;
+    both are kept (see evaluate).
     """
 
     circuit_format: str
@@ -515,44 +514,41 @@ class SimulationReport(_Record):
 def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     """Push a state through the circuit; its stage records are built when read.
 
-    evaluate folds every input through the circuit's segments. Every
-    stage is linear, so the circuit is compiled once, by the first
-    evaluate, into alternating segments kept on the AST (_segments). A
-    maximal run of coherent stages is one Jones matrix M = M_k ... M_1,
-    the product of its stages' STAGES actions, kept as a matrix Q whose
-    columns carry their own powers of two: M = Q diag(2^k1, 2^k2). A run
-    of decohere stages is the tuple of its stages' e^-2 lambda. A Jones
-    input through a circuit with no decohere, one coherent segment at
-    most, folds its amplitudes, psi -> conj(M) psi, and the entries are
-    their outer product, so a pure state stays pure however long the
-    chain; final_jones is built from them. Every other input folds its
-    coherency entries: a coherent segment takes them through conjugate's
-    formula, C -> M C M+, and its gate and underflow test, once per
-    segment; a decohere segment scales s12 by each e^-2 lambda in turn.
-    The state carries its power of two beside its entries and applies it
-    once, at the end. So an intermediate state beyond the float range
-    costs nothing: squeeze(eta=800); squeeze(eta=-800) returns its input.
+    Every stage is linear, so the first evaluate compiles the circuit into
+    alternating segments kept on the AST (_segments): a coherent run's
+    product M = Q diag(2^k1, 2^k2) (_product), a decohere run's e^-2
+    lambda. A Jones input through a circuit with no decohere, one coherent
+    segment at most, folds its amplitudes, psi -> conj(M) psi, and the
+    entries are their outer product, so a pure state stays pure however
+    long the chain; final_jones is built from them. Every other input folds
+    its coherency entries, C -> M C M+ per coherent segment and s12 scaled
+    by each e^-2 lambda, its power of two carried beside them to the end:
+    squeeze(eta=800); squeeze(eta=-800) returns its input.
 
-    Where a segment fails its gate or underflow test, a squeeze's own
-    entries overflow, or the final trace is not a normal float at most
-    _SQUARE_MAX (classify squares it), evaluate runs the stage loop from
-    the input instead, and returns or raises exactly what it does: a
-    stage failure re-raises as a located CircuitSemanticError, and
-    overflow and an intensity that underflows to zero say so. A final
-    class that overflows is located at the last stage. The result depends
-    only on the circuit, the input and tol.
+    One underflow rule holds for every state evaluate accepts, the input
+    and the state after each coherent stage or segment: its trace s11 +
+    s22 is at least _TRACE_MIN, the least normal float. Below it a state
+    has lost precision to underflow, and the gate would read rounding
+    noise. An input below it raises PhysicsError; _coherent, the one
+    coherent step, tests it before the gate and names a failure as
+    underflow. decohere keeps s11 and s22 and needs no test.
 
-    The StageRecords, and the matrices between stages, are built on the
-    first read of the report's stages, and final_purity on its first
-    read. Where the fold ran, the read runs the stage loop, with its
-    gates, from the input up to the last stage; where the stage loop ran,
-    the read keeps its entries. So every record but the last is the stage
-    loop's, whichever path evaluate took, and the last holds the final
-    state: stages[-1].coherency_after is final_coherency. A gate that
-    fails in the read raises its located error from the read, also where
-    the fold returned a state the stage loop cannot reach. The segments
-    are the only memo: the stage loop reads each stage's numbers again
-    through _action and builds no Element2.
+    Where a segment fails, a squeeze's own entries overflow, or the final
+    trace is not within [_TRACE_MIN, _SQUARE_MAX] (classify squares it),
+    evaluate runs the stage loop from the input instead and returns or
+    raises exactly what it does: a stage failure re-raises as a located
+    CircuitSemanticError. A final class that overflows is located at the
+    last stage. The result depends only on the circuit, the input and tol.
+
+    The report's stages, its StageRecords and the matrices between them,
+    and its final_purity are built on their first read. Where the fold
+    ran, the read runs the stage loop from the input; where the stage loop
+    ran, it keeps its entries. So every record but the last is the stage
+    loop's, and the last holds the final state: stages[-1].coherency_after
+    is final_coherency. A gate that fails in the read raises its located
+    error there, also where the fold returned a state the stage loop cannot
+    reach. The segments are the only memo: the stage loop reads each
+    stage's numbers again through _action and builds no Element2.
     """
     if isinstance(inp, JonesVector):
         psi, first, input_jones = (inp.psi1, inp.psi2), coherency_from_jones(inp), inp
@@ -561,10 +557,9 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
     else:
         raise TypeError("input must be a JonesVector or StokesVector")
     input_stokes = stokes_from_coherency(first)
-    if first.trace <= 0.0:
-        dark = not (inp.psi1 or inp.psi2) if input_jones else inp.s0 == 0.0
-        underflow = "" if dark else " (it underflows to zero)"
-        raise PhysicsError(f"evaluation requires positive input intensity{underflow}")
+    if first.trace < _TRACE_MIN:
+        lit = (inp.psi1 or inp.psi2) if input_jones else inp.s0
+        raise PhysicsError("evaluation requires positive input intensity" + (" (it underflows to zero)" if lit else ""))
     stages, walked = ast.stages, [(first.s11, first.s22, first.s12)]
     try:
         folded = _fold(_segments(ast), *walked[0], psi)
@@ -589,22 +584,31 @@ def evaluate(ast: CircuitAst, inp, tol=CLASSIFY_TOL) -> SimulationReport:
 
 def _walk(stages, trail, s11, s22, s12):
     """The stage loop: the entries (s11, s22, s12) after stages, from those,
-    each stage's entries appended to trail; every coherent stage's pass
-    the gate and the underflow test, and a failure raises located."""
+    each stage's appended to trail; a failure of _coherent raises located."""
     for stage in stages:
         try:
             step = _action(stage)
             if step.__class__ is float:  # decohere's e^-2 lambda; its result needs no gate
                 s12 = complex(step * s12.real, step * s12.imag)
             else:
-                s11, s22, s12 = _conjugated(s11, s22, s12, _conjugation(step))
-                _check_coherency(s11, s22, s12)
-                if s11 + s22 <= 0.0:
-                    raise PhysicsError("beam attenuated to zero intensity (underflow)")
+                s11, s22, s12 = _coherent(s11, s22, s12, _conjugation(step))
         except PhysicsError as err:
             message = "beam intensity overflowed" if isinstance(err, NonFiniteError) else err
             raise CircuitSemanticError(f"stage {stage.name}: {message}", stage.line, stage.col) from err
         trail.append((s11, s22, s12))
+    return s11, s22, s12
+
+
+_TRACE_MIN = sys.float_info.min  # the least trace of a state evaluate accepts (its one underflow rule)
+
+
+def _coherent(s11, s22, s12, step):
+    """conjugate's entries after a coherent stage or segment with conjugation
+    constants step, once they pass the underflow test and then the gate."""
+    s11, s22, s12 = _conjugated(s11, s22, s12, step)
+    if s11 + s22 < _TRACE_MIN:
+        raise PhysicsError("beam attenuated to zero intensity (underflow)")
+    _check_coherency(s11, s22, s12)
     return s11, s22, s12
 
 
@@ -672,13 +676,12 @@ def _ldexp(z, n):
 
 
 def _fold(segments, s11, s22, s12, psi=None):
-    """The final (s11, s22, s12, psi) after segments, from entries s11,
-    s22, s12 and, for a Jones input, its amplitudes psi; psi stays None
-    but where every segment is coherent. None where a segment's entries
-    fail the gate or the underflow test, a power of two takes them past
-    the float range, or the final trace is not a normal float at most
-    _SQUARE_MAX. It reads and keeps nothing else: a function of the
-    segments and one state."""
+    """The final (s11, s22, s12, psi) after segments, from entries s11, s22,
+    s12 and, for a Jones input, amplitudes psi, None but where every segment
+    is coherent. evaluate's one underflow rule holds: None where a segment
+    fails _coherent, a power of two takes the entries past the float range,
+    or the final trace is not within [_TRACE_MIN, _SQUARE_MAX]. A function
+    of the segments and one state: it reads and keeps nothing else."""
     e = 0  # the state is 2^e times its entries, psi 2^e times its amplitudes
     try:
         if psi and all(k1 is not None for _, k1, _ in segments):
@@ -707,16 +710,13 @@ def _fold(segments, s11, s22, s12, psi=None):
                             2 * k2 + math.frexp(s22)[1] if s22 else -math.inf) - 900
                     s11, s22, s12 = math.ldexp(s11, 2 * k1 - t), math.ldexp(s22, 2 * k2 - t), _ldexp(s12, k1 + k2 - t)
                     e += t
-                s11, s22, s12 = _conjugated(s11, s22, s12, step)
-                _check_coherency(s11, s22, s12)
-                if s11 + s22 <= 0.0:
-                    return None
+                s11, s22, s12 = _coherent(s11, s22, s12, step)
             if e:
                 s11, s22, s12 = math.ldexp(s11, e), math.ldexp(s22, e), _ldexp(s12, e)
-    except (OverflowError, PhysicsError):  # a gate's failure, or a power of two past the float range
+    except (OverflowError, PhysicsError):  # a gate's failure or underflow, or a power of two past the range
         return None
     # classify squares s0: a larger one is the stage loop's to reject
-    return (s11, s22, s12, psi) if sys.float_info.min <= s11 + s22 <= _SQUARE_MAX else None
+    return (s11, s22, s12, psi) if _TRACE_MIN <= s11 + s22 <= _SQUARE_MAX else None
 
 
 def _classify_at(stage, stokes, tol):

@@ -186,11 +186,20 @@ def test_a_product_that_would_be_subnormal_keeps_its_precision():
     """Contract: a segment's product keeps every column in the normal range.
     Two atten(370, 370) make the prefix product e^-740, which is subnormal,
     and squeeze(eta=1400) brings beam 1 back to e^-40: s0 = e^-80 within the
-    bound, from the product's columns rescaled by powers of two."""
+    bound, from the product's columns rescaled by powers of two. So does
+    atten(360, 360); squeeze(eta=100), to s0 = e^-620, while reading its
+    records, which hold the subnormal state e^-720 after atten, raises the
+    stage loop's located underflow."""
     ast, inp = parse("atten(eta1=370, eta2=370); atten(eta1=370, eta2=370); squeeze(eta=1400)"), JonesVector(1, 0)
     report = evaluate(ast, inp)
     assert within_bound(ast, inp, report.final_stokes)
     assert abs(report.final_stokes.s0 - math.exp(-80)) <= 1e-14 * math.exp(-80)
+    ast, inp = parse("atten(eta1=360, eta2=360); squeeze(eta=100)"), StokesVector(1, 1, 0, 0)
+    report = evaluate(ast, inp)
+    assert within_bound(ast, inp, report.final_stokes) and report.final_stokes.s0 == 5.462874456123501e-270
+    with pytest.raises(CircuitSemanticError) as err:
+        report.stages
+    assert str(err.value) == "1:1: stage atten: beam attenuated to zero intensity (underflow)"
 
 
 def test_a_jones_input_folds_its_amplitudes(monkeypatch):
@@ -222,13 +231,17 @@ def test_a_jones_input_folds_its_amplitudes(monkeypatch):
 
 def test_an_input_whose_intensity_underflows_is_named():
     # |1e-200|^2 and 5e-324 / 2 round to 0: the input is not dark, yet its
-    # coherency trace is 0. A dark input keeps the plain message.
+    # coherency trace is 0. 1e-310 and |1e-160|^2 are not 0 but below the
+    # normal floats, where evaluate accepts no state. A dark input keeps the
+    # plain message.
     ast = parse("rotate(theta=0.3)")
     message = "evaluation requires positive input intensity"
     for inp, said in (
         (JonesVector(1e-200, 0.0), f"{message} (it underflows to zero)"),
         (JonesVector(0.0, 1e-170j), f"{message} (it underflows to zero)"),
         (StokesVector(5e-324, 0.0, 0.0, 0.0), f"{message} (it underflows to zero)"),
+        (StokesVector(1e-310, 0.0, 0.0, 0.0), f"{message} (it underflows to zero)"),
+        (JonesVector(1e-160, 0.0), f"{message} (it underflows to zero)"),
         (JonesVector(0.0, 0.0), message),
         (StokesVector(0.0, 0.0, 0.0, 0.0), message),
     ):

@@ -19,16 +19,22 @@ entries and a power of two: where a run has scaled columns, or the
 power is not 0, the entries are scaled as D C D, D the columns' powers,
 and by the power of two that puts their largest diagonal entry near
 2^900; the run is applied
-with conjugate and a run of decohere stages stage by stage. Where a step
-fails or underflows to zero, or the final intensity is not a normal
-float at most the square range's top, the reference runs the stage loop
-on the coherency matrix from the input instead. Records are the stage
-loop from the input; where the fold ran, the last holds the final state.
-Every report, record and rejection must agree bit for bit: the same
-floats, the same error class, message, line and column. Circuits reach
-|eta| up to 40 and lambda up to 50; inputs reach intensities from 1e-300
-to 1e300, so overflow, underflow to zero, the scaled range of the gate
-and intermediate states beyond the float range all occur.
+with conjugate and a run of decohere stages stage by stage. One underflow
+rule holds throughout: no intensity below the normal floats. An input
+below them is rejected. A coherent stage first tests the trace of its
+conjugated matrix, summed as conjugate sums it, and names one below them
+as underflow; only then does conjugate run its checks, which would read
+rounding noise in such a state. A decohere stage keeps s11 and s22, so
+it needs no test. Where a step fails, or the final intensity is not a
+normal float at most the square range's top, the reference runs the
+stage loop on the coherency matrix from the input instead. Records are
+the stage loop from the input; where the fold ran, the last holds the
+final state. Every report, record and rejection must agree bit for bit:
+the same floats, the same error class, message, line and column.
+Circuits reach |eta| up to 40 and lambda up to 50; inputs reach
+intensities from 1e-300 to 1e300, so overflow, underflow, the scaled
+range of the gate and intermediate states beyond the float range all
+occur.
 """
 
 import cmath
@@ -86,16 +92,29 @@ def located(stage, message):
 SQUARE_MAX = 0.5 * math.sqrt(sys.float_info.max)
 
 
+def conjugated_trace(coh, m):
+    """The trace of conjugate(coh, m) before its checks: s11 + s22 of G C G+,
+    each summed in the order of conjugate's entrywise formula."""
+    a, b, c, d = (complex(x) for row in m for x in row)
+    s11 = (a * a.conjugate()).real * coh.s11 + (b * b.conjugate()).real * coh.s22 + 2.0 * (
+        a * b.conjugate() * coh.s12).real
+    s22 = (c * c.conjugate()).real * coh.s11 + (d * d.conjugate()).real * coh.s22 + 2.0 * (
+        c * d.conjugate() * coh.s12).real
+    return s11 + s22
+
+
 def step(stage, coh):
-    """The state after one stage, as the per-stage evaluator computed it."""
+    """The state after one stage, as the per-stage evaluator computed it:
+    a coherent stage's underflow test, then conjugate and its checks."""
     params = [value for _, value in stage.params]
     try:
         if stage.name == "decohere":
             coh = decohere_channel(coh, *params)
         else:
-            coh = conjugate(coh, MATRICES[stage.name](*params))
-        if coh.trace <= 0.0:
-            raise PhysicsError("beam attenuated to zero intensity (underflow)")
+            m = MATRICES[stage.name](*params)
+            if conjugated_trace(coh, m) < sys.float_info.min:
+                raise PhysicsError("beam attenuated to zero intensity (underflow)")
+            coh = conjugate(coh, m)
     except NonFiniteError as err:
         raise located(stage, "beam intensity overflowed") from err
     except PhysicsError as err:
@@ -172,7 +191,7 @@ def fold(stages, coh):
                                       scaled(coh.s12, k1 + k2 - t))
                 e += t
             coh = conjugate(coh, m)
-            if coh.trace <= 0.0:
+            if coh.trace < sys.float_info.min:
                 return None
         except (ArithmeticError, ValueError):  # ValueError: PhysicsError too
             return None
@@ -187,8 +206,8 @@ def reference(ast, inp, tol):
     """evaluate's report, one CoherencyMatrix per step."""
     coh = coherency_from_jones(inp) if isinstance(inp, JonesVector) else coherency_from_stokes(inp, tol)
     input_stokes = stokes_from_coherency(coh)
-    if coh.trace <= 0.0:
-        raise PhysicsError("evaluation requires positive input intensity")
+    if coh.trace < sys.float_info.min:
+        raise PhysicsError("evaluation requires positive input intensity (it underflows to zero)")
     stages, first, jones = ast.stages, coh, None
     if isinstance(inp, JonesVector) and not any(stage.name == "decohere" for stage in stages):
         jones = fold_jones(stages, inp)
@@ -267,6 +286,12 @@ def inputs(draw):
          StokesVector(1e152, 3e151, -4e151, 5e151), 1e-9)
 @example("rotate(theta=0.3); squeeze(eta=-5); phase(phi=0.7); decohere(lambda=0.5)",
          StokesVector(1e-152, 3e-153, -4e-153, 5e-153), 1e-9)
+# The next two take a state below the normal floats: the first underflows
+# where its gate passes, the second where its gate, reading rounding noise,
+# would fail; both are named as underflow.
+@example("squeeze(eta=-40.0)", StokesVector(1e-300, 1e-300, 0, 0), 1e-9)
+@example("rotate(theta=3.071706361309081); atten(eta1=364.4731411040324, eta2=363.8858443761189)",
+         JonesVector(-1.3445680792210248 - 0.13932956003029806j, 0.808426019846914 + 0.8013738362577778j), 1e-9)
 def test_evaluate_is_the_reference_chain_bit_for_bit(text, inp, tol):
     ast = parse(text)
     assert outcome(evaluate, ast, inp, tol) == outcome(reference, ast, inp, tol)
